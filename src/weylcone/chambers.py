@@ -11,6 +11,7 @@ polynomial-times-exponential function of the offset parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -335,7 +336,7 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
             powers_b = [Polynomial.constant(m, 1)]
             for _ in range(msig):
                 powers_b.append(powers_b[-1] * neg_b)
-            e_series = [p.scale(Fraction(1, _factorial(r))) for r, p in enumerate(powers_b)]
+            e_series = [p.scale(Fraction(1, math.factorial(r))) for r, p in enumerate(powers_b)]
             # collect t^{j + r - msig} for j + r <= msig
             for j in range(msig + 1):
                 if g[j] == 0:
@@ -359,10 +360,3 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
         if p.degree() > bound:
             raise AssertionError(f"degree bound violated: {p.degree()} > {bound} for exponent {lam}")
     return f
-
-
-def _factorial(r: int) -> int:
-    out = 1
-    for i in range(2, r + 1):
-        out *= i
-    return out

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -92,12 +91,8 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def _frac(x: Fraction) -> str:
-    return polyhedra._frac_str(x)
-
-
 def _form(v) -> list[str]:
-    return [_frac(c) for c in v]
+    return [str(c) for c in v]
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +146,7 @@ def _cmd_bv(args) -> int:
         out["kind"] = "exp_sum"
         out["result"] = {
             "terms": [
-                {"coeff": _frac(c), "exponent": _frac(e)} for c, e in es.terms
+                {"coeff": str(c), "exponent": str(e)} for c, e in es.terms
             ]
         }
         out["float_value"] = float(es.eval())
@@ -171,8 +166,8 @@ def _cmd_cones(args) -> int:
                 {"signs": list(c.signs), "witness": _form(c.witness)}
                 for c in family.cones
             ],
-            "epsilon": _frac(family.epsilon) if family.epsilon is not None else None,
-            "suggested_epsilon": _frac(regions.suggest_epsilon(family)),
+            "epsilon": str(family.epsilon) if family.epsilon is not None else None,
+            "suggested_epsilon": str(regions.suggest_epsilon(family)),
             "exact": True,
         }
     )
@@ -197,22 +192,20 @@ def _cmd_regions_decompose(args) -> int:
 
 
 def _pick_region(ctx, t, s, args):
+    try:  # checked before the decomposition, which is the slow part
+        indices = [int(part) for part in args.pi_one.split(",") if part.strip()]
+    except ValueError as exc:
+        raise ArgumentDataError(f"bad weight index list {args.pi_one!r}: {exc}") from exc
     descs = regions.decompose(ctx, t, s, jobs=args.jobs)
     if not 0 <= args.region_index < len(descs):
         raise ArgumentDataError(
             f"region index {args.region_index} out of range (0..{len(descs) - 1})"
         )
     desc = descs[args.region_index]
-    pi_one = []
-    for part in args.pi_one.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        i = int(part)
+    for i in indices:
         if not 0 <= i < len(desc.pi):
             raise ArgumentDataError(f"weight index {i} out of range")
-        pi_one.append(desc.pi[i])
-    return desc, tuple(pi_one)
+    return desc, tuple(desc.pi[i] for i in indices)
 
 
 def _cmd_regions_refine(args) -> int:
@@ -247,7 +240,7 @@ def _cmd_regions_slice(args) -> int:
 
 
 def _cmd_asymptote_toy(args) -> int:
-    ts = tuple(float(Fraction(p)) for p in args.t_list.split(","))
+    ts = tuple(float(x) for x in _parse_vec(args.t_list))
     table = asymptote.residual_table(ts, args.branch)
     sys.stdout.write("T,integral,profile,residual\n")
     for e in table:
@@ -318,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="weylcone",
         description="Cone decompositions, chamber integrals, and indicator calculus.",
     )
-    ap.add_argument("--seed", type=int, default=None, help="overrides WEYLCONE_SEED")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("rootdatum", help="emit a root datum as JSON")
@@ -393,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    seed = args.seed if args.seed is not None else int(os.environ.get("WEYLCONE_SEED", "0"))
-    args.seed = seed
     try:
         return args.func(args)
     except ArgumentDataError as exc:

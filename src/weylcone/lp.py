@@ -9,7 +9,9 @@ The driver works on the standard form
 
     minimize c.x   subject to  A x = b,  x >= 0,
 
-and `solve` converts free variables / inequality rows into that shape.
+and `solve` converts the caller's problem into that shape.  Its variables are
+free by default, split x = u - w into two columns each; `nonneg=k` makes the
+last k of them nonnegative, one column each.  Each inequality row adds a slack.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import Vec, vec, zeros
+from .linalg import Vec, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -125,32 +127,37 @@ def solve(
     b_ub: Sequence = (),
     a_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
+    nonneg: int = 0,
 ) -> LPResult:
-    """LP over n free (sign-unrestricted) variables.
+    """LP over n variables: the first n - nonneg free, the last nonneg >= 0.
 
-    a_ub x <= b_ub, a_eq x = b_eq.  Free variables are split x = u - w and
-    slacks close the inequalities.
+    a_ub x <= b_ub, a_eq x = b_eq.  Free variables are split x = u - w,
+    nonnegative variables enter the standard form as they are, and slacks
+    close the inequalities.
     """
-    c = [Fraction(x) for x in objective]
-    if not minimize:
-        c = [-x for x in c]
+    if not 0 <= nonneg <= n:
+        raise ValueError(f"nonneg={nonneg} must lie in 0..{n}")
+    nfree = n - nonneg
     nub = len(a_ub)
-    # columns: u (n), w (n), slacks (nub)
-    cols = 2 * n + nub
+
+    def columns(row):  # caller's coefficients -> u (nfree), w (nfree), x >= 0 (nonneg)
+        r = [Fraction(x) for x in row]
+        return r[:nfree] + [-x for x in r[:nfree]] + r[nfree:]
+
     rows_a, rows_b = [], []
     for i, row in enumerate(a_ub):
-        r = [Fraction(x) for x in row]
-        rows_a.append(r + [-x for x in r] + [Fraction(1 if j == i else 0) for j in range(nub)])
+        rows_a.append(columns(row) + [Fraction(1 if j == i else 0) for j in range(nub)])
         rows_b.append(Fraction(b_ub[i]))
     for i, row in enumerate(a_eq):
-        r = [Fraction(x) for x in row]
-        rows_a.append(r + [-x for x in r] + [Fraction(0)] * nub)
+        rows_a.append(columns(row) + [Fraction(0)] * nub)
         rows_b.append(Fraction(b_eq[i]))
-    cc = c + [-x for x in c] + [Fraction(0)] * nub
-    status, xs, val = _standard_simplex(rows_a, rows_b, cc)
+    c = columns(objective)
+    if not minimize:
+        c = [-x for x in c]
+    status, xs, val = _standard_simplex(rows_a, rows_b, c + [Fraction(0)] * nub)
     if status != OPTIMAL:
         return LPResult(status)
-    x = tuple(xs[j] - xs[n + j] for j in range(n))
+    x = tuple(xs[j] - xs[nfree + j] for j in range(nfree)) + xs[2 * nfree : nfree + n]
     return LPResult(OPTIMAL, x, val if minimize else -val)
 
 
@@ -161,9 +168,10 @@ def feasible_point(
     b_ub: Sequence = (),
     a_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
+    nonneg: int = 0,
 ) -> Vec | None:
-    """A point of {a_ub x <= b_ub, a_eq x = b_eq}, or None."""
-    res = solve(zeros(n), n, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    """A point of {a_ub x <= b_ub, a_eq x = b_eq, last nonneg coordinates >= 0}, or None."""
+    res = solve(zeros(n), n, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=nonneg)
     return res.x if res.ok else None
 
 
@@ -206,13 +214,14 @@ def lexmin_point(
     b_ub: Sequence = (),
     a_eq: Sequence[Sequence] = (),
     b_eq: Sequence = (),
+    nonneg: int = 0,
 ) -> Vec | None:
-    """Lexicographic minimum over the given objective sequence; deterministic."""
+    """Lexicographic minimum over the objective sequence (`nonneg` as in `solve`); deterministic."""
     eqs = [list(r) for r in a_eq]
     erhs = list(b_eq)
     x = None
     for c in objectives:
-        res = solve(c, n, a_ub=a_ub, b_ub=b_ub, a_eq=eqs, b_eq=erhs)
+        res = solve(c, n, a_ub=a_ub, b_ub=b_ub, a_eq=eqs, b_eq=erhs, nonneg=nonneg)
         if not res.ok:
             return None
         x = res.x

@@ -35,7 +35,6 @@ from .linalg import (
     solve_any,
     sub,
     vec,
-    zeros,
 )
 
 
@@ -196,8 +195,7 @@ def in_hull(points: Sequence[Vec], x: Sequence[Fraction]) -> bool:
     a_eq = [[p[i] for p in points] for i in range(len(x))]
     a_eq.append([Fraction(1)] * m)
     b_eq = list(x) + [Fraction(1)]
-    neg_id = [[Fraction(-1 if j == i else 0) for j in range(m)] for i in range(m)]
-    return lp.feasible_point(m, a_ub=neg_id, b_ub=zeros(m), a_eq=a_eq, b_eq=b_eq) is not None
+    return lp.feasible_point(m, a_eq=a_eq, b_eq=b_eq, nonneg=m) is not None
 
 
 def extreme_points(points: Sequence[Vec]) -> tuple[Vec, ...]:
@@ -314,8 +312,7 @@ def squared_distance(
     rows = [[dot(f, p) for p in poly.vertices] for f in forms]
     rows.append([Fraction(1)] * m)
     rhs = [Fraction(0)] * len(forms) + [Fraction(1)]
-    neg_id = [[Fraction(-1 if j == i else 0) for j in range(m)] for i in range(m)]
-    if lp.feasible_point(m, a_ub=neg_id, b_ub=zeros(m), a_eq=rows, b_eq=rhs) is not None:
+    if lp.feasible_point(m, a_eq=rows, b_eq=rhs, nonneg=m) is not None:
         return Fraction(0)
 
     best: Fraction | None = None
@@ -356,7 +353,6 @@ def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> F
     # p(t) = v0 + sum_{i<nf} t_i fbasis_i ; barycentric lam over face vertices
     nv = len(face_verts)
     ns = len(null)
-    width = ns + nv
     a_eq: list[list[Fraction]] = []
     b_eq: list[Fraction] = []
     for c in range(dim):
@@ -367,8 +363,7 @@ def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> F
         b_eq.append(base)
     a_eq.append([Fraction(0)] * ns + [Fraction(1)] * nv)
     b_eq.append(Fraction(1))
-    neg_rows = [[Fraction(-1 if j == ns + i else 0) for j in range(width)] for i in range(nv)]
-    sol = lp.feasible_point(width, a_ub=neg_rows, b_ub=zeros(nv), a_eq=a_eq, b_eq=b_eq)
+    sol = lp.feasible_point(ns + nv, a_eq=a_eq, b_eq=b_eq, nonneg=nv)
     if sol is None:
         return None
     t = list(part)
@@ -447,6 +442,9 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
 
     Exact rational triangulation, then per-simplex closed form
     |det| * exp[mu(v_0),...,mu(v_d)]; all terms positive, no cancellation.
+    Each mu(v_i) is evaluated over Q and rounded once, so equal exponent
+    values stay equal floats (the divided difference is ill-conditioned at
+    values that are merely one ulp apart).
     """
     if not poly.vertices:
         return 0.0
@@ -454,12 +452,12 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
     if poly.affine_dim() < d:
         warnings.warn("polytope is lower-dimensional; integral over it is 0")
         return 0.0
-    mu_f = [float(c) for c in mu]
+    mu_q = [Fraction(c) for c in mu]
     total = 0.0
     for simplex in triangulate(poly):
         m = [sub(p, simplex[0]) for p in simplex[1:]]
         dv = abs(det(m))
-        ys = [sum(c * float(x) for c, x in zip(mu_f, p)) for p in simplex]
+        ys = [float(dot(mu_q, p)) for p in simplex]
         total += float(dv) * _exp_divided_difference(ys)
     return total
 
@@ -513,10 +511,6 @@ def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[
 # --- serialization ---------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def parse_fraction(s) -> Fraction:
     return Fraction(s)
 
@@ -525,7 +519,7 @@ def h_to_json(h: HPolyhedron) -> str:
     return json.dumps(
         {
             "H": [
-                {"normal": [_frac_str(x) for x in a], "offset": _frac_str(c)}
+                {"normal": [str(x) for x in a], "offset": str(c)}
                 for a, c in zip(h.normals, h.offsets)
             ],
             "dim": h.dim,
@@ -540,7 +534,7 @@ def h_from_json(text: str) -> HPolyhedron:
 
 
 def v_to_json(v: VPolytope) -> str:
-    return json.dumps({"V": [[_frac_str(x) for x in p] for p in v.vertices]})
+    return json.dumps({"V": [[str(x) for x in p] for p in v.vertices]})
 
 
 def v_from_json(text: str) -> VPolytope:

@@ -21,6 +21,7 @@ deterministic.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -52,7 +53,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .polyhedra import HPolyhedron, VPolytope, _frac_str, parse_fraction
+from .polyhedra import HPolyhedron, VPolytope, _normalize_form
 from .rootspace import (
     BOUNDARY,
     ParabolicSubset,
@@ -248,11 +249,6 @@ def _canonical_form(form: Vec) -> Vec:
     return scale(Fraction(1) / lead, form)
 
 
-def _positive_normalize(form: Vec) -> Vec:
-    lead = next(c for c in form if c != 0)
-    return scale(Fraction(1) / abs(lead), form)
-
-
 def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec]) -> bool:
     """Whether span(basis) contains a nonzero nonnegative root combination."""
     n = datum.rank
@@ -266,9 +262,7 @@ def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec]) -> bool:
         b_eq.append(Fraction(0))
     a_eq.append([Fraction(0)] * k + [Fraction(1)] * n)
     b_eq.append(Fraction(1))
-    a_ub = [[Fraction(0)] * k + [Fraction(-1 if a == j else 0) for a in range(n)] for j in range(n)]
-    b_ub = [Fraction(0)] * n
-    return lp.feasible_point(nv, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq) is not None
+    return lp.feasible_point(nv, a_eq=a_eq, b_eq=b_eq, nonneg=n) is not None
 
 
 def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
@@ -698,18 +692,12 @@ def well_situated_report(ctx: DecompositionContext, t, s) -> WellSituatedReport:
 # the recursion
 
 
-def _strict_rows(h: HPolyhedron):
-    rows = [neg(a) for a in h.normals]
-    rhs = list(h.offsets)
-    return rows, rhs
-
-
 def _sign_cells(base_h: HPolyhedron, forms_y: Sequence[Vec]):
     """All full-dimensional sign assignments of the forms inside the region.
 
     DFS with strict-LP pruning; yields tuples of +/-1 in canonical order.
     """
-    rows0, rhs0 = _strict_rows(base_h)
+    rows0, rhs0 = base_h.ub_rows()
     n = base_h.dim
 
     def rec(i, rows, rhs):
@@ -729,7 +717,7 @@ def _sign_cells(base_h: HPolyhedron, forms_y: Sequence[Vec]):
 def _threshold_cells(region_h: HPolyhedron, rows_forms, threshold: Fraction):
     """Subsets of `rows_forms` (signed forms in y-coords) that exceed the
     threshold on a full-dimensional subcell; DFS with strict-LP pruning."""
-    rows0, rhs0 = _strict_rows(region_h)
+    rows0, rhs0 = region_h.ub_rows()
     n = region_h.dim
 
     def rec(i, rows, rhs, chosen):
@@ -784,27 +772,25 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor) -> Fraction:
     pi0 = desc.pi_zero
     basis_idx = independent_subset(pi0, n)
     pi0_basis = [pi0[i] for i in basis_idx]
-    nv = len(cert) + len(pi0_basis)
+    # variables: free span coefficients (nb), then the multipliers >= 0
+    nb = len(pi0_basis)
+    nv = nb + len(cert)
     a_eq, b_eq = [], []
     for i in range(n):
-        row = [f[i] for f, _ in cert] + [-b[i] for b in pi0_basis]
+        row = [-b[i] for b in pi0_basis] + [f[i] for f, _ in cert]
         a_eq.append(row)
         b_eq.append(Fraction(0))
-    a_eq.append([mult for _, mult in cert] + [Fraction(0)] * len(pi0_basis))
+    a_eq.append([Fraction(0)] * nb + [mult for _, mult in cert])
     b_eq.append(Fraction(1))
-    a_ub = [
-        [Fraction(-1 if j == i else 0) for j in range(nv)] for i in range(len(cert))
-    ]
-    b_ub = [Fraction(0)] * len(cert)
-    objectives = [[Fraction(1 if j == i else 0) for j in range(nv)] for i in range(len(cert))]
-    x = lp.lexmin_point(objectives, nv, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq)
+    objectives = [[Fraction(1 if j == nb + i else 0) for j in range(nv)] for i in range(len(cert))]
+    x = lp.lexmin_point(objectives, nv, a_eq=a_eq, b_eq=b_eq, nonneg=len(cert))
     if x is None:
         raise CertificateError(
             "no exact certificate for the next threshold level; "
             "the inputs likely fail the largeness requirement"
         )
     mu = zeros(n)
-    for (f, _), c in zip(cert, x):
+    for (f, _), c in zip(cert, x[nb:]):
         mu = add(mu, scale(c, f))
     d = coords_in_basis(pi0_basis, mu)
     if d is None:
@@ -876,8 +862,9 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
 
     Every leaf's kernel of unconsumed weights meets the leaf region; the
     interiors partition the region.  Inputs must be well-situated.  With
-    jobs > 1 the sign cells are processed in parallel; the result order is
-    canonical either way.
+    jobs > 1 the sign cells are processed in parallel by at most
+    min(jobs, cells, cpu count) workers; the result order is canonical either
+    way.
     """
     report = well_situated_report(ctx, t, s)
     if not report.ok:
@@ -892,10 +879,11 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
     pi_y = [tuple(dot(lam, bv) for bv in basis) for lam in ctx.pi]
     cells = list(_sign_cells(base_h, pi_y))
     work = [(ctx, tv, sv, signs) for signs in cells]
-    if jobs > 1 and len(work) > 1:
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_descriptors_for_cell, work))
     else:
         chunks = [_descriptors_for_cell(w) for w in work]
@@ -1139,7 +1127,7 @@ def refine(
     hull_h = polyhedra.to_hrep(VPolytope(ext))
     facets = tuple(
         sorted(
-            _positive_normalize(a)
+            _normalize_form(a, 0)[0]
             for a, c in zip(hull_h.normals, hull_h.offsets)
             if c == 0
         )
@@ -1168,12 +1156,11 @@ def refine(
         normals.add(_canonical_form(ns[0]))
     problematic = tuple(sorted(normals))
 
-    pyr_strict_rows = [neg(a) for a in hull_h.normals]
-    pyr_strict_rhs = list(hull_h.offsets)
+    pyr_rows, pyr_rhs = hull_h.ub_rows()
     out = []
     for signs in product((1, -1), repeat=len(problematic)):
-        rows = pyr_strict_rows + [neg(scale(sg, nrm)) for sg, nrm in zip(signs, problematic)]
-        rhs = pyr_strict_rhs + [Fraction(0)] * len(problematic)
+        rows = pyr_rows + [neg(scale(sg, nrm)) for sg, nrm in zip(signs, problematic)]
+        rhs = pyr_rhs + [Fraction(0)] * len(problematic)
         if lp.interior_point(m, a_strict=rows, b_strict=rhs) is None:
             continue
         cone_rows = [(f, Fraction(0)) for f in facets] + [
@@ -1375,11 +1362,7 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
         for lam in combo:
             a_eq.append([dot(lam, v) for v in hull])
             b_eq.append(Fraction(0))
-        nonneg = [[Fraction(-1 if j == i else 0) for j in range(nv)] for i in range(nv)]
-        bary = (
-            lp.feasible_point(nv, a_ub=nonneg, b_ub=[Fraction(0)] * nv, a_eq=a_eq, b_eq=b_eq)
-            is not None
-        )
+        bary = lp.feasible_point(nv, a_eq=a_eq, b_eq=b_eq, nonneg=nv) is not None
         if thick != bary:
             violations.append(
                 f"span class {combo}: thickened={thick} kernel-hull={bary}"
@@ -1388,14 +1371,14 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
 
 
 def _form_json(f: Vec) -> list[str]:
-    return [_frac_str(c) for c in f]
+    return [str(c) for c in f]
 
 
 def _ineq_json(iq: SymbolicIneq) -> dict:
     return {
         "lhs": _form_json(iq.lhs),
         "rel": iq.rel,
-        "b_coeff": _frac_str(iq.b_coeff),
+        "b_coeff": str(iq.b_coeff),
         "t_form": _form_json(iq.t_form),
         "ts_form": _form_json(iq.ts_form),
         "kind": iq.kind,
@@ -1410,7 +1393,7 @@ def region_to_json(psi: PsiSystem, desc: RegionDescriptor) -> dict:
         "pi": [_form_json(f) for f in desc.pi],
         "pi_plus": [index[f] for f in desc.pi_plus],
         "lambdas": [[index[f] for f in level] for level in desc.lambdas],
-        "deltas": [_frac_str(d) for d in desc.deltas],
+        "deltas": [str(d) for d in desc.deltas],
         "ineqs": [_ineq_json(iq) for iq in region_inequalities(psi, desc)],
     }
 
@@ -1421,10 +1404,10 @@ def decomposition_to_json(
     return {
         "p": sorted(ctx.p.outside),
         "q": sorted(ctx.q.outside),
-        "epsilon": _frac_str(ctx.epsilon),
-        "kappa_sq": _frac_str(ctx.kappa_sq),
+        "epsilon": str(ctx.epsilon),
+        "kappa_sq": str(ctx.kappa_sq),
         "b_functional": _form_json(ctx.b_form),
-        "largeness_sq": _frac_str(ctx.largeness_sq),
+        "largeness_sq": str(ctx.largeness_sq),
         "regions": [region_to_json(ctx.psi, d) for d in descs],
     }
 
@@ -1435,7 +1418,7 @@ def refinement_to_json(ctx: DecompositionContext, ref: RefinementDescriptor) -> 
         "region": region_to_json(ctx.psi, ref.region),
         "pi_one": [index[f] for f in ref.pi_one],
         "basis": [index[f] for f in ref.basis_b],
-        "delta_prime": _frac_str(ref.delta_prime),
+        "delta_prime": str(ref.delta_prime),
         "problematic": [_form_json(f) for f in ref.problematic],
         "signs": list(ref.signs),
         "pyramid_facets": [_form_json(f) for f in ref.pyramid_facets],

@@ -395,18 +395,14 @@ def reflect(datum: RootDatum, i: int, w) -> Vec:
 # --- serialization ----------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def datum_to_json(datum: RootDatum, weights: WeightSet | None = None) -> str:
     out = {
         "type": datum.ctype,
         "rank": datum.rank,
-        "simple_roots": [[_frac_str(c) for c in r] for r in datum.simple_roots],
-        "fundamental_weights": [[_frac_str(c) for c in r] for r in datum.fundamental_weights],
-        "inner_product": [[_frac_str(c) for c in r] for r in datum.inner],
+        "simple_roots": [[str(c) for c in r] for r in datum.simple_roots],
+        "fundamental_weights": [[str(c) for c in r] for r in datum.fundamental_weights],
+        "inner_product": [[str(c) for c in r] for r in datum.inner],
     }
     if weights is not None:
-        out["weights"] = [[_frac_str(c) for c in w] for w in sorted(weights.weights)]
+        out["weights"] = [[str(c) for c in w] for w in sorted(weights.weights)]
     return json.dumps(out)

@@ -321,19 +321,15 @@ def _monomials(nvars: int, max_degree: int) -> list[Monomial]:
 # --- serialization ----------------------------------------------------------
 
 
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
-
-
 def to_json(f: TFiniteFunction) -> str:
     return json.dumps(
         {
             "nvars": f.nvars,
             "terms": [
                 {
-                    "exponent": [_frac_str(c) for c in lam],
+                    "exponent": [str(c) for c in lam],
                     "poly": [
-                        {"monomial": list(m), "coeff": _frac_str(c)}
+                        {"monomial": list(m), "coeff": str(c)}
                         for m, c in sorted(p.coeffs.items())
                     ],
                 }

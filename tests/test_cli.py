@@ -92,14 +92,22 @@ def test_bv_arity_is_argument_error(capsys):
     assert json.loads(out)["error"]["kind"] == "argument"
 
 
-def test_bad_rational_is_argument_error(capsys):
-    code, out = run(
+def test_bad_rational_is_argument_error(capsys, monkeypatch):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a malformed index list must be rejected before decomposing")
+
+    monkeypatch.setattr(cli.regions, "decompose", no_decompose)
+    pick = ["--region-index", "1", "--pi-one", "2,x"]
+    for argv in (
         ["gamma", "--type", "A", "--rank", "1", "--P", "", "--Q", "a1",
          "--X", "1/0", "--T", "2"],
-        capsys,
-    )
-    assert code == 2
-    assert json.loads(out)["error"]["kind"] == "argument"
+        ["asymptote", "toy", "--T-list", "2,x"],
+        ["regions", "refine"] + DECOMPOSE_ARGS[2:] + pick,
+        ["regions", "slice"] + DECOMPOSE_ARGS[2:] + pick + ["--X", "97/12,197/48"],
+    ):
+        code, out = run(argv, capsys)
+        assert code == 2, argv
+        assert json.loads(out)["error"]["kind"] == "argument"
 
 
 def test_usage_error_exits_via_argparse():
@@ -131,14 +139,6 @@ def test_regions_decompose_deterministic_and_parallel(capsys):
     _, second = run(DECOMPOSE_ARGS, capsys)
     _, parallel = run(DECOMPOSE_ARGS + ["--jobs", "2"], capsys)
     assert first == second == parallel
-
-
-def test_seed_does_not_change_deterministic_output(capsys, monkeypatch):
-    monkeypatch.setenv("WEYLCONE_SEED", "7")
-    _, first = run(DECOMPOSE_ARGS, capsys)
-    monkeypatch.setenv("WEYLCONE_SEED", "8")
-    _, second = run(["--seed", "9"] + DECOMPOSE_ARGS, capsys)
-    assert first == second
 
 
 def test_regions_refine(capsys):

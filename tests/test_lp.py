@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcone import lp
@@ -119,3 +119,36 @@ def test_box_lp_matches_separable_minimum(c):
     )
     assert res.ok
     assert res.value == sum(min(ci, F(0)) for ci in c)
+
+
+@st.composite
+def small_lps(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    coef = st.integers(-3, 3)
+    rows = lambda m: st.lists(st.lists(coef, min_size=n, max_size=n), min_size=0, max_size=m)
+    a_ub, a_eq = draw(rows(4)), draw(rows(2))
+    b_ub = draw(st.lists(coef, min_size=len(a_ub), max_size=len(a_ub)))
+    b_eq = draw(st.lists(coef, min_size=len(a_eq), max_size=len(a_eq)))
+    c = draw(st.lists(coef, min_size=n, max_size=n))
+    return n, k, a_ub, b_ub, a_eq, b_eq, c, draw(st.booleans())
+
+
+@settings(max_examples=300)
+@given(small_lps())
+def test_nonneg_matches_explicit_rows(lp_case):
+    # reference: all variables free, x_j >= 0 written as rows -x_j <= 0
+    n, k, a_ub, b_ub, a_eq, b_eq, c, minimize = lp_case
+    neg_id = [[-1 if j == i else 0 for j in range(n)] for i in range(n - k, n)]
+    ref = lp.solve(c, n, minimize=minimize, a_ub=a_ub + neg_id, b_ub=b_ub + [0] * k, a_eq=a_eq, b_eq=b_eq)
+    res = lp.solve(c, n, minimize=minimize, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=k)
+    assert res.status == ref.status
+    assert res.value == ref.value
+    if res.ok:
+        x = res.x
+        assert len(x) == n and all(v >= 0 for v in x[n - k :])
+        assert all(dot(r, x) <= b for r, b in zip(a_ub, b_ub))
+        assert all(dot(r, x) == b for r, b in zip(a_eq, b_eq))
+        assert dot(c, x) == res.value
+    feasible = lp.feasible_point(n, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=k)
+    assert (feasible is None) == (ref.status == lp.INFEASIBLE)

@@ -198,6 +198,27 @@ def test_integrate_exp_oracle_closed_forms():
     assert abs(PH.integrate_exp_oracle(vps, (F(1), F(0))) - (math.e - 2)) < 1e-12
 
 
+def test_integrate_exp_oracle_equal_exponents_at_simplex_vertices():
+    # mu = -2x - 3y is 4 at both a and c, two vertices of one simplex; float
+    # evaluation put them one ulp apart, where the divided difference is off
+    # by about 4%
+    import numpy as np
+    from scipy.integrate import dblquad
+
+    a, b, c, d = (F(-11, 3), F(10, 9)), (F(-1), F(2)), (F(-7, 8), F(-3, 4)), (F(13, 4), F(2))
+    mu = (F(-2), F(-3))
+    got = PH.integrate_exp_oracle(PH.VPolytope((a, b, c, d)), mu)
+    xs = [float(p[0]) for p in (a, b, c, d)]
+    ys = [float(p[1]) for p in (a, b, c, d)]
+    lower = lambda x: float(np.interp(x, [xs[0], xs[2], xs[3]], [ys[0], ys[2], ys[3]]))  # a, c, d
+    upper = lambda x: float(np.interp(x, [xs[0], xs[1], xs[3]], [ys[0], ys[1], ys[3]]))  # a, b, d
+    ref = 0.0
+    for lo, hi in ((xs[0], xs[1]), (xs[1], xs[2]), (xs[2], xs[3])):  # split at the kinks
+        part, _ = dblquad(lambda y, x: math.exp(-2 * x - 3 * y), lo, hi, lower, upper, epsabs=0, epsrel=1e-12)
+        ref += part
+    assert abs(got - ref) <= 1e-7 * ref
+
+
 def test_integrate_exp_oracle_zero_mu_is_volume():
     vp = PH.vertices(simplex_h(3))
     assert abs(PH.integrate_exp_oracle(vp, (F(0), F(0), F(0))) - 1 / 6) < 1e-13

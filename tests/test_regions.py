@@ -280,6 +280,38 @@ def test_decompose_deterministic_and_parallel(ctx, descs):
     assert RG.decompose(ctx, T, S, jobs=2) == descs
 
 
+def test_decompose_worker_count_is_bounded(ctx, descs, monkeypatch):
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:  # records the pool size and maps serially; starts no process
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(RG.os, "cpu_count", lambda: 64)
+    # the fixture has a single sign cell, so no pool is started at all
+    assert RG.decompose(ctx, T, S, jobs=50) == descs and started == []
+    # three copies of that cell stand in for three sign cells
+    real_cells = RG._sign_cells
+    monkeypatch.setattr(RG, "_sign_cells", lambda h, f: list(real_cells(h, f)) * 3)
+    for jobs, cpus, expected in ((50, 64, 3), (50, 2, 2), (2, 64, 2), (50, None, None)):
+        monkeypatch.setattr(RG.os, "cpu_count", lambda: cpus)
+        started.clear()
+        assert RG.decompose(ctx, T, S, jobs=jobs) == RG.decompose(ctx, T, S)
+        assert started == ([expected] if expected else [])
+
+
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
     ineqs = RG.region_inequalities(ctx.psi, leaf)
     h = RG.instantiate(ineqs, ctx.basis, ctx.b_form, T, S)
