@@ -197,9 +197,8 @@ def same_chamber(cd: ChamberData, x: Sequence, y: Sequence) -> bool:
 
 
 def is_bounded(pp: ParametricPolyhedron) -> bool:
-    """P(x) bounded wherever nonempty, i.e. the normals positively span."""
-    cone = HPolyhedron(pp.normals, zeros(pp.n_constraints), pp.dim)
-    return polyhedra.recession_direction(cone) is None
+    """P(x) bounded wherever nonempty, i.e. the normals positively span (one Stiemke LP)."""
+    return polyhedra.recession_cone_is_zero(pp.normals, pp.dim)
 
 
 @dataclass(frozen=True)

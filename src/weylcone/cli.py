@@ -280,6 +280,8 @@ def _cmd_oracle_vertices(args) -> int:
 def _cmd_oracle_integrate(args) -> int:
     v = _load_polytope(_read_input(args), polyhedra.v_from_json, "V-rep")
     mu = _parse_vec(args.mu)
+    if v.vertices and len(mu) != v.dim:
+        raise ArgumentDataError(f"--mu has length {len(mu)}, the polytope has dimension {v.dim}")
     value = polyhedra.integrate_exp_oracle(v, mu)
     _emit({"value": value, "kind": "float", "method": "simplicial"})
     return 0

@@ -100,8 +100,16 @@ def feasible_point(h: HPolyhedron) -> Vec | None:
     return lp.feasible_point(h.dim, a_ub=a, b_ub=b)
 
 
+def recession_cone_is_zero(normals: Sequence[Vec], dim: int) -> bool:
+    """No d != 0 has a.d >= 0 for every normal a.  Stiemke: iff rank is dim and
+    sum y_i a_i = 0 for some y >= 1; y = 1 + z, z >= 0 makes that one LP."""
+    cols, m = list(zip(*normals)), len(normals)
+    return rank(normals, dim) == dim and (
+        lp.feasible_point(m, a_eq=cols, b_eq=[-sum(c) for c in cols], nonneg=m) is not None)
+
+
 def recession_direction(h: HPolyhedron) -> Vec | None:
-    """A nonzero direction d with normal.d >= 0 for all constraints, else None."""
+    """Witness path (2*dim box LPs): a nonzero d with normal.d >= 0 for all normals, else None."""
     rows = [neg(a) for a in h.normals]
     rhs = [Fraction(0)] * len(rows)
     box = [Fraction(1)] * h.dim
@@ -123,14 +131,13 @@ def recession_direction(h: HPolyhedron) -> Vec | None:
 def vertices(h: HPolyhedron) -> VPolytope:
     """Exact extreme points via basis enumeration over tight constraint sets.
 
-    Empty vertex list iff infeasible.  Raises UnboundedError (with witness)
-    when the feasible set is nonempty and unbounded.
+    Empty vertex list iff infeasible.  Boundedness is one Stiemke LP; only a
+    nonempty unbounded set runs `recession_direction` for UnboundedError's witness.
     """
     if feasible_point(h) is None:
         return VPolytope(())
-    d = recession_direction(h)
-    if d is not None:
-        raise UnboundedError(d)
+    if not recession_cone_is_zero(h.normals, h.dim):
+        raise UnboundedError(recession_direction(h))
     n, dim = len(h.normals), h.dim
     found: set[Vec] = set()
     for subset in combinations(range(n), dim):

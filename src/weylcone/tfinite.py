@@ -113,13 +113,15 @@ class Polynomial:
             result = result + term
         return result
 
+    def __hash__(self):  # agrees with the generated __eq__, which compares coeffs as dicts
+        return hash((self.nvars, frozenset(self.coeffs.items())))
+
     def _check(self, other: "Polynomial"):
         if self.nvars != other.nvars:
             raise ValueError("polynomial arity mismatch")
 
 
 def _frozen(d: dict):
-    # dict is fine for an immutable-by-convention dataclass, but hashing needs a tuple
     return dict(sorted(d.items()))
 
 
@@ -240,7 +242,7 @@ class TFiniteFunction:
         return self.nvars == other.nvars and dict(self.terms) == dict(other.terms)
 
     def __hash__(self):
-        return hash((self.nvars, tuple(sorted((l, tuple(sorted(p.coeffs.items()))) for l, p in self.terms.items()))))
+        return hash((self.nvars, frozenset(self.terms.items())))
 
 
 def fit_tfinite(

@@ -211,6 +211,28 @@ def test_oracle_integrate(tmp_path, capsys):
     assert abs(blob["value"] - 1.0) < 1e-12
 
 
+def test_oracle_integrate_mu_of_wrong_length_is_argument_error(tmp_path, capsys):
+    src = tmp_path / "square_v.json"
+    src.write_text(PH.v_to_json(PH.vertices(SQUARE_H)), encoding="utf-8")
+    for mu in ("1", "0,0,1"):
+        code, out = run(["oracle", "integrate", "--in", str(src), "--mu", mu], capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["kind"] == "argument"
+
+
+def test_oracle_vertices_unbounded_bytes(tmp_path, capsys):
+    # {x >= 0, x + y >= 1, y >= -2} recedes along (1, 0)
+    wedge = PH.HPolyhedron.from_pairs([((1, 0), 0), ((1, 1), -1), ((0, 1), 2)], 2)
+    src = tmp_path / "wedge.json"
+    src.write_text(PH.h_to_json(wedge), encoding="utf-8")
+    code, out = run(["oracle", "vertices", "--in", str(src)], capsys)
+    assert code == 1
+    assert out == (
+        '{\n "error": {\n  "kind": "domain",\n  "message": "polyhedron is unbounded in direction '
+        '(Fraction(1, 1), Fraction(0, 1))"\n }\n}\n'
+    )
+
+
 def test_oracle_malformed_input_is_argument_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 2, "rows": []}', encoding="utf-8")

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylcone import polyhedra as PH
@@ -264,3 +264,74 @@ def test_extreme_points_reproduce_hull(pts):
     assert set(ext) <= set(pts)
     for p in pts:
         assert PH.in_hull(ext, p)
+
+
+@st.composite
+def normal_sets(draw):
+    """Small integer normals, dim 1-4: zero rows, repeats and rank-deficient sets all occur."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    row = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim)
+    return tuple(vec(r) for r in draw(st.lists(row, max_size=2 * dim + 2))), dim
+
+
+@settings(max_examples=100)
+@given(normal_sets())
+def test_recession_cone_is_zero_matches_witness_lps(case):
+    normals, dim = case
+    d = PH.recession_direction(PH.HPolyhedron(normals, (F(0),) * len(normals), dim))
+    assert PH.recession_cone_is_zero(normals, dim) == (d is None)
+    if d is not None:
+        assert any(c != 0 for c in d)
+        assert all(dot(a, d) >= 0 for a in normals)
+
+
+def test_recession_cone_is_zero_edge_cases():
+    e = lambda *c: vec(c)
+    assert not PH.recession_cone_is_zero((), 2)
+    assert not PH.recession_cone_is_zero((e(1, 0), e(-1, 0)), 2)  # rank 1: the y axis recedes
+    assert not PH.recession_cone_is_zero((e(1, 0), e(0, 1), e(1, 1)), 2)  # no positive relation
+    assert PH.recession_cone_is_zero((e(1, 0), e(0, 1), e(-1, -1)), 2)
+    assert PH.recession_cone_is_zero((e(1, 0), e(0, 1), e(-1, -1), e(0, 0)), 2)  # zero rows are free
+    assert PH.recession_cone_is_zero(cube_h(4).normals, 4)
+
+
+def test_bounded_paths_never_run_the_witness_lps(monkeypatch):
+    from weylcone import chambers as CH
+
+    real, calls = PH.recession_direction, []
+
+    def counting(h):
+        calls.append(h)
+        return real(h)
+
+    monkeypatch.setattr(PH, "recession_direction", counting)
+    assert len(PH.vertices(cube_h(3)).vertices) == 8
+    assert len(PH.vertices(simplex_h(4)).vertices) == 5
+    assert PH.vertices(PH.HPolyhedron(((F(1),), (F(-1),)), (F(-2), F(1)), 1)).vertices == ()
+    assert CH.is_bounded(CH.ParametricPolyhedron.make([(1, 0), (0, 1), (-1, -1)], 2))
+    assert not CH.is_bounded(CH.ParametricPolyhedron.make([(1, 0), (0, 1), (1, 1)], 2))
+    assert calls == []
+    with pytest.raises(PH.UnboundedError):
+        PH.vertices(PH.HPolyhedron(((F(1),),), (F(0),), 1))
+    assert len(calls) == 1  # only the raising path computes a witness
+
+
+UNBOUNDED_WITNESSES = [
+    # {x >= 0, x + y >= 1, y >= -2}
+    ([((1, 0), 0), ((1, 1), -1), ((0, 1), 2)], 2, (1, 0)),
+    # the strip 0 <= y <= 1
+    ([((0, 1), 0), ((0, -1), 1)], 2, (1, 0)),
+    # a unit square times {z <= 5}
+    ([((1, 0, 0), 0), ((-1, 0, 0), 1), ((0, 1, 0), 0), ((0, -1, 0), 1), ((0, 0, -1), 5)], 3, (0, 0, -1)),
+    # {x1 + x2 >= 0, x2 + x3 >= 0, x1 + x3 >= 2}
+    ([((1, 1, 0), 0), ((0, 1, 1), 0), ((1, 0, 1), -2)], 3, (1, 1, -1)),
+]
+
+
+@pytest.mark.parametrize("pairs,dim,direction", UNBOUNDED_WITNESSES)
+def test_unbounded_witness_is_pinned(pairs, dim, direction):
+    h = PH.HPolyhedron.from_pairs(pairs, dim)
+    with pytest.raises(PH.UnboundedError) as info:
+        PH.vertices(h)
+    assert info.value.direction == vec(direction)
+    assert str(info.value) == f"polyhedron is unbounded in direction {vec(direction)}"

@@ -215,3 +215,54 @@ def test_datum_json_shape():
     assert len(blob["weights"]) == 3
     assert blob["simple_roots"][0] == ["2", "-1"]
     assert blob["fundamental_weights"] == [["1", "0"], ["0", "1"]]
+
+
+def _rank(rows):
+    """Rank over Q by plain Gaussian elimination (kept here, apart from linalg)."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col] / rows[rank][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("ctype,rank", [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4)])
+def test_project_and_coproject_against_their_defining_equations(ctype, rank):
+    """y = X_P^Q is fixed by three facts, each checked with sums written here:
+    y lies in a^Q (coordinates outside Q's Levi vanish) and is killed by the
+    roots of P's Levi; x - y is G-orthogonal to that subspace, i.e. G(x - y)
+    is a combination of exactly those cutting forms; and lambda(y) equals
+    coproject(lambda)(x).  G is positive definite, so they determine y."""
+    datum = RS.build_root_datum(ctype, rank)
+    n = datum.rank
+    g, cartan = datum.inner, datum.cartan
+    rng = random.Random(f"project:{ctype}{rank}")
+    draw = lambda: tuple(F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n))
+    subsets = [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
+    pairs = 0
+    for p_out in subsets:
+        for q_out in subsets:
+            if not q_out <= p_out:
+                continue
+            p, q = RS.parabolic(datum, p_out), RS.parabolic(datum, q_out)
+            coord = lambda j: tuple(F(int(k == j)) for k in range(n))
+            cutting = [coord(j) for j in sorted(q_out)] + [cartan[i] for i in sorted(p.levi)]
+            for _ in range(2):
+                x, lam = draw(), draw()
+                y = RS.project(x, p, q)
+                assert all(y[j] == 0 for j in q_out)
+                assert all(sum(cartan[i][k] * y[k] for k in range(n)) == 0 for i in p.levi)
+                gr = tuple(sum(g[r][k] * (x[k] - y[k]) for k in range(n)) for r in range(n))
+                assert _rank(cutting + [gr]) == _rank(cutting), (p_out, q_out, x)
+                mu = RS.coproject(lam, p, q)
+                assert sum(a * b for a, b in zip(lam, y)) == sum(a * b for a, b in zip(mu, x))
+            pairs += 1
+    assert pairs == 3**n

@@ -151,3 +151,16 @@ def test_json_roundtrip():
         },
     )
     assert from_json(to_json(f)) == f
+
+
+def test_polynomial_and_tfinite_hash_agree_with_equality():
+    assert hash(Polynomial.constant(1, 3)) == hash(Polynomial.make(1, {(0,): F(6, 2)}))
+    p = Polynomial.make(2, {(1, 0): F(1, 2), (0, 2): F(-3)})
+    q = Polynomial(2, {(0, 2): F(-3), (1, 0): F(1, 2)})  # same terms, other insertion order
+    assert p == q and hash(p) == hash(q)
+    table = {p: "p", Polynomial.constant(2, 1): "one"}
+    assert table[q] == "p" and table[Polynomial.make(2, {(0, 0): 1})] == "one"
+    assert len({p, q, p + Polynomial.make(2, {})}) == 1
+    f = TFiniteFunction.exponential((1, 0), p)
+    g = TFiniteFunction(2, {(F(1), F(0)): q})
+    assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
