@@ -117,7 +117,8 @@ def enumerate_bases(pp: ParametricPolyhedron) -> ChamberData:
     out = {}
     for comp in combinations(range(n), d):
         rows = [pp.normals[i] for i in comp]
-        if rank(rows, d) < d:
+        det_rows = det(rows)
+        if det_rows == 0:
             continue
         u_cols = invert(rows)  # columns are the dual basis
         dual = tuple(tuple(u_cols[r][k] for r in range(d)) for k in range(d))
@@ -130,7 +131,7 @@ def enumerate_bases(pp: ParametricPolyhedron) -> ChamberData:
                 k = comp.index(j)
                 vm_cols.append(neg(dual[k]))
         vmat = transpose(vm_cols)
-        vol = abs(Fraction(1) / det(rows))
+        vol = abs(Fraction(1) / det_rows)
         out[sigma] = SigmaData(sigma, comp, dual, vmat, vol)
     return ChamberData(pp, out)
 

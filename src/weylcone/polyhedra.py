@@ -9,6 +9,7 @@ the integration oracles at the very end.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -141,11 +142,8 @@ def vertices(h: HPolyhedron) -> VPolytope:
     n, dim = len(h.normals), h.dim
     found: set[Vec] = set()
     for subset in combinations(range(n), dim):
-        rows = [h.normals[i] for i in subset]
-        if rank(rows, dim) < dim:
-            continue
         try:
-            v = solve(rows, [-h.offsets[i] for i in subset])
+            v = solve([h.normals[i] for i in subset], [-h.offsets[i] for i in subset])
         except ValueError:
             continue
         if v in found:
@@ -421,13 +419,10 @@ def volume(poly: VPolytope) -> Fraction:
     if poly.affine_dim() < d:
         return Fraction(0)
     total = Fraction(0)
-    fact = 1
-    for i in range(2, d + 1):
-        fact *= i
     for simplex in triangulate(poly):
         m = [sub(p, simplex[0]) for p in simplex[1:]]
         total += abs(det(m))
-    return total / fact
+    return total / math.factorial(d)
 
 
 def _exp_divided_difference(values) -> float:
@@ -471,8 +466,6 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
 
 def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[float, float]:
     """Monte Carlo ∫ e^{mu} dv: (estimate, standard error).  Second-tier oracle."""
-    import math
-
     simplices = triangulate(poly)
     if not simplices:
         return 0.0, 0.0
@@ -551,8 +544,6 @@ def v_from_json(text: str) -> VPolytope:
 
 def to_off(v: VPolytope) -> str:
     """OFF text for a 3-dimensional polytope (visual inspection only)."""
-    import math
-
     if v.dim != 3 or v.affine_dim() != 3:
         raise ValueError("OFF export requires a full-dimensional 3-D polytope")
     verts = list(v.vertices)

@@ -63,7 +63,6 @@ from .rootspace import (
     delta_between,
     full_group,
     gamma,
-    minimal_parabolic,
     parabolic,
     parabolics_between,
     project,
@@ -160,26 +159,9 @@ def _span_classes(funcs: Sequence[Vec], n: int) -> dict:
 
 def _intersection_with_dual(combo: Sequence[Vec], q: ParabolicSubset, n: int) -> tuple[Vec, ...]:
     """Basis (RREF rows) of span(combo) ∩ {forms vanishing on the Levi of q}."""
-    levi = sorted(q.levi)
-    if levi:
-        rows = [[combo[j][i] for j in range(len(combo))] for i in levi]
-        coeffs = nullspace(rows, len(combo))
-    else:
-        coeffs = tuple(
-            vec([Fraction(1 if i == j else 0) for j in range(len(combo))])
-            for i in range(len(combo))
-        )
-    basis = []
-    for c in coeffs:
-        form = zeros(n)
-        for cj, f in zip(c, combo):
-            form = add(form, scale(cj, f))
-        if not is_zero(form):
-            basis.append(form)
-    if not basis:
-        return ()
-    red, _ = rref(basis, n)
-    return tuple(red)
+    levi_rows = [[f[i] for f in combo] for i in sorted(q.levi)]
+    columns = transpose(combo)
+    return rref([mat_vec(columns, c) for c in nullspace(levi_rows, len(combo))], n)[0]
 
 
 def _proper_pairs(datum: RootDatum):
@@ -198,6 +180,26 @@ def _proper_pairs(datum: RootDatum):
             yield parabolic(datum, p_out), q
 
 
+def _admissible_kernels(psi: PsiSystem):
+    """Admissible kernels of the system, grouped by parabolic pair.
+
+    Yields (p, q, ((combo, basis), ...)) in `_proper_pairs` order for every
+    pair with at least one admissible kernel: combo is one independent subset
+    per span class of the system at p, and basis (nonempty) spans its
+    intersection with the forms vanishing on the Levi of q.  Span classes
+    depend only on p, so each p's classes are built once per call.
+    """
+    n = psi.datum.rank
+    classes: dict[frozenset[int], tuple] = {}
+    for p, q in _proper_pairs(psi.datum):
+        if p.outside not in classes:
+            classes[p.outside] = tuple(_span_classes(psi_at(psi, p), n).values())
+        candidates = ((c, _intersection_with_dual(c, q, n)) for c in classes[p.outside])
+        kernels = tuple((c, basis) for c, basis in candidates if basis)
+        if kernels:
+            yield p, q, kernels
+
+
 def d_value_squared(x, psi: PsiSystem) -> Fraction:
     """Least squared distance from an admissible kernel to the projection hull.
 
@@ -209,12 +211,10 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
     xv = vec(x)
     datum = psi.datum
     best = None
-    for p, q in _proper_pairs(datum):
+    for p, q, kernels in _admissible_kernels(psi):
         hull = tuple(sorted({project(xv, r) for r in parabolics_between(p, q)}))
         poly = VPolytope(hull)
-        for combo in _span_classes(psi_at(psi, p), datum.rank).values():
-            if not _intersection_with_dual(combo, q, datum.rank):
-                continue
+        for combo, _ in kernels:
             d2 = polyhedra.squared_distance(combo, poly, inner=datum.inner)
             if best is None or d2 < best:
                 best = d2
@@ -276,16 +276,8 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     """
     datum = psi.datum
     n = datum.rank
-    walls = set()
-    for p, q in _proper_pairs(datum):
-        for combo in _span_classes(psi_at(psi, p), n).values():
-            basis = _intersection_with_dual(combo, q, n)
-            if not basis:
-                continue
-            if _meets_signed_root_cone(datum, basis):
-                continue
-            for mu in basis:
-                walls.add(_canonical_form(mu))
+    bases = dict.fromkeys(b for _, _, kernels in _admissible_kernels(psi) for _, b in kernels)
+    walls = {_canonical_form(mu) for b in bases if not _meets_signed_root_cone(datum, b) for mu in b}
     hyper = tuple(sorted(walls))
     dominant_strict = [neg(datum.simple_roots[i]) for i in range(n)]
     cells = []
@@ -596,14 +588,17 @@ def region_inequalities(psi: PsiSystem, desc: RegionDescriptor) -> tuple[Symboli
     return tuple(rows)
 
 
+def _quotient_rows(basis: Sequence[Vec], forms: Sequence[Vec]) -> list[Vec]:
+    return [tuple(dot(f, bv) for bv in basis) for f in forms]
+
+
 def instantiate(
     ineqs: Sequence[SymbolicIneq], basis: Sequence[Vec], b_form: Vec, t, s
 ) -> HPolyhedron:
     """H-representation in the coordinates of the given subspace basis."""
     tv, sv = vec(t), vec(s)
     pairs = []
-    for iq in ineqs:
-        lhs_y = tuple(dot(iq.lhs, bv) for bv in basis)
+    for iq, lhs_y in zip(ineqs, _quotient_rows(basis, [iq.lhs for iq in ineqs])):
         rhs = iq.rhs_value(b_form, tv, sv)
         if iq.rel == "ge":
             pairs.append((lhs_y, -rhs))
@@ -810,13 +805,13 @@ def _descriptors_for_cell(args) -> list[RegionDescriptor]:
     pi = ctx.pi
     b_value = dot(ctx.b_form, tv)
     base_h = instantiate(base_inequalities(psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv)
-    pi_y = [tuple(dot(lam, bv) for bv in basis) for lam in pi]
+    pi_y = _quotient_rows(basis, pi)
     out: list[RegionDescriptor] = []
 
     def recurse(desc: RegionDescriptor):
         region_h = instantiate(region_inequalities(psi, desc), basis, ctx.b_form, tv, sv)
         pi0 = desc.pi_zero
-        pi0_y = [tuple(dot(lam, bv) for bv in basis) for lam in pi0]
+        pi0_y = _quotient_rows(basis, pi0)
         if _kernel_meets(region_h, pi0_y):
             out.append(desc)
             return
@@ -876,7 +871,7 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
     base_h = instantiate(
         base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv
     )
-    pi_y = [tuple(dot(lam, bv) for bv in basis) for lam in ctx.pi]
+    pi_y = _quotient_rows(basis, ctx.pi)
     cells = list(_sign_cells(base_h, pi_y))
     work = [(ctx, tv, sv, signs) for signs in cells]
     workers = min(jobs, len(work), os.cpu_count() or 1)
@@ -938,7 +933,7 @@ def region_vertices_affine(
     h = instantiate(ineqs, basis, ctx.b_form, tv, sv)
     vp = polyhedra.vertices(h)
     dim_y = len(basis)
-    lhs_rows = [tuple(dot(iq.lhs, bv) for bv in basis) for iq in ineqs]
+    lhs_rows = _quotient_rows(basis, [iq.lhs for iq in ineqs])
     entries = []
     for v in vp.vertices:
         tight = polyhedra.tight_set(h, v)
@@ -1010,10 +1005,6 @@ class RefinementDescriptor:
     rbar_key: tuple
 
 
-def _quotient_rows(basis: Sequence[Vec], forms: Sequence[Vec]) -> list[Vec]:
-    return [tuple(dot(f, bv) for bv in basis) for f in forms]
-
-
 def _ambient_from_quotient(normal: Vec, basis_b: Sequence[Vec]) -> Vec:
     out = zeros(len(basis_b[0]))
     for c, b in zip(normal, basis_b):
@@ -1067,10 +1058,9 @@ def refine(
         is None
     ):
         raise AssertionError("kernel slice is empty; the region is not a recursion leaf")
-    for lam in pi0:
+    for lam, row in zip(pi0, _quotient_rows(basis, pi0)):
         if lam in p1:
             continue
-        row = tuple(dot(lam, bv) for bv in basis)
         lo = lp.solve(row, dim_y, a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
         hi = lp.solve(row, dim_y, minimize=False, a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
         if lo.ok and hi.ok and lo.value == 0 and hi.value == 0:
@@ -1349,8 +1339,7 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
     for combo in _span_classes(psi_at(ctx.psi, ctx.p), ctx.datum.rank).values():
         a_ub = list(rows_ub)
         b_ub = list(rhs_ub)
-        for lam in combo:
-            row = tuple(dot(lam, bv) for bv in basis)
+        for row in _quotient_rows(basis, combo):
             a_ub.append(row)
             b_ub.append(b_value)
             a_ub.append(neg(row))

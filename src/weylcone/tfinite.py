@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .linalg import Vec, dot, vec, zeros
+from .linalg import Vec, vec, zeros
 
 Monomial = tuple[int, ...]
 

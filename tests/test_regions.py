@@ -1,5 +1,6 @@
 """Weight-system cones, threshold recursion, refinement, slices, fits."""
 
+import itertools
 import json
 import random
 from fractions import Fraction as F
@@ -89,6 +90,103 @@ def test_d_value_frozen_and_homogeneous(adjoint_psi):
 
 def test_d_value_standard(standard_psi):
     assert RG.d_value_squared((F(3), F(1)), standard_psi) == F(1, 2)
+
+
+# --- admissible kernels -----------------------------------------------------
+
+
+def _echelon(rows):
+    """Reduced row echelon form by plain Fraction elimination, zero rows dropped."""
+    work = [list(map(F, r)) for r in rows]
+    out = []
+    for c in range(len(work[0]) if work else 0):
+        piv = next((r for r in work if r[c] != 0), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        piv = [v / piv[c] for v in piv]
+        work = [[v - r[c] * w for v, w in zip(r, piv)] for r in work]
+        out = [[v - r[c] * w for v, w in zip(r, piv)] for r in out] + [piv]
+    return tuple(sorted(tuple(r) for r in out))
+
+
+def _brute_force_kernels(psi):
+    """(p.outside, q.outside, span) for every independent subset S of the system
+    at p whose span meets the forms vanishing on Q's Levi: the Levi(q) x |S|
+    matrix S_j[i] has rank below |S|."""
+    n = psi.datum.rank
+    idx = range(n)
+    subsets = [frozenset(c) for k in range(n + 1) for c in itertools.combinations(idx, k)]
+    out = set()
+    for q_out, p_out in itertools.product(subsets, subsets):
+        if not q_out or not q_out <= p_out:
+            continue
+        funcs = RG.psi_at(psi, parabolic(psi.datum, p_out))
+        levi = [i for i in idx if i not in q_out]
+        for size in range(1, n + 1):
+            for combo in itertools.combinations(funcs, size):
+                if len(_echelon(combo)) < size:
+                    continue
+                if len(_echelon([[f[i] for f in combo] for i in levi])) < size:
+                    out.add((p_out, q_out, _echelon(combo)))
+    return out
+
+
+KERNEL_CASES = [
+    (ctype, rank, rep)
+    for ctype, rank in [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 2)]
+    for rep in ("standard", "adjoint")
+]
+
+
+@pytest.mark.parametrize("ctype,rank,rep", KERNEL_CASES)
+def test_admissible_kernels_match_brute_force(ctype, rank, rep):
+    datum = build_root_datum(ctype, rank)
+    psi = RG.psi_pi(datum, weights_of(datum, rep))
+    order = [(p.outside, q.outside) for p, q in RG._proper_pairs(datum)]
+    got = set()
+    positions = []
+    for p, q, kernels in RG._admissible_kernels(psi):
+        positions.append(order.index((p.outside, q.outside)))
+        spans = [_echelon(combo) for combo, _ in kernels]
+        assert len(set(spans)) == len(spans)  # one kernel per span class
+        for (combo, basis), span in zip(kernels, spans):
+            got.add((p.outside, q.outside, span))
+            # basis: nonzero forms inside span(combo) that vanish on Q's Levi
+            assert basis and _echelon(list(combo) + list(basis)) == span
+            assert all(f[i] == 0 for f in basis for i in q.levi)
+    assert positions == sorted(positions) and len(set(positions)) == len(positions)
+    assert got == _brute_force_kernels(psi)
+
+
+@pytest.mark.parametrize(
+    "ctype,rep,x,d2",
+    [
+        ("A", "standard", (F(11, 2), F(6), F(9, 2)), F(1, 3)),
+        ("A", "adjoint", (F(17, 4), F(13, 2), F(23, 4)), F(2)),
+        ("B", "adjoint", (F(6), F(10), F(11, 2)), F(1)),
+        ("C", "adjoint", (F(11, 2), F(9), F(19, 2)), F(1, 4)),
+    ],
+)
+def test_d_value_rank_three_pinned(ctype, rep, x, d2):
+    datum = build_root_datum(ctype, 3)
+    assert all(dot(a, x) > 0 for a in datum.simple_roots)  # regular dominant
+    assert RG.d_value_squared(x, RG.psi_pi(datum, weights_of(datum, rep))) == d2
+
+
+def test_span_classes_built_once_per_p(monkeypatch):
+    a3 = build_root_datum("A", 3)
+    psi = RG.psi_pi(a3, weights_of(a3, "standard"))
+    calls = []
+    real = RG._span_classes
+
+    def counting(funcs, n):
+        calls.append(funcs)
+        return real(funcs, n)
+
+    monkeypatch.setattr(RG, "_span_classes", counting)
+    RG.d_value_squared((F(11, 2), F(6), F(9, 2)), psi)
+    assert len(calls) == 7  # one per nonempty p.outside, not one per proper pair (19)
 
 
 # --- cone families ----------------------------------------------------------
