@@ -21,7 +21,6 @@ from fractions import Fraction
 from . import asymptote, chambers, polyhedra, regions, rootspace
 from . import tfinite as tfin
 from .linalg import vec
-from .polyhedra import parse_fraction
 
 _DOMAIN_ERRORS = (
     ValueError,
@@ -40,7 +39,7 @@ class ArgumentDataError(Exception):
 
 def _parse_vec(text: str) -> tuple[Fraction, ...]:
     try:
-        return vec([parse_fraction(p.strip()) for p in text.split(",") if p.strip() != ""])
+        return vec([Fraction(p.strip()) for p in text.split(",") if p.strip() != ""])
     except (ValueError, ZeroDivisionError) as exc:
         raise ArgumentDataError(f"bad rational vector {text!r}: {exc}") from exc
 
@@ -51,7 +50,7 @@ def _parse_rows(text: str) -> list[tuple[Fraction, ...]]:
 
 def _parse_fraction_arg(text: str) -> Fraction:
     try:
-        return parse_fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ArgumentDataError(f"bad rational {text!r}: {exc}") from exc
 

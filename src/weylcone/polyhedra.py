@@ -3,7 +3,9 @@
 H-representation: constraints (normal, offset) meaning normal . v + offset >= 0.
 V-representation: tuple of extreme points.  All combinatorial questions (vertex
 identity, faces, distances) are decided exactly over Q; floats appear only in
-the integration oracles at the very end.
+the integration oracles at the very end.  Face queries on a V-polytope go
+through `faces`, straight from its points; `face_lattice(to_hrep(v))` finds
+the vertex incidences again by itself and is kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Sequence
 
 from . import lp
@@ -166,30 +168,34 @@ def face_lattice(h: HPolyhedron) -> dict[frozenset[int], tuple[Vec, ...]]:
 
     Faces are the closure under intersection of the facet vertex sets, so the
     result contains the polytope itself, every facet, down to the vertices.
+    With `to_hrep` it is the independent oracle for `faces`.
     """
     vp = vertices(h)
     if not vp.vertices:
         return {}
     vtight = {v: tight_set(h, v) for v in vp.vertices}
-    # start from the whole polytope and intersect with constraint vertex sets
-    all_verts = frozenset(vp.vertices)
-    faces: set[frozenset[Vec]] = {all_verts}
-    frontier = [all_verts]
     constraint_sets = [frozenset(v for v in vp.vertices if i in vtight[v]) for i in range(len(h.normals))]
-    while frontier:
-        nxt = []
-        for face in frontier:
-            for cs in constraint_sets:
-                sub_face = face & cs
-                if sub_face and sub_face not in faces:
-                    faces.add(sub_face)
-                    nxt.append(sub_face)
-        frontier = nxt
     out: dict[frozenset[int], tuple[Vec, ...]] = {}
-    for face in faces:
+    for face in _close(frozenset(vp.vertices), constraint_sets):
         key = frozenset.intersection(*(vtight[v] for v in face))
         out[key] = tuple(sorted(face))
     return out
+
+
+def _close(top: frozenset, sets: Sequence[frozenset]) -> set[frozenset]:
+    """`top` and every nonempty intersection of it with some of `sets`."""
+    closed = {top}
+    frontier = [top]
+    while frontier:
+        nxt = []
+        for face in frontier:
+            for s in sets:
+                sub_face = face & s
+                if sub_face and sub_face not in closed:
+                    closed.add(sub_face)
+                    nxt.append(sub_face)
+        frontier = nxt
+    return closed
 
 
 def in_hull(points: Sequence[Vec], x: Sequence[Fraction]) -> bool:
@@ -229,21 +235,31 @@ def support_value(v: VPolytope, direction: Sequence[Fraction]) -> Fraction:
 
 def to_hrep(v: VPolytope) -> HPolyhedron:
     """Facet enumeration (brute force over vertex subsets); affine hull becomes
-    equality pairs.  Intended as an oracle and for small polytopes only."""
+    equality pairs.  For small polytopes only; face queries use `faces`, and
+    `face_lattice(to_hrep(v))` is kept as their independent oracle."""
     if not v.vertices:
         raise ValueError("empty polytope has no H-representation")
     dim = v.dim
     v0 = v.vertices[0]
     basis = v.affine_basis()
-    k = len(basis)
     pairs: list[tuple[Vec, Fraction]] = []
     # affine-hull equalities: forms vanishing on the span, pinned at v0
-    for form in nullspace(basis, dim) if k < dim else ():
+    for form in nullspace(basis, dim) if len(basis) < dim else ():
         c = dot(form, v0)
         pairs.append((form, -c))
         pairs.append((neg(form), c))
+    pairs += [(normal, offset) for normal, offset, _ in _facets(v)]
+    return HPolyhedron.from_pairs(pairs, dim)
+
+
+def _facets(v: VPolytope):
+    """Facets of conv(v) within its affine hull, once each and in subset order:
+    (normal, offset, points of v on it), normal . y + offset >= 0 on v."""
+    basis = v.affine_basis()
+    k = len(basis)
     if k == 0:
-        return HPolyhedron.from_pairs(pairs, dim)
+        return
+    v0 = v.vertices[0]
     coords = [coords_in_basis(basis, sub(p, v0)) for p in v.vertices]
     seen = set()
     for subset in combinations(range(len(coords)), k):
@@ -255,16 +271,25 @@ def to_hrep(v: VPolytope) -> HPolyhedron:
         base = dot(nrm, coords[subset[0]])
         vals = [dot(nrm, c) - base for c in coords]
         for sign in (1, -1):
-            sv = [sign * x for x in vals]
-            if all(x <= 0 for x in sv):
-                key = _normalize_form(scale(sign, nrm), -sign * base)
-                if key not in seen:
-                    seen.add(key)
+            if all(sign * x <= 0 for x in vals):
+                on = frozenset(p for p, x in zip(v.vertices, vals) if x == 0)
+                if on not in seen:
+                    seen.add(on)
                     # lift back to ambient coordinates: form(y) = nrm . coords(y - v0)
-                    amb = _lift_form(scale(-sign, nrm), basis, dim)
-                    off = sign * base - dot(amb, v0)
-                    pairs.append((amb, off))
-    return HPolyhedron.from_pairs(pairs, dim)
+                    amb = _lift_form(scale(-sign, nrm), basis, v.dim)
+                    yield amb, sign * base - dot(amb, v0), on
+
+
+def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
+    """Vertex sets of all nonempty faces of conv(v), conv(v) included: the
+    facets' point sets closed under intersection (a face is an intersection of
+    facets, Ziegler 1995, 2.1), with the points that are no vertex dropped."""
+    pts = frozenset(v.vertices)
+    if not pts:
+        return []
+    sets = [on for _, _, on in _facets(v)]
+    verts = frozenset(p for p in pts if pts.intersection(*(s for s in sets if p in s)) == {p})
+    return [tuple(sorted(f)) for f in _close(verts, [s & verts for s in sets])]
 
 
 def _lift_form(form_in_coords: Vec, basis: Sequence[Vec], dim: int) -> Vec:
@@ -321,20 +346,12 @@ def squared_distance(
         return Fraction(0)
 
     best: Fraction | None = None
-    for face in _all_faces(poly):
+    for face in faces(poly):
         val = _face_min(face, kernel, inner)
         if val is not None and (best is None or val < best):
             best = val
     assert best is not None
     return best
-
-
-def _all_faces(poly: VPolytope):
-    """Vertex sets of all nonempty faces (via the H-rep lattice)."""
-    if len(poly.vertices) == 1:
-        return [poly.vertices]
-    lattice = face_lattice(to_hrep(poly))
-    return list(lattice.values())
 
 
 def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> Fraction | None:
@@ -384,8 +401,8 @@ def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> F
 def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:
     """Decompose into simplices sharing the first vertex (recursively by facet).
 
-    The face lattice is computed once; the recursion then works purely on
-    vertex sets (the faces of a face are the lattice faces contained in it).
+    The faces are listed once; the recursion then works purely on vertex
+    sets (the faces of a face are the listed faces contained in it).
     """
     verts = poly.vertices
     k = poly.affine_dim()
@@ -393,8 +410,7 @@ def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:
         return []
     if len(verts) == k + 1:
         return [verts]
-    lattice = face_lattice(to_hrep(poly))
-    faces = [(VPolytope(f).affine_dim(), frozenset(f), f) for f in lattice.values()]
+    listed = [(VPolytope(f).affine_dim(), frozenset(f), f) for f in faces(poly)]
 
     def rec(face_verts: tuple[Vec, ...], dim: int) -> list[tuple[Vec, ...]]:
         if len(face_verts) == dim + 1:
@@ -402,7 +418,7 @@ def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:
         v0 = face_verts[0]
         fset = frozenset(face_verts)
         out: list[tuple[Vec, ...]] = []
-        for d2, s2, f2 in faces:
+        for d2, s2, f2 in listed:
             if d2 == dim - 1 and v0 not in s2 and s2 < fset:
                 for simplex in rec(f2, dim - 1) if dim - 1 > 0 else [f2]:
                     out.append((v0,) + tuple(simplex))
@@ -418,11 +434,12 @@ def volume(poly: VPolytope) -> Fraction:
     d = poly.dim
     if poly.affine_dim() < d:
         return Fraction(0)
-    total = Fraction(0)
-    for simplex in triangulate(poly):
-        m = [sub(p, simplex[0]) for p in simplex[1:]]
-        total += abs(det(m))
-    return total / math.factorial(d)
+    return sum(map(_simplex_det, triangulate(poly)), Fraction(0)) / math.factorial(d)
+
+
+def _simplex_det(simplex: Sequence[Vec]) -> Fraction:
+    """|det| of the edges from the first vertex: d! times the simplex's volume."""
+    return abs(det([sub(p, simplex[0]) for p in simplex[1:]]))
 
 
 def _exp_divided_difference(values) -> float:
@@ -457,10 +474,8 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
     mu_q = [Fraction(c) for c in mu]
     total = 0.0
     for simplex in triangulate(poly):
-        m = [sub(p, simplex[0]) for p in simplex[1:]]
-        dv = abs(det(m))
         ys = [float(dot(mu_q, p)) for p in simplex]
-        total += float(dv) * _exp_divided_difference(ys)
+        total += float(_simplex_det(simplex)) * _exp_divided_difference(ys)
     return total
 
 
@@ -470,22 +485,13 @@ def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[
     if not simplices:
         return 0.0, 0.0
     d = poly.dim
-    vols = []
-    for s in simplices:
-        m = [sub(p, s[0]) for p in s[1:]]
-        v = abs(det(m))
-        vols.append(float(v))
     fact = math.factorial(d)
-    vols = [v / fact for v in vols]
+    vols = [float(_simplex_det(s)) / fact for s in simplices]
     vol_total = sum(vols)
     mu_f = [float(c) for c in mu]
     acc = 0.0
     acc2 = 0.0
-    cum = []
-    run = 0.0
-    for v in vols:
-        run += v
-        cum.append(run)
+    cum = list(accumulate(vols))
     for _ in range(samples):
         r = rng.random() * vol_total
         idx = next((i for i, c in enumerate(cum) if c >= r), len(cum) - 1)
@@ -509,10 +515,6 @@ def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[
 
 
 # --- serialization ---------------------------------------------------------
-
-
-def parse_fraction(s) -> Fraction:
-    return Fraction(s)
 
 
 def h_to_json(h: HPolyhedron) -> str:
@@ -548,8 +550,7 @@ def to_off(v: VPolytope) -> str:
         raise ValueError("OFF export requires a full-dimensional 3-D polytope")
     verts = list(v.vertices)
     index = {p: i for i, p in enumerate(verts)}
-    lattice = face_lattice(to_hrep(v))
-    facets = [f for f in lattice.values() if VPolytope(f).affine_dim() == 2]
+    facets = [f for f in faces(v) if VPolytope(f).affine_dim() == 2]
     faces_idx = []
     for f in facets:
         pts = [tuple(float(x) for x in p) for p in f]

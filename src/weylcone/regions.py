@@ -227,6 +227,7 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
 class ConeCell:
     signs: tuple[int, ...]
     witness: Vec
+    d2: Fraction  # d_value_squared at the witness, computed once in pi_cones
 
 
 @dataclass(frozen=True)
@@ -286,9 +287,10 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
         w = lp.interior_point(n, a_strict=rows, b_strict=[Fraction(0)] * len(rows))
         if w is None:
             continue
-        if d_value_squared(w, psi) <= 0:
+        d2 = d_value_squared(w, psi)
+        if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
-        cells.append(ConeCell(signs, w))
+        cells.append(ConeCell(signs, w, d2))
     if epsilon is not None and Fraction(epsilon) <= 0:
         raise ValueError("epsilon must be positive")
     return ConeFamily(datum, psi, hyper, tuple(cells), Fraction(epsilon) if epsilon is not None else None)
@@ -316,11 +318,7 @@ def _sqrt_upper(x: Fraction, scale_bits: int = 32) -> Fraction:
 
 def suggest_epsilon(family: ConeFamily) -> Fraction:
     """A rational epsilon for which every shrunken cone keeps its witness."""
-    ratios = []
-    for cell in family.cones:
-        w = cell.witness
-        ratios.append(d_value_squared(w, family.psi) / family.datum.norm2(w))
-    r = min(ratios)
+    r = min(cell.d2 / family.datum.norm2(cell.witness) for cell in family.cones)
     eps = _sqrt_lower(r) / 2
     if eps <= 0:
         raise AssertionError("witness distance ratio too small to certify an epsilon")

@@ -254,7 +254,9 @@ def fit_tfinite(
 
     Model columns are monomial(x) * e^{lambda(x)} for every candidate exponent
     and every monomial of total degree <= max_degree.  An ill-conditioned
-    design matrix triggers a warning and a ridge-regularized solve.
+    design matrix triggers a warning and a ridge-regularized solve.  The
+    coefficients are binary64 least-squares values stored as `Fraction`, so
+    they are not exact; those with |c| <= 1e-12 are dropped.
     """
     import numpy as np
 

@@ -125,6 +125,22 @@ def test_cones_family(capsys):
     assert blob["epsilon"] is None and blob["suggested_epsilon"]
 
 
+def test_cones_computes_d_once_per_cell(capsys, monkeypatch):
+    from weylcone import regions as RG
+
+    real, calls = RG.d_value_squared, []
+
+    def counting(x, psi):
+        calls.append(x)
+        return real(x, psi)
+
+    monkeypatch.setattr(RG, "d_value_squared", counting)
+    code, out = run(["cones", "--type", "A", "--rank", "2", "--rep", "standard"], capsys)
+    assert code == 0
+    witnesses = [tuple(F(c) for c in cell["witness"]) for cell in json.loads(out)["cells"]]
+    assert len(witnesses) == 2 and sorted(calls) == sorted(witnesses)
+
+
 def test_regions_decompose(capsys):
     code, out = run(DECOMPOSE_ARGS, capsys)
     assert code == 0

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -225,8 +226,6 @@ def test_integrate_exp_oracle_zero_mu_is_volume():
 
 
 def test_mc_integrate_agrees_loosely():
-    import random
-
     vp = PH.vertices(cube_h(2))
     est, err = PH.mc_integrate_exp(vp, (F(1), F(1)), 4000, random.Random(0))
     exact = closed_form_exp_cube([1.0, 1.0])
@@ -249,13 +248,6 @@ def test_off_output_shape():
     assert lines[0] == "OFF"
     nv, nf, _ = (int(c) for c in lines[1].split())
     assert nv == 8 and nf == 6
-
-
-def test_parse_fraction():
-    assert PH.parse_fraction("3/4") == F(3, 4)
-    assert PH.parse_fraction("-2") == F(-2)
-    with pytest.raises(ValueError):
-        PH.parse_fraction("a/b")
 
 
 @given(st.lists(st.tuples(fracs, fracs), min_size=1, max_size=6))
@@ -335,3 +327,95 @@ def test_unbounded_witness_is_pinned(pairs, dim, direction):
         PH.vertices(h)
     assert info.value.direction == vec(direction)
     assert str(info.value) == f"polyhedron is unbounded in direction {vec(direction)}"
+
+
+@st.composite
+def point_clouds(draw):
+    """Points of a random flat in Q^d, d 1-4: repeats, interior and boundary
+    points, lower-dimensional sets and a single repeated point all occur."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    k = draw(st.integers(min_value=0, max_value=d))
+    coord = st.tuples(*[st.integers(min_value=-2, max_value=2)] * d)
+    origin, dirs = draw(coord), draw(st.lists(coord, min_size=k, max_size=k))
+    coef = st.fractions(min_value=-1, max_value=2, max_denominator=2)
+    combos = draw(st.lists(st.tuples(*[coef] * k), min_size=k + 1, max_size=k + 4))
+    pts = [vec(o + sum(c * u[i] for c, u in zip(cs, dirs)) for i, o in enumerate(origin)) for cs in combos]
+    if draw(st.booleans()):
+        pts.append(vec(sum(p[i] for p in pts) / len(pts) for i in range(d)))
+    if draw(st.booleans()):
+        pts.append(pts[0])
+    return PH.VPolytope(tuple(pts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_clouds())
+def test_faces_match_the_face_lattice_oracle(v):
+    got = PH.faces(v)
+    assert len(set(got)) == len(got)
+    assert set(got) == set(PH.face_lattice(PH.to_hrep(v)).values())
+
+
+def test_faces_censuses():
+    def census(v):
+        by_card = {}
+        for f in PH.faces(v):
+            by_card[len(f)] = by_card.get(len(f), 0) + 1
+        return by_card
+
+    assert census(PH.vertices(cube_h(2))) == {1: 4, 2: 4, 4: 1}
+    assert census(PH.vertices(simplex_h(3))) == {1: 4, 2: 6, 3: 4, 4: 1}
+    a, mid, b = (F(0), F(0)), (F(1), F(1)), (F(2), F(2))
+    assert sorted(PH.faces(PH.VPolytope((a, mid, b)))) == [(a,), (a, b), (b,)]
+    assert PH.faces(PH.VPolytope((a, a))) == [(a,)]
+    assert PH.faces(PH.VPolytope(())) == []
+
+
+@pytest.mark.parametrize("ctype,rank", [("A", 2), ("A", 3), ("B", 3)])
+def test_faces_of_projection_hulls_match_lemma31(ctype, rank):
+    from weylcone import regions as RG
+    from weylcone import rootspace as RS
+    from weylcone.linalg import solve
+
+    datum = RS.build_root_datum(ctype, rank)
+    t = solve(list(datum.simple_roots), [F(2 * i + 1, i + 2) for i in range(rank)])  # regular dominant
+    p0 = RS.minimal_parabolic(datum)
+    for q in RS.parabolics_between(p0, RS.full_group(datum)):
+        for p in RS.parabolics_between(p0, q):
+            census = {frozenset(f) for f in RG.faces_lemma31(p, q, t).values()}
+            assert {frozenset(f) for f in PH.faces(RG.r_prime(p, q, t))} == census
+
+
+CUBE_OFF = (
+    "OFF\n8 6 0\n0.0 0.0 0.0\n0.0 0.0 1.0\n0.0 1.0 0.0\n0.0 1.0 1.0\n1.0 0.0 0.0\n1.0 0.0 1.0\n"
+    "1.0 1.0 0.0\n1.0 1.0 1.0\n4 3 1 5 7\n4 5 4 6 7\n4 4 0 1 5\n4 2 0 4 6\n4 1 0 2 3\n4 6 2 3 7\n"
+)
+
+
+def test_face_queries_never_build_an_hrep(monkeypatch):
+    from weylcone import regions as RG
+    from weylcone import rootspace as RS
+
+    datum = RS.build_root_datum("A", 2)
+    psi = RG.psi_pi(datum, RS.weights_of(datum, "adjoint"))
+    cube = PH.vertices(cube_h(3))
+    shifted = PH.VPolytope(tuple(tuple(c + 1 for c in p) for p in cube.vertices))
+    o, e0, e1, e = (F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1), F(1))
+    square = PH.VPolytope((o, e1, e0, e, (F(1, 2), F(1, 2)), (F(1, 2), F(0))))  # with two non-extreme points
+    hexagon = [(F(2), F(0)), (F(1), F(2)), (F(-1), F(2)), (F(-2), F(0)), (F(-1), F(-2)), (F(1), F(-2))]
+    hexagon += [(F(0), F(0)), (F(2), F(0)), (F(3, 2), F(-1))]
+
+    def refuse(*args):
+        raise AssertionError("face query went through an H-representation")
+
+    for name in ("to_hrep", "face_lattice", "vertices"):
+        monkeypatch.setattr(PH, name, refuse)
+    assert PH.triangulate(square) == [(o, e0, e), (o, e1, e)]
+    assert PH.volume(PH.VPolytope(tuple(hexagon))) == 12
+    assert PH.volume(shifted) == 1
+    got = PH.integrate_exp_oracle(square, (F(1), F(2)))
+    assert abs(got - closed_form_exp_cube([1.0, 2.0])) < 1e-12 * got
+    est, err = PH.mc_integrate_exp(square, (F(1), F(1)), 2000, random.Random(0))
+    assert abs(est - closed_form_exp_cube([1.0, 1.0])) < 5 * err + 0.05
+    assert PH.squared_distance([(F(1), F(1), F(1))], shifted) == 3
+    assert PH.to_off(cube) == CUBE_OFF
+    assert RG.d_value_squared((F(3), F(1)), psi) == F(1, 2)
