@@ -1,9 +1,13 @@
 """Exact linear programming over the rationals.
 
-A small dense two-phase tableau simplex with Bland's rule.  Problem sizes in
-this package are tiny (tens of variables), so exactness trumps speed: every
-feasibility answer doubles as a certificate for a geometric predicate and must
-not depend on floating-point tolerances.
+A small dense two-phase tableau simplex with Bland's rule.  Every feasibility
+answer doubles as a certificate for a geometric predicate, so no float enters.
+Tableau rows are Python ints: each is its true rational row times a positive
+scale, divided by its gcd after every pivot (the fraction-free, row-scaled form
+of exact elimination; Edmonds 1967, Bareiss 1968).  Bland's rule reads only the
+signs of the objective row and the order of the ratios b/a, which positive
+scales keep, so it makes the pivots of a plain Fraction tableau, and every
+point and value is the same.
 
 The driver works on the standard form
 
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from .linalg import Vec, zeros
@@ -38,14 +43,34 @@ class LPResult:
         return self.status == OPTIMAL
 
 
+def _integer_row(row):
+    """A rational row times the least positive integer that makes it integral."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def _eliminate(row, prow, col):
+    """prow[col]·row − row[col]·prow over its gcd: zero at col, and a positive scale if prow[col] > 0."""
+    pv, f = prow[col], row[col]
+    out = [pv * x - f * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def _pivot(tab, basis, row, col):
-    pv = tab[row][col]
-    tab[row] = [x / pv for x in tab[row]]
-    for i in range(len(tab)):
-        if i != row and tab[i][col] != 0:
-            f = tab[i][col]
-            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    if tab[row][col] < 0:  # only the drive-out pivots of phase 1 can be negative
+        tab[row] = [-x for x in tab[row]]
+    prow = tab[row]
+    tab[:] = [r if i == row or r[col] == 0 else _eliminate(r, prow, col) for i, r in enumerate(tab)]
     basis[row] = col
+
+
+def _priced(obj, tab, basis):
+    """The cost row `obj` with every basic column eliminated: the reduced costs."""
+    for row, j in zip(tab, basis):
+        if obj[j] != 0:
+            obj = _eliminate(obj, row, j)
+    return obj
 
 
 def _simplex(tab, basis, ncols):
@@ -56,39 +81,32 @@ def _simplex(tab, basis, ncols):
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
             return OPTIMAL
-        row, best = None, None
+        row = None
         for i in range(m):
             if tab[i][col] > 0:
-                ratio = tab[i][ncols] / tab[i][col]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
-                    row, best = i, ratio
+                # the ratio b/a of row i against the best row's, cross-multiplied (both a > 0)
+                d = -1 if row is None else tab[i][ncols] * tab[row][col] - tab[row][ncols] * tab[i][col]
+                if d < 0 or (d == 0 and basis[i] < basis[row]):
+                    row = i
         if row is None:
             return UNBOUNDED
         _pivot(tab, basis, row, col)
 
 
 def _standard_simplex(a, b, c):
-    """Solve min c.x, A x = b, x >= 0.  Returns (status, x, value)."""
+    """Solve min c.x, A x = b, x >= 0 over the rationals.  Returns (status, x, value)."""
     m, n = len(a), len(c)
-    a = [list(map(Fraction, row)) for row in a]
-    b = [Fraction(x) for x in b]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-x for x in a[i]]
-            b[i] = -b[i]
 
     # phase 1: artificials form the starting basis
     ncols = n + m
-    tab = [a[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [b[i]] for i in range(m)]
-    obj = [Fraction(0)] * (ncols + 1)
-    for i in range(m):  # reduced costs of min sum(artificials)
-        obj = [o - t for o, t in zip(obj, tab[i])]
-    for j in range(n, ncols):
-        obj[j] = Fraction(0)
-    tab.append(obj)
+    tab = []
+    for i in range(m):
+        s = -1 if b[i] < 0 else 1
+        tab.append(_integer_row([s * x for x in a[i]] + [int(j == i) for j in range(m)] + [s * b[i]]))
     basis = list(range(n, ncols))
+    tab.append(_priced([0] * n + [1] * m + [0], tab, basis))  # min sum(artificials)
     _simplex(tab, basis, ncols)
-    if -tab[m][ncols] > 0:
+    if tab[m][ncols] < 0:
         return INFEASIBLE, None, None
 
     # drive remaining artificials out of the basis (or drop dependent rows)
@@ -100,22 +118,14 @@ def _standard_simplex(a, b, c):
             else:
                 _pivot(tab, basis, i, col)
 
-    # phase 2
-    rows = len(tab) - 1
-    tab = [row[:n] + [row[ncols]] for row in tab[:rows]]
-    obj = [Fraction(x) for x in c] + [Fraction(0)]
-    for i in range(rows):
-        if obj[basis[i]] != 0:
-            f = obj[basis[i]]
-            obj = [x - f * y for x, y in zip(obj, tab[i])]
-    tab.append(obj)
-    status = _simplex(tab, basis, n)
-    if status == UNBOUNDED:
+    # phase 2: x_j = b/a on the row where column j is basic
+    tab = [row[:n] + [row[ncols]] for row in tab[:-1]]
+    tab.append(_priced(_integer_row(list(c) + [0]), tab, basis))
+    if _simplex(tab, basis, n) == UNBOUNDED:
         return UNBOUNDED, None, None
-    x = [Fraction(0)] * n
-    for i in range(rows):
-        x[basis[i]] = tab[i][n]
-    return OPTIMAL, tuple(x), -tab[rows][n]
+    xb = {j: Fraction(row[n], row[j]) for row, j in zip(tab, basis)}
+    x = tuple(xb.get(j, Fraction(0)) for j in range(n))
+    return OPTIMAL, x, sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
 
 
 def solve(

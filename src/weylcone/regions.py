@@ -570,6 +570,17 @@ class RegionDescriptor:
         return tuple(f for f in self.pi if f not in used)
 
 
+def _where(desc: RegionDescriptor, t, s, **more) -> str:
+    """The region and parameters of a failure, enough to reproduce it."""
+
+    def text(x):
+        return "(" + ", ".join(map(text, x)) + ")" if isinstance(x, tuple) else str(x)
+
+    p, q = tuple(sorted(desc.p.outside)), tuple(sorted(desc.q.outside))
+    fields = dict(p=p, q=q, pi_plus=desc.pi_plus, lambdas=desc.lambdas, deltas=desc.deltas, T=t, S=s, **more)
+    return " [" + " ".join(f"{k}={text(v)}" for k, v in fields.items()) + "]"
+
+
 def region_inequalities(psi: PsiSystem, desc: RegionDescriptor) -> tuple[SymbolicIneq, ...]:
     rows = list(base_inequalities(psi, desc.p, desc.q))
     k = len(desc.deltas) - 1
@@ -744,7 +755,7 @@ def _kernel_meets(region_h: HPolyhedron, forms_y: Sequence[Vec]) -> bool:
     )
 
 
-def _certificate(ctx: DecompositionContext, desc: RegionDescriptor) -> Fraction:
+def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: Vec) -> Fraction:
     """Exact threshold for the next recursion level.
 
     Finds the lexicographically least nonnegative combination of the active
@@ -780,17 +791,17 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor) -> Fraction:
     if x is None:
         raise CertificateError(
             "no exact certificate for the next threshold level; "
-            "the inputs likely fail the largeness requirement"
+            "the inputs likely fail the largeness requirement" + _where(desc, t, s)
         )
     mu = zeros(n)
     for (f, _), c in zip(cert, x[nb:]):
         mu = add(mu, scale(c, f))
     d = coords_in_basis(pi0_basis, mu)
     if d is None:
-        raise CertificateError("certificate functional escapes the unconsumed span")
+        raise CertificateError("certificate functional escapes the unconsumed span" + _where(desc, t, s))
     dmax = max(abs(c) for c in d)
     if dmax == 0:
-        raise CertificateError("certificate functional is zero")
+        raise CertificateError("certificate functional is zero" + _where(desc, t, s))
     delta = Fraction(1, len(desc.pi))
     return delta / dmax
 
@@ -813,17 +824,17 @@ def _descriptors_for_cell(args) -> list[RegionDescriptor]:
         if _kernel_meets(region_h, pi0_y):
             out.append(desc)
             return
-        delta_next = _certificate(ctx, desc)
+        delta_next = _certificate(ctx, desc, tv, sv)
         if not 0 < delta_next <= desc.deltas[-1]:
             raise CertificateError(
-                f"next threshold {delta_next} escapes (0, {desc.deltas[-1]}]"
+                f"next threshold {delta_next} escapes (0, {desc.deltas[-1]}]" + _where(desc, tv, sv)
             )
         signed = [scale(desc.sgn(lam), ly) for lam, ly in zip(pi0, pi0_y)]
         children = 0
         for chosen in _threshold_cells(region_h, signed, delta_next * b_value):
             if not chosen:
                 raise CertificateError(
-                    "threshold level with empty split cell; certificate bound failed"
+                    "threshold level with empty split cell; certificate bound failed" + _where(desc, tv, sv)
                 )
             lam_next = tuple(pi0[i] for i in chosen)
             children += 1
@@ -838,7 +849,7 @@ def _descriptors_for_cell(args) -> list[RegionDescriptor]:
                 )
             )
         if children == 0:
-            raise CertificateError("region produced no children despite nonempty interior")
+            raise CertificateError("region produced no children despite nonempty interior" + _where(desc, tv, sv))
 
     pi_plus = tuple(f for f, sg in zip(pi, signs) if sg == 1)
     signed = [scale(sg, ly) for sg, ly in zip(signs, pi_y)]
@@ -951,11 +962,12 @@ def region_vertices_affine(
         entries.append(entry)
     entries.sort(key=lambda e: e.point)
     for t2, s2 in check:
-        _check_transport(ctx, ineqs, lhs_rows, entries, vec(t2), vec(s2))
+        t2, s2 = vec(t2), vec(s2)
+        _check_transport(ctx, ineqs, lhs_rows, entries, t2, s2, _where(desc, tv, sv, T2=t2, S2=s2))
     return tuple(entries)
 
 
-def _check_transport(ctx, ineqs, lhs_rows, entries, t2: Vec, s2: Vec) -> None:
+def _check_transport(ctx, ineqs, lhs_rows, entries, t2: Vec, s2: Vec, where: str) -> None:
     basis = ctx.basis
     h2 = instantiate(ineqs, basis, ctx.b_form, t2, s2)
     predicted = []
@@ -965,17 +977,17 @@ def _check_transport(ctx, ineqs, lhs_rows, entries, t2: Vec, s2: Vec) -> None:
             iq = ineqs[i]
             if dot(lhs_rows[i], y2) != iq.rhs_value(ctx.b_form, t2, s2):
                 raise TransportError(
-                    f"tight constraint {i} breaks at the transported vertex {y2}"
+                    f"tight constraint {i} breaks at the transported vertex {y2}" + where
                 )
         for a, c in zip(h2.normals, h2.offsets):
             if dot(a, y2) + c < 0:
                 raise TransportError(
-                    f"transported vertex {y2} leaves the region at the new parameters"
+                    f"transported vertex {y2} leaves the region at the new parameters" + where
                 )
         predicted.append(y2)
     actual = polyhedra.vertices(h2).vertices
     if tuple(sorted(set(predicted))) != actual:
-        raise TransportError("vertex sets fail to biject across parameter samples")
+        raise TransportError("vertex sets fail to biject across parameter samples" + where)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +1097,7 @@ def refine(
         comp_s = [sum(lam_b_row[k] * e.s_matrix[k][j] for k in range(dim_y)) for j in range(ctx.datum.rank)]
         if vec(comp_t) != scale(c_y, ctx.b_form) or not is_zero(vec(comp_s)):
             raise TransportError(
-                "vertex height is not a fixed multiple of the threshold functional"
+                "vertex height is not a fixed multiple of the threshold functional" + _where(desc, tv, sv)
             )
         c_values.add(c_y)
     positive = [c for c in c_values if c > 0]
@@ -1164,7 +1176,7 @@ def refine(
     for t2, s2 in check:
         again = refine(ctx, desc, pi_one, t2, s2)
         if again != result:
-            raise TransportError("refinement data varies with the parameters")
+            raise TransportError("refinement data varies with the parameters" + _where(desc, tv, sv, T2=vec(t2), S2=vec(s2)))
     return result
 
 
@@ -1281,13 +1293,13 @@ def fit_slice_model(
                 for v in sd.polytope.vertices:
                     here[polyhedra.tight_set(sd.h, v)] = v
                 if len(here) != len(sd.polytope.vertices):
-                    raise TransportError("two slice vertices share a tight set")
+                    raise TransportError("two slice vertices share a tight set" + _where(ref.region, tt, ss))
                 if not labels:
                     for key in here:
                         labels[key] = {}
                 elif set(here) != set(labels):
                     raise TransportError(
-                        "slice tight-set labels vary across the sample box"
+                        "slice tight-set labels vary across the sample box" + _where(ref.region, tt, ss)
                     )
                 for key, v in here.items():
                     labels[key][(a, b, c)] = v
@@ -1303,7 +1315,8 @@ def fit_slice_model(
         for (a, b, c), v in table.items():
             pred = add(add(add(u000, scale(a, ga)), scale(b, gb)), scale(c, gc))
             if pred != v:
-                raise TransportError("slice vertex motion is not affine in the box")
+                where = _where(ref.region, t0v, s0v, dT=dtv, dS=dsv)
+                raise TransportError("slice vertex motion is not affine in the box" + where)
         exponents.add((dot(mu_u, ga), dot(mu_u, gb), dot(mu_u, gc)))
     exp_list = tuple(sorted(exponents))
     samples = [

@@ -1,8 +1,10 @@
 """Exact simplex: feasibility, optimality, unboundedness, lexicographic ties."""
 
 from fractions import Fraction as F
+from functools import partial
+from unittest.mock import patch
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weylcone import lp
@@ -152,3 +154,142 @@ def test_nonneg_matches_explicit_rows(lp_case):
         assert dot(c, x) == res.value
     feasible = lp.feasible_point(n, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=k)
     assert (feasible is None) == (ref.status == lp.INFEASIBLE)
+
+
+# --- the integer-row kernel against a plain Fraction tableau ------------------
+# The reference is the dense Fraction two-phase simplex with Bland's rule that
+# the integer-row kernel replaced.  Both must make the same pivots, so the
+# pivot sequence, status, point and value all agree exactly.
+
+
+def _ref_pivot(tab, basis, row, col, log):
+    log.append((row, col))
+    pv = tab[row][col]
+    tab[row] = [x / pv for x in tab[row]]
+    for i in range(len(tab)):
+        if i != row and tab[i][col] != 0:
+            f = tab[i][col]
+            tab[i] = [x - f * y for x, y in zip(tab[i], tab[row])]
+    basis[row] = col
+
+
+def _ref_simplex(tab, basis, ncols, log):
+    m = len(tab) - 1
+    while True:
+        obj = tab[m]
+        col = next((j for j in range(ncols) if obj[j] < 0), None)
+        if col is None:
+            return lp.OPTIMAL
+        row, best = None, None
+        for i in range(m):
+            if tab[i][col] > 0:
+                ratio = tab[i][ncols] / tab[i][col]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
+        if row is None:
+            return lp.UNBOUNDED
+        _ref_pivot(tab, basis, row, col, log)
+
+
+def _ref_standard_simplex(a, b, c, log):
+    m, n = len(a), len(c)
+    a = [list(map(F, row)) for row in a]
+    b = [F(x) for x in b]
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-x for x in a[i]]
+            b[i] = -b[i]
+    ncols = n + m
+    tab = [a[i] + [F(1 if j == i else 0) for j in range(m)] + [b[i]] for i in range(m)]
+    obj = [F(0)] * (ncols + 1)
+    for i in range(m):
+        obj = [o - t for o, t in zip(obj, tab[i])]
+    for j in range(n, ncols):
+        obj[j] = F(0)
+    tab.append(obj)
+    basis = list(range(n, ncols))
+    _ref_simplex(tab, basis, ncols, log)
+    if -tab[m][ncols] > 0:
+        return lp.INFEASIBLE, None, None
+    for i in range(m - 1, -1, -1):
+        if basis[i] >= n:
+            col = next((j for j in range(n) if tab[i][j] != 0), None)
+            if col is None:
+                del tab[i], basis[i]
+            else:
+                _ref_pivot(tab, basis, i, col, log)
+    rows = len(tab) - 1
+    tab = [row[:n] + [row[ncols]] for row in tab[:rows]]
+    obj = [F(x) for x in c] + [F(0)]
+    for i in range(rows):
+        if obj[basis[i]] != 0:
+            f = obj[basis[i]]
+            obj = [x - f * y for x, y in zip(obj, tab[i])]
+    tab.append(obj)
+    if _ref_simplex(tab, basis, n, log) == lp.UNBOUNDED:
+        return lp.UNBOUNDED, None, None
+    x = [F(0)] * n
+    for i in range(rows):
+        x[basis[i]] = tab[i][n]
+    return lp.OPTIMAL, tuple(x), -tab[rows][n]
+
+
+def _ref_solve(c, n, **args):
+    """lp.solve on the reference tableau: ((status, x, value), pivots)."""
+    log = []
+    with patch.object(lp, "_standard_simplex", partial(_ref_standard_simplex, log=log)):
+        res = lp.solve(c, n, **args)
+    return (res.status, res.x, res.value), log
+
+
+def _int_solve(c, n, **args):
+    """lp.solve as it is, with its pivots logged: ((status, x, value), pivots)."""
+    log, pivot = [], lp._pivot
+
+    def logged(tab, basis, row, col):
+        log.append((row, col))
+        pivot(tab, basis, row, col)
+
+    with patch.object(lp, "_pivot", logged):
+        res = lp.solve(c, n, **args)
+    return (res.status, res.x, res.value), log
+
+
+@st.composite
+def rational_lps(draw):
+    """Small LPs with rational data, mixed nonneg, and dependent equality rows."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+    coef = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    rhs = st.one_of(st.just(F(0)), coef)  # zero right-hand sides make ratio ties
+    row = st.lists(coef, min_size=n, max_size=n)
+    a_ub = draw(st.lists(row, max_size=4))
+    a_eq = draw(st.lists(row, max_size=3))
+    b_ub = draw(st.lists(rhs, min_size=len(a_ub), max_size=len(a_ub)))
+    b_eq = draw(st.lists(rhs, min_size=len(a_eq), max_size=len(a_eq)))
+    # repeat some equality rows, scaled by a nonzero factor: redundant rows
+    for i in draw(st.lists(st.integers(0, len(a_eq) - 1), max_size=2) if a_eq else st.just([])):
+        s = draw(st.sampled_from([F(1), F(-1), F(2), F(-1, 3), F(3, 2)]))
+        a_eq.append([s * x for x in a_eq[i]])
+        b_eq.append(s * b_eq[i])
+    c = draw(row)
+    return n, k, a_ub, b_ub, a_eq, b_eq, c, draw(st.booleans())
+
+
+_EQ, _RHS = [[F(1), F(1)], [F(-1, 2), F(-1, 2)]], [F(1), F(-1, 2)]
+
+
+@settings(max_examples=250)
+@given(rational_lps())
+# one case per outcome, each through a dependent equality row
+@example((2, 2, [], [], _EQ, _RHS, [1, 0], True))  # optimal, the copy row dropped
+@example((2, 2, [], [], _EQ, [F(1), F(1)], [1, 0], True))  # infeasible
+@example((2, 1, [], [], _EQ, _RHS, [1, 0], True))  # unbounded: x = 1 - y, y >= 0
+@example(  # a negative drive-out pivot ahead of phase-2 pivots
+    (3, 1, [[1, 1, 0]], [0], [[0, F(1, 2), 2], [1, 1, -1], [0, 1, 4]], [-2, 0, -4], [-1, 1, 0], False)
+)
+def test_integer_rows_match_fraction_tableau(lp_case):
+    n, k, a_ub, b_ub, a_eq, b_eq, c, minimize = lp_case
+    args = dict(minimize=minimize, a_ub=a_ub, b_ub=b_ub, a_eq=a_eq, b_eq=b_eq, nonneg=k)
+    assert _int_solve(c, n, **args) == _ref_solve(c, n, **args)
+

@@ -221,6 +221,25 @@ def test_suggest_epsilon_certifies_witnesses(standard_psi):
     assert not RG.in_c_epsilon(fam_e, (F(1), F(1)))
 
 
+# Cell witnesses come from interior_point, so they depend on the exact pivot
+# order of the LP kernel; the values are pinned from the Fraction tableau
+# (A2 adjoint is pinned above).
+@pytest.mark.parametrize(
+    "ctype, rep, witnesses",
+    [
+        ("A", "standard", [(3, 2), (2, 3)]),
+        ("A", "sym2", [(3, 2), (2, 3)]),
+        ("B", "adjoint", [(2, F(3, 2))]),
+        ("C", "adjoint", [(F(3, 2), 2)]),
+        ("D", "adjoint", [(F(1, 2), F(1, 2))]),
+    ],
+)
+def test_pi_cones_witnesses_are_pinned(ctype, rep, witnesses):
+    datum = build_root_datum(ctype, 2)
+    fam = RG.pi_cones(RG.psi_pi(datum, weights_of(datum, rep)))
+    assert [c.witness for c in fam.cones] == [vec(w) for w in witnesses]
+
+
 def test_in_c_epsilon_requires_epsilon(adjoint_psi):
     fam = RG.pi_cones(adjoint_psi)
     with pytest.raises(ValueError):
@@ -331,6 +350,39 @@ def test_decompose_fixture_shape(descs):
     assert all(d.deltas == (F(1),) for d in descs)
     assert descs[0].pi_zero == ()
     assert descs[1].pi_zero == ((F(-1), F(2)), (F(1), F(-2)))
+
+
+def test_decompose_descriptors_are_pinned():
+    d2 = build_root_datum("D", 2)
+    psi = RG.psi_pi(d2, weights_of(d2, "adjoint"))
+    ctx = RG.make_context(d2, minimal_parabolic(d2), parabolic(d2, frozenset({1})), psi, F(1, 3))
+    descs = RG.decompose(ctx, (F(9, 2), F(5)), (F(9, 32), F(9, 32)))
+    pi = ((-2, 0), (0, -2), (0, 2), (2, 0))
+    assert [(d.pi, d.pi_plus, d.lambdas, d.deltas) for d in descs] == [
+        (pi, ((0, 2), (2, 0)), (pi,), (1,)),
+        (pi, ((0, 2), (2, 0)), (((0, -2), (0, 2)),), (1,)),
+    ]
+
+
+def test_certificate_error_names_the_region_and_parameters(ctx, monkeypatch):
+    monkeypatch.setattr(RG, "_kernel_meets", lambda region_h, forms_y: False)  # force a certificate
+    monkeypatch.setattr(RG.lp, "lexmin_point", lambda *args, **kwargs: None)
+    with pytest.raises(RG.CertificateError) as err:
+        RG.decompose(ctx, T, S)
+    msg = str(err.value)
+    assert msg.startswith("no exact certificate for the next threshold level")
+    assert "p=(0, 1) q=(0) pi_plus=((-1, 2), (1, 1), (2, -1))" in msg
+    assert "lambdas=(((-2, 1), (-1, -1), (-1, 2), (1, -2), (1, 1), (2, -1))) deltas=(1)" in msg
+    assert msg.endswith("T=(8, 8) S=(1/2, 1/2)]")
+
+
+def test_transport_error_names_the_region_and_parameters(ctx, leaf):
+    with pytest.raises(RG.TransportError) as err:
+        RG.region_vertices_affine(ctx, leaf, T, S, check=[((F(8), F(30)), S)])
+    msg = str(err.value)
+    assert "leaves the region at the new parameters" in msg
+    assert "lambdas=(((-2, 1), (-1, -1), (1, 1), (2, -1))) deltas=(1)" in msg
+    assert msg.endswith("T=(8, 8) S=(1/2, 1/2) T2=(8, 30) S2=(1/2, 1/2)]")
 
 
 def test_decompose_partitions_volume(ctx, descs):
