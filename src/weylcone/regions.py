@@ -25,7 +25,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import isqrt
 from typing import Iterable, Sequence
 
@@ -280,13 +280,9 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     bases = dict.fromkeys(b for _, _, kernels in _admissible_kernels(psi) for _, b in kernels)
     walls = {_canonical_form(mu) for b in bases if not _meets_signed_root_cone(datum, b) for mu in b}
     hyper = tuple(sorted(walls))
-    dominant_strict = [neg(datum.simple_roots[i]) for i in range(n)]
+    dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cells = []
-    for signs in product((1, -1), repeat=len(hyper)):
-        rows = list(dominant_strict) + [neg(scale(s, h)) for s, h in zip(signs, hyper)]
-        w = lp.interior_point(n, a_strict=rows, b_strict=[Fraction(0)] * len(rows))
-        if w is None:
-            continue
+    for signs, w in _cells(dominant, hyper):
         d2 = d_value_squared(w, psi)
         if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
@@ -570,15 +566,16 @@ class RegionDescriptor:
         return tuple(f for f in self.pi if f not in used)
 
 
+def _text(x) -> str:
+    """A vector, or nested tuples of them, as in the CLI: (1, -1/2), not Fraction reprs."""
+    return "(" + ", ".join(map(_text, x)) + ")" if isinstance(x, tuple) else str(x)
+
+
 def _where(desc: RegionDescriptor, t, s, **more) -> str:
     """The region and parameters of a failure, enough to reproduce it."""
-
-    def text(x):
-        return "(" + ", ".join(map(text, x)) + ")" if isinstance(x, tuple) else str(x)
-
     p, q = tuple(sorted(desc.p.outside)), tuple(sorted(desc.q.outside))
     fields = dict(p=p, q=q, pi_plus=desc.pi_plus, lambdas=desc.lambdas, deltas=desc.deltas, T=t, S=s, **more)
-    return " [" + " ".join(f"{k}={text(v)}" for k, v in fields.items()) + "]"
+    return " [" + " ".join(f"{k}={_text(v)}" for k, v in fields.items()) + "]"
 
 
 def region_inequalities(psi: PsiSystem, desc: RegionDescriptor) -> tuple[SymbolicIneq, ...]:
@@ -696,49 +693,33 @@ def well_situated_report(ctx: DecompositionContext, t, s) -> WellSituatedReport:
 # the recursion
 
 
-def _sign_cells(base_h: HPolyhedron, forms_y: Sequence[Vec]):
-    """All full-dimensional sign assignments of the forms inside the region.
+def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
+    """Open cells of the arrangement {f.y = level : f in forms} inside h.
 
-    DFS with strict-LP pruning; yields tuples of +/-1 in canonical order.
+    Depth-first over the forms, +1 before -1, each branch pruned by a
+    strict-interior LP (Sleumer 1999).  Yields (signs, point) for every sign
+    vector s whose cell {y strictly inside h : s_i (f_i.y - level) > 0} is
+    nonempty, in lexicographic order with +1 first; point is the interior
+    point of that cell's own LP.
     """
-    rows0, rhs0 = base_h.ub_rows()
-    n = base_h.dim
 
-    def rec(i, rows, rhs):
-        if i == len(forms_y):
-            yield ()
+    def rec(rows, rhs, signs):
+        point = lp.interior_point(h.dim, a_strict=rows, b_strict=rhs)
+        if point is None:
             return
+        if len(signs) == len(forms):
+            yield signs, point
+            return
+        f = forms[len(signs)]
         for s in (1, -1):
-            r = rows + [neg(scale(s, forms_y[i]))]
-            b = rhs + [Fraction(0)]
-            if lp.interior_point(n, a_strict=r, b_strict=b) is not None:
-                for rest in rec(i + 1, r, b):
-                    yield (s,) + rest
+            yield from rec(rows + [neg(scale(s, f))], rhs + [-s * level], signs + (s,))
 
-    yield from rec(0, rows0, rhs0)
+    yield from rec(*h.ub_rows(), ())
 
 
-def _threshold_cells(region_h: HPolyhedron, rows_forms, threshold: Fraction):
-    """Subsets of `rows_forms` (signed forms in y-coords) that exceed the
-    threshold on a full-dimensional subcell; DFS with strict-LP pruning."""
-    rows0, rhs0 = region_h.ub_rows()
-    n = region_h.dim
-
-    def rec(i, rows, rhs, chosen):
-        if i == len(rows_forms):
-            yield chosen
-            return
-        f = rows_forms[i]
-        above = rows + [neg(f)]
-        above_rhs = rhs + [-threshold]
-        if lp.interior_point(n, a_strict=above, b_strict=above_rhs) is not None:
-            yield from rec(i + 1, above, above_rhs, chosen + (i,))
-        below = rows + [f]
-        below_rhs = rhs + [threshold]
-        if lp.interior_point(n, a_strict=below, b_strict=below_rhs) is not None:
-            yield from rec(i + 1, below, below_rhs, chosen)
-
-    yield from rec(0, rows0, rhs0, ())
+def _sign_cells(base_h: HPolyhedron, forms_y: Sequence[Vec]):
+    """Sign vectors of the forms' open cells inside the region (the work units of `decompose`)."""
+    return [s for s, _ in _cells(base_h, forms_y)]
 
 
 def _kernel_meets(region_h: HPolyhedron, forms_y: Sequence[Vec]) -> bool:
@@ -831,12 +812,12 @@ def _descriptors_for_cell(args) -> list[RegionDescriptor]:
             )
         signed = [scale(desc.sgn(lam), ly) for lam, ly in zip(pi0, pi0_y)]
         children = 0
-        for chosen in _threshold_cells(region_h, signed, delta_next * b_value):
-            if not chosen:
+        for cell, _ in _cells(region_h, signed, delta_next * b_value):
+            lam_next = tuple(f for f, sg in zip(pi0, cell) if sg == 1)
+            if not lam_next:
                 raise CertificateError(
                     "threshold level with empty split cell; certificate bound failed" + _where(desc, tv, sv)
                 )
-            lam_next = tuple(pi0[i] for i in chosen)
             children += 1
             recurse(
                 RegionDescriptor(
@@ -855,8 +836,8 @@ def _descriptors_for_cell(args) -> list[RegionDescriptor]:
     signed = [scale(sg, ly) for sg, ly in zip(signs, pi_y)]
     # level 0 splits at the full threshold B(T); no certificate is needed
     cell_region = base_h.with_constraints([(f, Fraction(0)) for f in signed])
-    for chosen in _threshold_cells(cell_region, signed, b_value):
-        lam0 = tuple(pi[i] for i in chosen)
+    for cell, _ in _cells(cell_region, signed, b_value):
+        lam0 = tuple(f for f, sg in zip(pi, cell) if sg == 1)
         recurse(RegionDescriptor(ctx.p, ctx.q, pi, pi_plus, (lam0,), (Fraction(1),)))
     return out
 
@@ -881,8 +862,7 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
         base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv
     )
     pi_y = _quotient_rows(basis, ctx.pi)
-    cells = list(_sign_cells(base_h, pi_y))
-    work = [(ctx, tv, sv, signs) for signs in cells]
+    work = [(ctx, tv, sv, signs) for signs in _sign_cells(base_h, pi_y)]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -977,12 +957,12 @@ def _check_transport(ctx, ineqs, lhs_rows, entries, t2: Vec, s2: Vec, where: str
             iq = ineqs[i]
             if dot(lhs_rows[i], y2) != iq.rhs_value(ctx.b_form, t2, s2):
                 raise TransportError(
-                    f"tight constraint {i} breaks at the transported vertex {y2}" + where
+                    f"tight constraint {i} breaks at the transported vertex {_text(y2)}" + where
                 )
         for a, c in zip(h2.normals, h2.offsets):
             if dot(a, y2) + c < 0:
                 raise TransportError(
-                    f"transported vertex {y2} leaves the region at the new parameters" + where
+                    f"transported vertex {_text(y2)} leaves the region at the new parameters" + where
                 )
         predicted.append(y2)
     actual = polyhedra.vertices(h2).vertices
@@ -1075,7 +1055,8 @@ def refine(
         hi = lp.solve(row, dim_y, minimize=False, a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
         if lo.ok and hi.ok and lo.value == 0 and hi.value == 0:
             raise ClosureError(
-                f"weight {lam} vanishes on the kernel slice but is outside the subset"
+                f"weight {_text(lam)} vanishes on the kernel slice but is outside the subset"
+                + _where(desc, tv, sv)
             )
     idx = independent_subset(p1_rows, dim_y)
     basis_b = tuple(p1[i] for i in idx)
@@ -1133,9 +1114,8 @@ def refine(
         )
     )
 
-    lattice = polyhedra.face_lattice(cut_h)
     candidates: list[frozenset] = []
-    for verts in lattice.values():
+    for verts in polyhedra.faces(cut_vp):
         pts = tuple(sorted({qmap(v) for v in verts}))
         if rank(pts, m) != m - 1:
             continue
@@ -1156,13 +1136,8 @@ def refine(
         normals.add(_canonical_form(ns[0]))
     problematic = tuple(sorted(normals))
 
-    pyr_rows, pyr_rhs = hull_h.ub_rows()
     out = []
-    for signs in product((1, -1), repeat=len(problematic)):
-        rows = pyr_rows + [neg(scale(sg, nrm)) for sg, nrm in zip(signs, problematic)]
-        rhs = pyr_rhs + [Fraction(0)] * len(problematic)
-        if lp.interior_point(m, a_strict=rows, b_strict=rhs) is None:
-            continue
+    for signs, _ in _cells(hull_h, problematic):
         cone_rows = [(f, Fraction(0)) for f in facets] + [
             (scale(sg, nrm), Fraction(0)) for sg, nrm in zip(signs, problematic)
         ]

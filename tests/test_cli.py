@@ -193,6 +193,19 @@ def test_regions_slice_outside_x_is_domain_error(capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+def test_regions_refine_closure_error_prints_plain_rationals(capsys):
+    code, out = run(
+        ["regions", "refine"] + DECOMPOSE_ARGS[2:] + ["--region-index", "1", "--pi-one", "2"],
+        capsys,
+    )
+    assert code == 1
+    err = json.loads(out)["error"]
+    assert err["kind"] == "domain"
+    assert err["message"].startswith("weight (1, -2) vanishes on the kernel slice but is outside the subset [")
+    assert err["message"].endswith("T=(8, 8) S=(1/2, 1/2)]")
+    assert "Fraction" not in err["message"]
+
+
 def test_asymptote_toy_csv(capsys):
     code, out = run(["asymptote", "toy", "--T-list", "2,3"], capsys)
     assert code == 0

@@ -240,6 +240,24 @@ def test_pi_cones_witnesses_are_pinned(ctype, rep, witnesses):
     assert [c.witness for c in fam.cones] == [vec(w) for w in witnesses]
 
 
+A3 = build_root_datum("A", 3)
+
+
+@pytest.fixture(scope="module")
+def a3_family():
+    return RG.pi_cones(RG.psi_pi(A3, weights_of(A3, "standard")))
+
+
+def test_pi_cones_a3_standard_is_pinned(a3_family):
+    # the one tier-1 family with walls: the cell search prunes, and every
+    # witness comes from a leaf LP with several wall rows
+    walls = [(0, 1, -1), (1, -1, 0), (1, 0, -2), (1, 0, -1), (1, 0, F(-1, 2))]
+    assert a3_family.hyperplanes == tuple(vec(w) for w in walls)
+    witnesses = [(9, 7, 4), (7, 6, 4), (4, 5, 3), (3, 5, 4), (5, 7, 8), (5, 9, 12)]
+    assert [c.witness for c in a3_family.cones] == [vec(w) for w in witnesses]
+    assert [c.d2 for c in a3_family.cones] == [F(1, 2)] * 6
+
+
 def test_in_c_epsilon_requires_epsilon(adjoint_psi):
     fam = RG.pi_cones(adjoint_psi)
     with pytest.raises(ValueError):
@@ -460,6 +478,47 @@ def test_decompose_worker_count_is_bounded(ctx, descs, monkeypatch):
         started.clear()
         assert RG.decompose(ctx, T, S, jobs=jobs) == RG.decompose(ctx, T, S)
         assert started == ([expected] if expected else [])
+
+
+# A rank-3 region with several sign cells: P0 <= Q{2} in A3 standard.
+A3_T = (F(99), F(77), F(44))
+A3_S = (F(3, 5), F(7, 15), F(4, 15))
+
+
+@pytest.fixture(scope="module")
+def a3_ctx(a3_family):
+    q = parabolic(A3, frozenset({2}))
+    return RG.make_context(A3, minimal_parabolic(A3), q, a3_family.psi, F(1, 40), family=a3_family)
+
+
+def test_rank_three_decomposition_partitions_the_region(a3_ctx):
+    descs = RG.decompose(a3_ctx, A3_T, A3_S)
+    assert len({d.pi_plus for d in descs}) == 3 and len(descs) == 10
+    assert RG.decompose(a3_ctx, A3_T, A3_S, jobs=2) == descs  # starts the pool on two or more CPUs
+    base_h = RG.instantiate(
+        RG.base_inequalities(a3_ctx.psi, a3_ctx.p, a3_ctx.q), a3_ctx.basis, a3_ctx.b_form, A3_T, A3_S
+    )
+    base = PH.vertices(base_h)
+    hs = [
+        RG.instantiate(RG.region_inequalities(a3_ctx.psi, d), a3_ctx.basis, a3_ctx.b_form, A3_T, A3_S)
+        for d in descs
+    ]
+    hull = RG.r_region(a3_ctx.p, a3_ctx.q, A3_T, A3_S)
+    assert sum(PH.volume(PH.vertices(h)) for h in hs) == PH.volume(base) == PH.volume(hull) == F(20086, 45)
+
+    def strict(h, x):
+        return all(dot(a, x) + c > 0 for a, c in zip(h.normals, h.offsets))
+
+    lo = [min(v[i] for v in base.vertices) for i in range(3)]
+    hi = [max(v[i] for v in base.vertices) for i in range(3)]
+    rng = random.Random(13)
+    done = 0
+    while done < 300:
+        x = tuple(a + F(rng.randrange(0, 1025), 1024) * (b - a) for a, b in zip(lo, hi))
+        if not strict(base_h, x) or any(PH.contains(h, x) and not strict(h, x) for h in hs):
+            continue  # outside, or on a measure-zero shared boundary
+        assert sum(1 for h in hs if strict(h, x)) == 1, x
+        done += 1
 
 
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
