@@ -2,7 +2,8 @@
 
 H-representation: constraints (normal, offset) meaning normal . v + offset >= 0.
 V-representation: tuple of extreme points.  All combinatorial questions (vertex
-identity, faces, distances) are decided exactly over Q; floats appear only in
+identity, faces) and least norms over a point hull (`min_norm_squared`, P.
+Wolfe's minimum-norm point) are decided exactly over Q; floats appear only in
 the integration oracles at the very end.  Face queries on a V-polytope go
 through `faces`, straight from its points; `face_lattice(to_hrep(v))` finds
 the vertex incidences again by itself and is kept as the independent oracle.
@@ -16,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
+from operator import mul
 from typing import Sequence
 
 from . import lp
@@ -29,7 +31,6 @@ from .linalg import (
     identity,
     independent_subset,
     is_zero,
-    mat_vec,
     neg,
     nullspace,
     rank,
@@ -319,83 +320,51 @@ def canonical_hrep(h: HPolyhedron) -> tuple:
     return tuple(sorted(items))
 
 
-def squared_distance(
-    forms: Sequence[Vec],
-    poly: VPolytope,
-    inner: Mat | None = None,
-) -> Fraction:
-    """Exact squared distance between ker(forms) and the polytope.
+def min_norm_squared(points: Sequence[Vec], metric: Mat) -> Fraction:
+    """Least metric-norm² |x|² = x.metric.x over conv(points), exactly.
 
-    The metric is the bilinear form `inner` (identity by default).  Strategy:
-    an LP settles intersection (distance 0); otherwise the minimizer lies in
-    the relative interior of some face, where it solves the unconstrained
-    normal equations over affspan(face) x kernel — enumerate faces, keep the
-    values whose minimizer set actually meets the face.
+    P. Wolfe's algorithm (Finding the nearest point in a polytope, Math.
+    Programming 11, 1976).  x starts at the point of least norm.  A major
+    cycle stops when x.x <= x.p for every point p (x is then optimal), else
+    adds the p with the least x.p to the corral.  A minor cycle moves x to
+    the affine minimum of the corral (a bordered Gram solve); if a weight is
+    not positive it steps back towards the old weights by the largest theta
+    that keeps them all >= 0 and drops the points whose weight reaches 0.
+    An added p has x.p < x.x, while every q in aff(corral) has x.q = x.x, so
+    the corral stays affinely independent and each solve is nonsingular.
+    Integer points and metric are worked in integers up to the first solve.
     """
-    if not poly.vertices:
-        raise ValueError("empty polytope")
-    dim = poly.dim
-    inner = inner if inner is not None else identity(dim)
-    kernel = nullspace([f for f in forms if not is_zero(f)], dim)
-    # shortcut: does the kernel meet the hull?  f . (sum lam_j p_j) = 0 per form
-    m = len(poly.vertices)
-    rows = [[dot(f, p) for p in poly.vertices] for f in forms]
-    rows.append([Fraction(1)] * m)
-    rhs = [Fraction(0)] * len(forms) + [Fraction(1)]
-    if lp.feasible_point(m, a_eq=rows, b_eq=rhs, nonneg=m) is not None:
-        return Fraction(0)
+    pts = tuple(dict.fromkeys(map(tuple, points)))
 
-    best: Fraction | None = None
-    for face in faces(poly):
-        val = _face_min(face, kernel, inner)
-        if val is not None and (best is None or val < best):
-            best = val
-    assert best is not None
-    return best
+    def image(v):  # metric . v in the entries' own type (`mat_vec` makes Fractions)
+        return tuple(sum(map(mul, row, v)) for row in metric)
 
-
-def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> Fraction | None:
-    """Min of |p - k|^2 over p in affspan(face), k in span(kernel), provided
-    some minimizer has p inside the face; None otherwise."""
-    dim = len(face_verts[0])
-    v0 = face_verts[0]
-    fbasis = list(VPolytope(tuple(face_verts)).affine_basis())
-    directions = fbasis + [neg(k) for k in kernel]
-    nf = len(fbasis)
-    nd = len(directions)
-    # difference vector: r(t) = v0 + D t ; minimize r^T M r
-    img = [mat_vec(inner, d) for d in directions]
-    hess = [[dot(directions[i], img[j]) for j in range(nd)] for i in range(nd)]
-    rhs = [-dot(directions[i], mat_vec(inner, v0)) for i in range(nd)]
-    part = solve_any(hess, rhs, nd) if nd else ()
-    if nd and part is None:
-        return None  # cannot happen: PSD normal equations are always consistent
-    null = nullspace(hess, nd) if nd else ()
-    # feasibility: exists minimizer t = part + N s with p(t) in hull(face)
-    # p(t) = v0 + sum_{i<nf} t_i fbasis_i ; barycentric lam over face vertices
-    nv = len(face_verts)
-    ns = len(null)
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
-    for c in range(dim):
-        row = [sum(null[s][i] * fbasis[i][c] for i in range(nf)) if nf else Fraction(0) for s in range(ns)]
-        row += [-p[c] for p in face_verts]
-        base = -v0[c] - (sum(part[i] * fbasis[i][c] for i in range(nf)) if nf else Fraction(0))
-        a_eq.append(row)
-        b_eq.append(base)
-    a_eq.append([Fraction(0)] * ns + [Fraction(1)] * nv)
-    b_eq.append(Fraction(1))
-    sol = lp.feasible_point(ns + nv, a_eq=a_eq, b_eq=b_eq, nonneg=nv)
-    if sol is None:
-        return None
-    t = list(part)
-    for s in range(ns):
-        for i in range(nd):
-            t[i] += sol[s] * null[s][i]
-    r = list(v0)
-    for i in range(nd):
-        r = add(r, scale(t[i], directions[i]))
-    return dot(r, mat_vec(inner, r))
+    images = [image(p) for p in pts]
+    start = min(range(len(pts)), key=lambda i: sum(map(mul, pts[i], images[i])))
+    corral, weights = [start], [Fraction(1)]
+    x = pts[start]
+    while True:
+        mx = image(x)
+        xx = sum(map(mul, x, mx))
+        xp = [sum(map(mul, mx, p)) for p in pts]
+        j = min(range(len(pts)), key=xp.__getitem__)
+        if xx <= xp[j]:
+            return Fraction(xx)
+        corral.append(j)
+        weights.append(Fraction(0))
+        while True:
+            m = len(corral)
+            bordered = [[sum(map(mul, pts[a], images[b])) for b in corral] + [-1] for a in corral]
+            bordered.append([1] * m + [0])
+            alpha = solve(bordered, [0] * m + [1])[:m]
+            if all(a > 0 for a in alpha):
+                weights = list(alpha)
+                break
+            theta = min(w / (w - a) for w, a in zip(weights, alpha) if a <= 0)
+            mixed = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
+            corral = [i for i, w in zip(corral, mixed) if w != 0]
+            weights = [w for w in mixed if w != 0]
+        x = tuple(sum(w * pts[i][c] for i, w in zip(corral, weights)) for c in range(len(x)))
 
 
 def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:

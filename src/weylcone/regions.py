@@ -24,9 +24,11 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import lp, polyhedra
@@ -108,6 +110,30 @@ class PsiSystem:
     datum: RootDatum
     weights: tuple[Vec, ...]
     functionals: tuple[Vec, ...]
+
+    @cached_property
+    def kernels(self) -> tuple:
+        """(basis, maps, metric, denom) per kernel of `_admissible_kernels`, in
+        its order, built once per system on first use.  For the kernel's forms
+        S, G = S M^-1 S^T (M = datum.inner) and the projections P_r to the
+        parabolics r between its pair, maps are the integer matrices c S P_r,
+        metric is the integer g G^-1, and denom = c^2 g."""
+        m_inv = invert(self.datum.inner)
+        out = []
+        for p, q, kernels in _admissible_kernels(self):
+            between = parabolics_between(p, q)
+            for combo, basis in kernels:
+                k = len(combo)
+                rows, c = _integer_rows([coproject(f, r) for r in between for f in combo])
+                metric, g = _integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
+                out.append((basis, tuple(rows[i : i + k] for i in range(0, len(rows), k)), metric, c * c * g))
+        return tuple(out)
+
+
+def _integer_rows(rows: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d * rows, d) for the least d that makes every entry an integer."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def psi_pi(datum: RootDatum, weights: WeightSet | Iterable) -> PsiSystem:
@@ -206,21 +232,21 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
     Minimum over parabolic pairs p ⊆ q (q proper) and independent functional
     subsets S of the system at p whose span meets the forms vanishing on the
     Levi of q; each term is the metric distance between ker S and the hull of
-    the projections of x across the parabolics between p and q.
+    the projections of x across the parabolics between p and q.  With
+    M = datum.inner and G = S M^-1 S^T, the squared M-distance from h to
+    ker S is (Sh)^T G^-1 (Sh), so each term is the least G^-1-norm over the
+    hull of the vectors S h: one `polyhedra.min_norm_squared`, worked in
+    integers by scaling x, S P_r and G^-1 (`PsiSystem.kernels`).
     """
-    xv = vec(x)
-    datum = psi.datum
-    best = None
-    for p, q, kernels in _admissible_kernels(psi):
-        hull = tuple(sorted({project(xv, r) for r in parabolics_between(p, q)}))
-        poly = VPolytope(hull)
-        for combo, _ in kernels:
-            d2 = polyhedra.squared_distance(combo, poly, inner=datum.inner)
-            if best is None or d2 < best:
-                best = d2
+    (xi,), den = _integer_rows([vec(x)])
+    terms = (
+        polyhedra.min_norm_squared([[sum(map(mul, row, xi)) for row in m] for m in maps], metric) / denom
+        for _, maps, metric, denom in psi.kernels
+    )
+    best = min(terms, default=None)
     if best is None:
         raise AssertionError("no admissible kernel exists; datum has no proper parabolic")
-    return best
+    return best / (den * den)
 
 
 @dataclass(frozen=True)
@@ -277,7 +303,7 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     """
     datum = psi.datum
     n = datum.rank
-    bases = dict.fromkeys(b for _, _, kernels in _admissible_kernels(psi) for _, b in kernels)
+    bases = dict.fromkeys(b for b, _, _, _ in psi.kernels)
     walls = {_canonical_form(mu) for b in bases if not _meets_signed_root_cone(datum, b) for mu in b}
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
@@ -700,13 +726,15 @@ def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
     strict-interior LP (Sleumer 1999).  Yields (signs, point) for every sign
     vector s whose cell {y strictly inside h : s_i (f_i.y - level) > 0} is
     nonempty, in lexicographic order with +1 first; point is the interior
-    point of that cell's own LP.
+    point of that cell's own LP.  The root is not pruned when there are forms:
+    every leaf's LP has h's rows, so an empty h still yields nothing.
     """
 
     def rec(rows, rhs, signs):
-        point = lp.interior_point(h.dim, a_strict=rows, b_strict=rhs)
-        if point is None:
-            return
+        if signs or not forms:
+            point = lp.interior_point(h.dim, a_strict=rows, b_strict=rhs)
+            if point is None:
+                return
         if len(signs) == len(forms):
             yield signs, point
             return

@@ -1,6 +1,16 @@
-"""Shared hypothesis settings plus a pass/fail line per acceptance criterion."""
+"""Shared hypothesis settings plus a pass/fail line per acceptance criterion.
+
+The absolute `src/` goes on PYTHONPATH too, so that `python -m weylcone.cli`
+child processes import the checkout's package as pytest itself does.
+"""
+
+import os
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 settings.register_profile(
     "suite",

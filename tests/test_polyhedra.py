@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from weylcone import polyhedra as PH
 from weylcone.linalg import dot, neg, sub, vec
 
+from distance_oracle import squared_distance
+
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
@@ -168,17 +170,66 @@ def test_triangulate_partitions_volume():
 def test_squared_distance_point_cases():
     seg = PH.VPolytope(((F(1), F(0)), (F(2), F(0))))
     # distance from ker(x axis functional)... use forms = [e0]: kernel is the y axis
-    d2 = PH.squared_distance([(F(1), F(0))], seg)
+    d2 = squared_distance([(F(1), F(0))], seg)
     assert d2 == F(1)
     through = PH.VPolytope(((F(-1), F(1)), (F(1), F(1))))
-    assert PH.squared_distance([(F(1), F(0))], through) == F(0)
+    assert squared_distance([(F(1), F(0))], through) == F(0)
 
 
 def test_squared_distance_weighted_inner():
     # |.|^2 = 2x^2 with inner = diag(2,1): kernel of e0 to the point (3,0)
     pt = PH.VPolytope(((F(3), F(0)),))
     inner = ((F(2), F(0)), (F(0), F(1)))
-    assert PH.squared_distance([(F(1), F(0))], pt, inner=inner) == F(18)
+    assert squared_distance([(F(1), F(0))], pt, inner=inner) == F(18)
+
+
+@st.composite
+def min_norm_cases(draw, d):
+    """A positive-definite metric L L^T and a point cloud in dimension d:
+    general, with repeats, collinear, coplanar, symmetric about the origin
+    (origin inside) or in a half-space through a symmetric pair (origin on
+    the boundary)."""
+    lower = [[draw(st.integers(1, 3)) if i == j else draw(st.integers(-2, 2)) if j < i else 0
+              for j in range(d)] for i in range(d)]
+    metric = tuple(tuple(F(sum(a * b for a, b in zip(r, c))) for c in lower) for r in lower)
+    point = st.tuples(*[fracs] * d)
+    shape = draw(st.sampled_from(("general", "repeated", "collinear", "coplanar", "inside", "boundary")))
+    pts = draw(st.lists(point, min_size=1, max_size=6))
+    if shape == "repeated":
+        pts += draw(st.lists(st.sampled_from(pts), min_size=1, max_size=3))
+    elif shape in ("collinear", "coplanar"):
+        dirs = draw(st.lists(point, min_size=1, max_size=1 if shape == "collinear" else 2))
+        pts = [tuple(a + sum(draw(fracs) * u[i] for u in dirs) for i, a in enumerate(pts[0]))
+               for _ in range(draw(st.integers(2, 5)))]
+    elif shape == "inside":
+        pts += [neg(p) for p in pts]
+    elif shape == "boundary":  # x_0 >= 0 on the cloud, and the pair +-u has x_0 = 0
+        u = (F(0),) + draw(point)[1:]
+        pts = [u, neg(u)] + [(abs(p[0]),) + p[1:] for p in pts]
+    return metric, pts
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@given(data=st.data())
+def test_min_norm_squared_matches_the_face_oracle(d, data):
+    metric, pts = data.draw(min_norm_cases(d))
+    got = PH.min_norm_squared(pts, metric)
+    # with every coordinate as a form the kernel is {0}: the oracle's distance is the least norm
+    want = squared_distance([tuple(F(i == j) for j in range(d)) for i in range(d)], PH.VPolytope(tuple(pts)), metric)
+    assert got == want
+    assert got <= min(dot(p, [dot(r, p) for r in metric]) for p in pts)
+
+
+def test_min_norm_squared_point_cases():
+    diag = ((F(2), F(0)), (F(0), F(1)))
+    # nearest point of the segment (1,-1)-(1,1) to 0 is (1,0): 2 * 1^2
+    assert PH.min_norm_squared([(F(1), F(-1)), (F(1), F(1))], diag) == 2
+    # a triangle around the origin, given with a repeated vertex
+    tri = [(F(1), F(0)), (F(-1), F(1)), (F(-1), F(-1)), (F(1), F(0))]
+    assert PH.min_norm_squared(tri, diag) == 0
+    # integer input stays exact and comes back as a Fraction
+    got = PH.min_norm_squared([(-3, 2), (-3, -4)], ((5, 0), (0, 1)))
+    assert got == 45 and isinstance(got, F)
 
 
 def closed_form_exp_cube(mu):
@@ -416,6 +467,6 @@ def test_face_queries_never_build_an_hrep(monkeypatch):
     assert abs(got - closed_form_exp_cube([1.0, 2.0])) < 1e-12 * got
     est, err = PH.mc_integrate_exp(square, (F(1), F(1)), 2000, random.Random(0))
     assert abs(est - closed_form_exp_cube([1.0, 1.0])) < 5 * err + 0.05
-    assert PH.squared_distance([(F(1), F(1), F(1))], shifted) == 3
+    assert squared_distance([(F(1), F(1), F(1))], shifted) == 3
     assert PH.to_off(cube) == CUBE_OFF
     assert RG.d_value_squared((F(3), F(1)), psi) == F(1, 2)

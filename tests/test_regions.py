@@ -19,6 +19,8 @@ from weylcone.rootspace import (
     weights_of,
 )
 
+import distance_oracle
+
 A2 = build_root_datum("A", 2)
 P0 = minimal_parabolic(A2)
 Q1 = parabolic(A2, frozenset({0}))
@@ -172,6 +174,40 @@ def test_d_value_rank_three_pinned(ctype, rep, x, d2):
     datum = build_root_datum(ctype, 3)
     assert all(dot(a, x) > 0 for a in datum.simple_roots)  # regular dominant
     assert RG.d_value_squared(x, RG.psi_pi(datum, weights_of(datum, rep))) == d2
+
+
+# points where d^2 = 0: on the boundary of the dominant cone or on a wall of the cone family
+WALL_POINTS = {
+    "A2/adjoint": [(1, 0), (0, 1)],
+    "A2/standard": [(1, 1)],
+    "B2/standard": [(1, 1)],
+    "A3/standard": [(1, 1, 1)],
+    "A3/adjoint": [(1, 0, 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["A2/adjoint", "A2/standard", "A2/sym2", "B2/standard", "B2/adjoint", "C2/standard", "C2/adjoint",
+     "D2/adjoint", "A3/standard", "A3/adjoint", "B3/standard", "B3/adjoint", "C3/standard", "C3/adjoint"],
+)
+def test_d_value_matches_the_face_oracle(family):
+    """d^2 by one min-norm point per kernel equals d^2 by face enumeration at
+    seeded regular dominant points, and at wall points where it is 0."""
+    ctype, rank, rep = family[0], int(family[1]), family[3:]
+    datum = build_root_datum(ctype, rank)
+    psi = RG.psi_pi(datum, weights_of(datum, rep))
+    rng = random.Random(family)
+    walls = [tuple(map(F, w)) for w in WALL_POINTS.get(family, [])]
+    points = []
+    while len(points) < (4 if rank == 2 else 2):
+        x = tuple(F(rng.randrange(1, 40), rng.choice((1, 2, 4))) for _ in range(rank))
+        if all(dot(a, x) > 0 for a in datum.simple_roots):
+            points.append(x)
+    for x in walls + points:
+        d2 = RG.d_value_squared(x, psi)
+        assert d2 == distance_oracle.d_value_squared(x, psi)
+        assert (d2 == 0) == (x in walls)
 
 
 def test_span_classes_built_once_per_p(monkeypatch):
