@@ -8,6 +8,7 @@ face identity, LP feasibility) must be decided, not estimated.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -15,7 +16,9 @@ Mat = tuple[Vec, ...]
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    # a Fraction is immutable, so one is kept as it is; Fraction(e) would
+    # rebuild it behind an abstract-base-class isinstance check
+    return tuple(e if type(e) is Fraction else Fraction(e) for e in entries)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -53,6 +56,12 @@ def neg(v: Sequence[Fraction]) -> Vec:
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(d * rows, d) for the least d that makes every entry an integer."""
+    d = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def is_zero(v: Sequence[Fraction]) -> bool:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -39,6 +39,7 @@ from .linalg import (
     coords_in_basis,
     dot,
     independent_subset,
+    integer_rows,
     invert,
     is_zero,
     mat_mul,
@@ -124,16 +125,10 @@ class PsiSystem:
             between = parabolics_between(p, q)
             for combo, basis in kernels:
                 k = len(combo)
-                rows, c = _integer_rows([coproject(f, r) for r in between for f in combo])
-                metric, g = _integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
+                rows, c = integer_rows([coproject(f, r) for r in between for f in combo])
+                metric, g = integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
                 out.append((basis, tuple(rows[i : i + k] for i in range(0, len(rows), k)), metric, c * c * g))
         return tuple(out)
-
-
-def _integer_rows(rows: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(d * rows, d) for the least d that makes every entry an integer."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
 
 
 def psi_pi(datum: RootDatum, weights: WeightSet | Iterable) -> PsiSystem:
@@ -238,7 +233,7 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
     hull of the vectors S h: one `polyhedra.min_norm_squared`, worked in
     integers by scaling x, S P_r and G^-1 (`PsiSystem.kernels`).
     """
-    (xi,), den = _integer_rows([vec(x)])
+    (xi,), den = integer_rows([vec(x)])
     terms = (
         polyhedra.min_norm_squared([[sum(map(mul, row, xi)) for row in m] for m in maps], metric) / denom
         for _, maps, metric, denom in psi.kernels

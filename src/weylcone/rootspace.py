@@ -12,6 +12,10 @@ Parabolic bookkeeping follows the complement convention: a standard parabolic
 is named by the subset of simple-root indices OUTSIDE its Levi, so containment
 of parabolics reverses containment of subsets (full set <-> minimal parabolic,
 empty set <-> the whole group).
+
+Projections run on one cached integer matrix per pair P <= Q: `project`,
+`coproject`, `gamma` and `gamma_hull_points` scale their input to integers over
+one denominator and multiply in int arithmetic; `gamma` decides its signs there.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 import json
+from operator import mul
 
 from .linalg import (
     Mat,
@@ -28,6 +33,7 @@ from .linalg import (
     add,
     dot,
     identity,
+    integer_rows,
     invert,
     mat_vec,
     nullspace,
@@ -84,6 +90,11 @@ class RootDatum:
     rank: int
     cartan: Mat  # cartan[i][j] = <alpha_i, alpha_j^vee>
     sym: tuple[Fraction, ...]  # d_i = (alpha_i, alpha_i)/2
+
+    def __hash__(self):
+        # type and rank fix the Cartan data, so the caches keyed on parabolics
+        # hash no Fraction
+        return hash((self.ctype, self.rank))
 
     @property
     def simple_roots(self) -> tuple[Vec, ...]:
@@ -211,7 +222,6 @@ def subspace_basis(p: ParabolicSubset, q: ParabolicSubset) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
-@lru_cache(maxsize=None)
 def projection_matrix(p: ParabolicSubset, q: ParabolicSubset) -> Mat:
     """Matrix of the orthogonal projection onto a_P^Q (columns = images of e_j)."""
     datum = p.datum
@@ -220,20 +230,43 @@ def projection_matrix(p: ParabolicSubset, q: ParabolicSubset) -> Mat:
     return transpose(cols)
 
 
+@lru_cache(maxsize=None)
+def _projector(p: ParabolicSubset, q: ParabolicSubset):
+    """(N, N^T, d, tests): the int matrix N = d * projection_matrix(p, q), and
+    per i in delta_between(p, q) the rows (alpha_i N, N_i) that `gamma` tests."""
+    rows, d = integer_rows(projection_matrix(p, q))
+    cols = tuple(zip(*rows))
+    roots = integer_rows(p.datum.simple_roots)[0]
+    tests = tuple((tuple(sum(map(mul, roots[i], c)) for c in cols), rows[i]) for i in delta_between(p, q))
+    return rows, cols, d, tests
+
+
+def _integer_vector(x, n: int) -> tuple[tuple[int, ...], int]:
+    """(den * x, den) for the least den that makes x integral."""
+    v = vec(x)
+    if len(v) != n:
+        raise ValueError(f"expected a vector of length {n}, got {len(v)}")
+    (xs,), den = integer_rows([v])
+    return xs, den
+
+
+def _apply(rows, d: int, xs, den: int) -> Vec:
+    """(rows / d)(xs / den), one exact Fraction per row."""
+    dd = d * den
+    return tuple(Fraction(sum(map(mul, row, xs)), dd) for row in rows)
+
+
 def project(x, p: ParabolicSubset, q: ParabolicSubset | None = None) -> Vec:
-    """Orthogonal projection X_P^Q of X onto a_P^Q (Q defaults to the full group)."""
-    if q is None:
-        q = full_group(p.datum)
-    _require_nested(p, q)
-    return mat_vec(projection_matrix(p, q), vec(x))
+    """Orthogonal projection X_P^Q of X onto a_P^Q (Q defaults to the full group),
+    as the cached int matrix N = d * projection_matrix(p, q) times X scaled to ints."""
+    rows, _, d, _ = _projector(p, full_group(p.datum) if q is None else q)
+    return _apply(rows, d, *_integer_vector(x, len(rows)))
 
 
 def coproject(lam, p: ParabolicSubset, q: ParabolicSubset | None = None) -> Vec:
     """The form lam composed with projection onto a_P^Q (the dual projection lam_P)."""
-    if q is None:
-        q = full_group(p.datum)
-    _require_nested(p, q)
-    return mat_vec(transpose(projection_matrix(p, q)), vec(lam))
+    _, cols, d, _ = _projector(p, full_group(p.datum) if q is None else q)
+    return _apply(cols, d, *_integer_vector(lam, len(cols)))
 
 
 def parabolics_between(p: ParabolicSubset, q: ParabolicSubset):
@@ -254,40 +287,32 @@ def gamma(p: ParabolicSubset, q: ParabolicSubset, x, t):
     closure is cvx(T_R)_{P<=R<=Q}, 0 outside it, and BOUNDARY whenever any of
     the tested root/weight functionals vanishes exactly (the union of these
     zero sets covers every boundary hyperplane of the hull).
+
+    The alternating sum over P <= R <= Q factors as the product over i in
+    delta_between(p, q) of [alpha_i(X_P^Q) > 0] - [w_i(X_P^Q - T_P^Q) > 0].
+    With N = d * projection_matrix(p, q), X = xs/x_den and T = ts/t_den, these
+    have the signs of (alpha_i N) xs and (N xs)_i t_den - (N ts)_i x_den.
     """
-    _require_nested(p, q)
-    datum = p.datum
-    roots = datum.simple_roots
-    between = delta_between(p, q)
-    xp = project(x, p, q)
-    tp = project(t, p, q)
-    y = sub(xp, tp)
-    # boundary screen: all functionals any term below may test
-    for i in between:
-        if dot(roots[i], xp) == 0:
+    rows, _, _, tests = _projector(p, q)
+    xs, x_den = _integer_vector(x, len(rows))
+    ts, t_den = _integer_vector(t, len(rows))
+    value = 1
+    for root_row, row in tests:
+        root = sum(map(mul, root_row, xs))
+        y = sum(map(mul, row, xs)) * t_den - sum(map(mul, row, ts)) * x_den
+        if root == 0 or y == 0:
             return BOUNDARY
-        if y[i] == 0:  # fundamental weight w_i is the coordinate form e_i
-            return BOUNDARY
-    total = 0
-    for k in range(len(between) + 1):
-        for extra in combinations(between, k):
-            rest = [i for i in between if i not in extra]
-            sign = -1 if len(rest) % 2 else 1
-            tau = all(dot(roots[i], xp) > 0 for i in extra)
-            tau_hat = all(y[i] > 0 for i in rest)
-            if tau and tau_hat:
-                total += sign
-    return total
+        value *= (root > 0) - (y > 0)
+    return value
 
 
 def gamma_hull_points(p: ParabolicSubset, q: ParabolicSubset, t) -> tuple[Vec, ...]:
     """The projections (T_R)_P^Q for P <= R <= Q: vertices generating the support hull."""
-    tv = vec(t)
-    datum = p.datum
+    ts, den = _integer_vector(t, p.datum.rank)
     pts = []
     for r in parabolics_between(p, q):
-        tr = project(tv, r, q)  # projection of T to a_R^Q, inside a_P^Q
-        pts.append(tr)
+        rows, _, d, _ = _projector(r, q)  # projection of T to a_R^Q, inside a_P^Q
+        pts.append(_apply(rows, d, ts, den))
     return tuple(pts)
 
 

@@ -54,6 +54,14 @@ def test_gamma_containment_is_domain_error(capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+def test_gamma_vector_of_wrong_length_is_domain_error(capsys):
+    base = ["gamma", "--type", "A", "--rank", "2", "--P", "", "--Q", ""]
+    for x, t, got in (("1", "2,2", 1), ("1,1", "2,2,2", 3)):
+        code, out = run(base + ["--X", x, "--T", t], capsys)
+        assert code == 1
+        assert json.loads(out)["error"] == {"kind": "domain", "message": f"expected a vector of length 2, got {got}"}
+
+
 def test_bv_interval_exact_terms(capsys):
     code, out = run(
         ["bv", "--normals", "1;-1", "--x", "0,1", "--mu", "2"], capsys

@@ -557,6 +557,49 @@ def test_rank_three_decomposition_partitions_the_region(a3_ctx):
         done += 1
 
 
+# The paper's recursion past level 0: P0 <= Q{a1, a2} in A3 adjoint, at the
+# family's suggested epsilon, needs one certificate LP and a second threshold.
+A3_ADJ_T = (F(28), F(217, 8), F(73, 4))
+A3_ADJ_S = (F(33, 64), F(1, 2), F(67, 192))
+
+
+@pytest.fixture(scope="module")
+def a3_adjoint_family():
+    return RG.pi_cones(RG.psi_pi(A3, weights_of(A3, "adjoint")))
+
+
+def test_a3_adjoint_recursion_reaches_a_second_threshold(a3_adjoint_family, monkeypatch):
+    fam = a3_adjoint_family
+    eps = RG.suggest_epsilon(fam)
+    assert eps == F(811672525, 8589934592)
+    q = parabolic(A3, frozenset({2}))  # Levi {a1, a2}
+    ctx3 = RG.make_context(A3, minimal_parabolic(A3), q, fam.psi, eps, family=fam)
+    calls = []
+    lexmin = RG.lp.lexmin_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lexmin(*args, **kwargs)
+
+    monkeypatch.setattr(RG.lp, "lexmin_point", counting)
+    descs = RG.decompose(ctx3, A3_ADJ_T, A3_ADJ_S)
+    assert calls  # the certificate LP really ran
+    index = {w: i for i, w in enumerate(fam.psi.weights)}
+    assert [[[index[w] for w in level] for level in d.lambdas] for d in descs] == [
+        [list(range(12))],
+        [[0, 1, 2, 3, 5, 6, 8, 9, 10, 11]],
+        [list(range(1, 11))],
+        [[1, 2, 3, 5, 6, 8, 9, 10], [0, 4, 7, 11]],
+        [[1, 2, 3, 5, 6, 8, 9, 10], [0, 11]],
+        [[1, 2, 3, 5, 6, 8, 9, 10], [4, 7]],
+        [[2, 3, 5, 6, 8, 9]],
+    ]
+    assert [d.deltas for d in descs] == [(1,)] * 3 + [(1, F(1, 12))] * 3 + [(1,)]
+    hs = [RG.instantiate(RG.region_inequalities(ctx3.psi, d), ctx3.basis, ctx3.b_form, A3_ADJ_T, A3_ADJ_S) for d in descs]
+    total = sum(PH.volume(PH.vertices(h)) for h in hs)
+    assert total == PH.volume(RG.r_region(ctx3.p, ctx3.q, A3_ADJ_T, A3_ADJ_S)) == F(7811731, 147456)
+
+
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
     ineqs = RG.region_inequalities(ctx.psi, leaf)
     h = RG.instantiate(ineqs, ctx.basis, ctx.b_form, T, S)

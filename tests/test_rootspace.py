@@ -3,14 +3,16 @@
 import json
 import random
 from fractions import Fraction as F
+from functools import lru_cache
+from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from weylcone import polyhedra as PH
 from weylcone import rootspace as RS
-from weylcone.linalg import add, dot, mat_vec, sub, unit, vec
+from weylcone.linalg import add, dot, mat_vec, sub, transpose, unit, vec
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -266,3 +268,74 @@ def test_project_and_coproject_against_their_defining_equations(ctype, rank):
                 assert sum(a * b for a, b in zip(lam, y)) == sum(a * b for a, b in zip(mu, x))
             pairs += 1
     assert pairs == 3**n
+
+
+# --- the integer kernel against the Fraction bodies it replaced --------------
+
+
+_reference_matrix = lru_cache(maxsize=None)(RS.projection_matrix)
+
+
+def _project_reference(x, p, q):
+    return mat_vec(_reference_matrix(p, q), vec(x))
+
+
+def _coproject_reference(lam, p, q):
+    return mat_vec(transpose(_reference_matrix(p, q)), vec(lam))
+
+
+def _gamma_reference(p, q, x, t):
+    """The inclusion-exclusion sum over P <= R <= Q, on Fraction projections."""
+    roots = p.datum.simple_roots
+    between = RS.delta_between(p, q)
+    xp = _project_reference(x, p, q)
+    y = sub(xp, _project_reference(t, p, q))
+    for i in between:
+        if dot(roots[i], xp) == 0 or y[i] == 0:
+            return RS.BOUNDARY
+    total = 0
+    for k in range(len(between) + 1):
+        for extra in combinations(between, k):
+            rest = [i for i in between if i not in extra]
+            if all(dot(roots[i], xp) > 0 for i in extra) and all(y[i] > 0 for i in rest):
+                total += -1 if len(rest) % 2 else 1
+    return total
+
+
+def _onto_wall(x, form, value):
+    """x moved along one coordinate so that form(x) == value."""
+    j = next(j for j, c in enumerate(form) if c != 0)
+    x = list(x)
+    x[j] += (value - dot(form, x)) / form[j]
+    return tuple(x)
+
+
+KERNEL_DATA = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 3), ("C", 3), ("D", 4)]
+mixed = st.fractions(min_value=-9, max_value=9, max_denominator=36)
+
+
+@pytest.mark.parametrize("ctype,rank", KERNEL_DATA)
+# each example sweeps every pair, so a failure is reported as drawn (its
+# message names the pair) rather than shrunk by rerunning the sweep
+@settings(max_examples=10, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(data=st.data())
+def test_integer_kernel_matches_the_fraction_bodies(ctype, rank, data):
+    datum = RS.build_root_datum(ctype, rank)
+    x, lam, t = (data.draw(st.tuples(*[mixed] * rank)) for _ in range(3))
+    p0, g = RS.minimal_parabolic(datum), RS.full_group(datum)
+    for q in RS.parabolics_between(p0, g):
+        for p in RS.parabolics_between(p0, q):
+            for out, ref in (
+                (RS.project(x, p, q), _project_reference(x, p, q)),
+                (RS.coproject(lam, p, q), _coproject_reference(lam, p, q)),
+                *zip(RS.gamma_hull_points(p, q, t), (_project_reference(t, r, q) for r in RS.parabolics_between(p, q))),
+            ):
+                assert out == ref and all(type(c) is F for c in out)
+            assert RS.gamma(p, q, x, t) == _gamma_reference(p, q, x, t), (p.outside, q.outside, x, t)
+            for i in RS.delta_between(p, q):
+                root_form = _coproject_reference(datum.simple_roots[i], p, q)
+                weight_form = _coproject_reference(unit(rank, i), p, q)
+                wall_t = _project_reference(t, p, q)[i]
+                for wall in (_onto_wall(x, root_form, 0), _onto_wall(x, weight_form, wall_t)):
+                    assert RS.gamma(p, q, wall, t) is RS.BOUNDARY
+                    assert _gamma_reference(p, q, wall, t) is RS.BOUNDARY
