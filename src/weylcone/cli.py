@@ -121,6 +121,8 @@ def _cmd_bv(args) -> int:
     if not normals:
         raise ArgumentDataError("at least one normal is required")
     dim = len(normals[0])
+    if any(len(a) != dim for a in normals):
+        raise ArgumentDataError("every normal must have the same length")
     pp = chambers.ParametricPolyhedron.make(normals, dim)
     cd = chambers.enumerate_bases(pp)
     x = _parse_vec(args.x)

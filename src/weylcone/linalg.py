@@ -2,13 +2,15 @@
 
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  Everything
 here is exact -- no floats -- because downstream predicates (hull membership,
-face identity, LP feasibility) must be decided, not estimated.
+face identity, LP feasibility) must be decided, not estimated.  Square systems
+are solved on int rows (`integer_solve`) that `eliminate` keeps divided by
+their gcd: fraction-free Gauss-Jordan (Bareiss 1968), as the `lp` simplex pivots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -134,22 +136,38 @@ def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> tuple[Vec, ...]
     return tuple(basis)
 
 
+def eliminate(row, prow, col):
+    """prow[col]·row − row[col]·prow over its gcd: zero at col, and a positive scale if prow[col] > 0."""
+    pv, f = prow[col], row[col]
+    out = [pv * x - f * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def integer_solve(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], int] | None:
+    """x = nums / den solving the n int rows [a | b] of a x = b, or None if a is singular.
+
+    Gauss-Jordan on ints; den > 0 (the lcm of the final diagonal) and
+    gcd(den, *nums) == 1, so each rational solution has exactly one (nums, den)."""
+    work = list(rows)
+    for c in range(n):
+        r = next((i for i in range(c, n) if work[i][c]), None)
+        if r is None:
+            return None
+        work[r], work[c] = work[c], work[r]
+        work = [row if i == c or row[c] == 0 else eliminate(row, work[c], c) for i, row in enumerate(work)]
+    den = lcm(*(work[i][i] for i in range(n)))
+    nums = [work[i][n] * (den // work[i][i]) for i in range(n)]
+    g = gcd(den, *nums)
+    return tuple(x // g for x in nums), den // g
+
+
 def solve(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]) -> Vec:
     """Solve the square system a x = b; raises ValueError if singular."""
-    n = len(a)
-    work = [list(map(Fraction, row)) + [Fraction(b[i])] for i, row in enumerate(a)]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            raise ValueError("singular system")
-        work[c], work[pivot] = work[pivot], work[c]
-        pv = work[c][c]
-        work[c] = [x / pv for x in work[c]]
-        for i in range(n):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return tuple(work[i][n] for i in range(n))
+    sol = integer_solve(integer_rows([vec((*row, x)) for row, x in zip(a, b)])[0], len(a))
+    if sol is None:
+        raise ValueError("singular system")
+    return tuple(Fraction(x, sol[1]) for x in sol[0])
 
 
 def solve_any(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], width: int | None = None) -> Vec | None:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
-from .linalg import Vec, zeros
+from .linalg import Vec, eliminate, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -49,19 +49,11 @@ def _integer_row(row):
     return [x.numerator * (d // x.denominator) for x in row]
 
 
-def _eliminate(row, prow, col):
-    """prow[col]·row − row[col]·prow over its gcd: zero at col, and a positive scale if prow[col] > 0."""
-    pv, f = prow[col], row[col]
-    out = [pv * x - f * y for x, y in zip(row, prow)]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
-
-
 def _pivot(tab, basis, row, col):
     if tab[row][col] < 0:  # only the drive-out pivots of phase 1 can be negative
         tab[row] = [-x for x in tab[row]]
     prow = tab[row]
-    tab[:] = [r if i == row or r[col] == 0 else _eliminate(r, prow, col) for i, r in enumerate(tab)]
+    tab[:] = [r if i == row or r[col] == 0 else eliminate(r, prow, col) for i, r in enumerate(tab)]
     basis[row] = col
 
 
@@ -69,7 +61,7 @@ def _priced(obj, tab, basis):
     """The cost row `obj` with every basic column eliminated: the reduced costs."""
     for row, j in zip(tab, basis):
         if obj[j] != 0:
-            obj = _eliminate(obj, row, j)
+            obj = eliminate(obj, row, j)
     return obj
 
 

@@ -30,6 +30,8 @@ from .linalg import (
     dot,
     identity,
     independent_subset,
+    integer_rows,
+    integer_solve,
     is_zero,
     neg,
     nullspace,
@@ -57,6 +59,10 @@ class HPolyhedron:
     dim: int
 
     def __post_init__(self):
+        if type(self.dim) is not int or self.dim < 0:
+            raise ValueError(f"dim must be a non-negative integer, got {self.dim!r}")
+        if (lengths := [len(a) for a in self.normals]) != [self.dim] * len(self.offsets):
+            raise ValueError(f"expected {len(self.offsets)} normals of length {self.dim}, got lengths {lengths}")
         for a, c in zip(self.normals, self.offsets):
             if is_zero(a) and c < 0:
                 raise ValueError("trivially infeasible constraint with zero normal")
@@ -133,26 +139,28 @@ def recession_direction(h: HPolyhedron) -> Vec | None:
 
 
 def vertices(h: HPolyhedron) -> VPolytope:
-    """Exact extreme points via basis enumeration over tight constraint sets.
+    """Exact extreme points by basis enumeration (Avis-Fukuda 1992) on int rows.
 
-    Empty vertex list iff infeasible.  Boundedness is one Stiemke LP; only a
-    nonempty unbounded set runs `recession_direction` for UnboundedError's witness.
+    A new `integer_solve` solution nums / den of a dim-subset of the int rows
+    (a, c) is a vertex iff a.nums + c*den >= 0 on every row.  A nonempty pointed
+    set has a vertex, so only rank < dim with no vertex runs the feasibility LP;
+    a nonempty set runs one Stiemke LP, and `recession_direction` only to raise.
     """
-    if feasible_point(h) is None:
+    dim = h.dim
+    rows = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
+    seen, found = set(), []
+    for subset in combinations([(*r[:dim], -r[dim]) for r in rows], dim):
+        sol = integer_solve(subset, dim)
+        if sol is None or sol in seen:
+            continue
+        seen.add(sol)
+        nums, den = sol
+        if all(sum(map(mul, r, nums)) + r[dim] * den >= 0 for r in rows):
+            found.append(tuple(Fraction(x, den) for x in nums))
+    if not found and (seen or feasible_point(h) is None):
         return VPolytope(())
-    if not recession_cone_is_zero(h.normals, h.dim):
+    if not found or not recession_cone_is_zero(h.normals, dim):
         raise UnboundedError(recession_direction(h))
-    n, dim = len(h.normals), h.dim
-    found: set[Vec] = set()
-    for subset in combinations(range(n), dim):
-        try:
-            v = solve([h.normals[i] for i in subset], [-h.offsets[i] for i in subset])
-        except ValueError:
-            continue
-        if v in found:
-            continue
-        if all(dot(a, v) + c >= 0 for a, c in zip(h.normals, h.offsets)):
-            found.add(v)
     return VPolytope(tuple(sorted(found)))
 
 

@@ -100,6 +100,12 @@ def test_bv_arity_is_argument_error(capsys):
     assert json.loads(out)["error"]["kind"] == "argument"
 
 
+def test_bv_ragged_normals_are_argument_error(capsys):
+    code, out = run(["bv", "--normals", "1,0;0,1,3;-1,-1", "--x", "1,1,1", "--mu", "1,2"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": "every normal must have the same length"}
+
+
 def test_bad_rational_is_argument_error(capsys, monkeypatch):
     def no_decompose(*args, **kwargs):
         raise AssertionError("a malformed index list must be rejected before decomposing")
@@ -276,6 +282,27 @@ def test_oracle_malformed_input_is_argument_error(tmp_path, capsys):
     code, out = run(["oracle", "vertices", "--in", str(bad)], capsys)
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "argument"
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: d["H"][0].update(normal=["1"]), "expected 4 normals of length 2, got lengths [1, 2, 2, 2]"),
+        (lambda d: d["H"][0].update(normal=["1", "0", "5"]), "expected 4 normals of length 2, got lengths [3, 2, 2, 2]"),
+        (lambda d: d.update(dim="2"), "dim must be a non-negative integer, got '2'"),
+        (lambda d: d.update(dim=-1), "dim must be a non-negative integer, got -1"),
+    ],
+    ids=["short-normal", "long-normal", "string-dim", "negative-dim"],
+)
+def test_oracle_vertices_rows_of_the_wrong_length_are_argument_errors(tmp_path, capsys, edit, message):
+    data = json.loads(PH.h_to_json(SQUARE_H))
+    edit(data)
+    src = tmp_path / "bad.json"
+    src.write_text(json.dumps(data), encoding="utf-8")
+    code, out = run(["oracle", "vertices", "--in", str(src)], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "argument" and message in error["message"]
 
 
 def test_oracle_missing_file_is_argument_error(capsys):

@@ -1,6 +1,7 @@
 """Exact rational linear algebra kernel."""
 
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -14,6 +15,8 @@ from weylcone.linalg import (
     gram,
     identity,
     independent_subset,
+    integer_rows,
+    integer_solve,
     invert,
     mat_mul,
     mat_vec,
@@ -29,6 +32,8 @@ from weylcone.linalg import (
     transpose,
     vec,
 )
+
+from vertex_oracle import fraction_solve
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -167,3 +172,46 @@ def test_gram_symmetric():
     g = gram(basis, inner)
     assert g == transpose(g)
     assert g[0][0] == F(2)
+
+
+@st.composite
+def square_systems(draw):
+    """(a, b) with a n x n, n 0-4; a random a is almost always nonsingular."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    return draw(frac_mat(n, n)), draw(frac_vec(n))
+
+
+@st.composite
+def singular_systems(draw):
+    """(a, b) with a n x n, n 1-4, whose last row is a combination of the others."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = list(draw(frac_mat(n - 1, n)))
+    coeffs = draw(st.lists(fracs, min_size=n - 1, max_size=n - 1))
+    rows.append(tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(n)))
+    return rows, draw(frac_vec(n))
+
+
+@given(square_systems())
+def test_solve_matches_the_fraction_reference(case):
+    a, b = case
+    try:
+        expected = fraction_solve(a, b)
+    except ValueError:
+        with pytest.raises(ValueError):
+            solve(a, b)
+        return
+    assert solve(a, b) == expected
+    rows, _ = integer_rows([(*row, x) for row, x in zip(a, b)])
+    nums, den = integer_solve(rows, len(a))
+    assert den > 0 and gcd(den, *nums) == 1  # the one canonical (nums, den) of the solution
+    assert tuple(F(x, den) for x in nums) == expected
+
+
+@given(singular_systems())
+def test_singular_systems_still_raise(case):
+    a, b = case
+    with pytest.raises(ValueError):
+        fraction_solve(a, b)
+    with pytest.raises(ValueError):
+        solve(a, b)
+    assert integer_solve(integer_rows([(*row, x) for row, x in zip(a, b)])[0], len(a)) is None

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from weylcone import polyhedra as PH
 from weylcone.linalg import dot, neg, sub, vec
 
+import vertex_oracle
 from distance_oracle import squared_distance
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -470,3 +471,107 @@ def test_face_queries_never_build_an_hrep(monkeypatch):
     assert squared_distance([(F(1), F(1), F(1))], shifted) == 3
     assert PH.to_off(cube) == CUBE_OFF
     assert RG.d_value_squared((F(3), F(1)), psi) == F(1, 2)
+
+
+@st.composite
+def h_polyhedra(draw):
+    """H-polyhedra in dim 0-4 for the vertex differential test.
+
+    A uniform draw is mostly unbounded or empty, so three draws in five start
+    from a box around a centre p, one in five from its lower faces only, and
+    each cut a.x + c >= 0 has a.p + c >= -1/2.  Cuts that leave out the last
+    coordinate (without a box, rank-deficient normals), repeated, scaled and
+    opposite rows and zero normals with c >= 0 all occur."""
+    dim = draw(st.integers(min_value=0, max_value=4))
+    coef = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+    margin = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
+    p = draw(st.tuples(*[coef] * dim))
+    unit = lambda i, s: tuple(F(s if j == i else 0) for j in range(dim))
+    pairs = []
+    box = draw(st.sampled_from(["none", "lower", "full", "full", "full"]))
+    for i in range(dim if box != "none" else 0):
+        pairs.append((unit(i, 1), draw(margin) - p[i]))
+        if box == "full":
+            pairs.append((unit(i, -1), draw(margin) + p[i]))
+    flat = draw(st.booleans())
+    for _ in range(draw(st.integers(min_value=0, max_value=4 - dim // 2))):
+        a = draw(st.tuples(*[coef] * dim))
+        a = (*a[:-1], F(0)) if flat and dim else a
+        pairs.append((a, draw(margin) - dot(a, p) - F(1, 2) * draw(st.booleans()) if any(a) else draw(margin)))
+    if pairs and draw(st.booleans()):
+        a, c = draw(st.sampled_from(pairs))
+        k = draw(st.sampled_from([F(1), F(3), F(1, 2)]))
+        pairs.append((tuple(k * x for x in a), k * c))
+    if pairs and draw(st.booleans()):  # 0 <= a.x + c <= d: empty, a hyperplane or a slab
+        a, c = draw(st.sampled_from(pairs))
+        if any(a):
+            pairs.append((tuple(-x for x in a), draw(st.sampled_from([F(-1), F(0), F(1)])) - c))
+    if draw(st.booleans()):
+        pairs.append(((F(0),) * dim, draw(st.sampled_from([F(0), F(2)]))))
+    return PH.HPolyhedron.from_pairs(draw(st.permutations(pairs)), dim)
+
+
+def _vertices_or_direction(f, h):
+    try:
+        return "vertices", f(h).vertices
+    except PH.UnboundedError as exc:
+        return "unbounded", exc.direction
+
+
+@settings(max_examples=200)
+@given(h_polyhedra())
+def test_vertices_match_the_fraction_reference(h):
+    assert _vertices_or_direction(PH.vertices, h) == _vertices_or_direction(vertex_oracle.vertices, h)
+
+
+VERTEX_CASES = {
+    "empty, full rank": ([((1, 0), -2), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)], 2),
+    "empty, rank-deficient": ([((1, 0), -2), ((-1, 0), 1)], 2),
+    "unbounded ray": ([((1, 0), 0), ((1, 1), -1), ((0, 1), 2)], 2),
+    "strip": ([((0, 1), 0), ((0, -1), 1)], 2),
+    "repeated and scaled rows": ([((1, 0), 0), ((2, 0), 0), ((0, 1), 0), ((-1, -1), 1), ((-3, -3), 3)], 2),
+    "zero normals": ([((0, 0, 0), 0), ((0, 0, 0), 5)] + [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 2)], 3),
+    "degenerate apex": ([((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1), ((0, 0, 1), 0),
+                         ((1, 0, -1), 1), ((-1, 0, -1), 1), ((0, 1, -1), 1), ((0, -1, -1), 1)], 3),
+    "dimension 0": ([((), 0), ((), 1)], 0),
+    "no constraints": ([], 1),
+}
+
+
+@pytest.mark.parametrize("pairs,dim", VERTEX_CASES.values(), ids=VERTEX_CASES)
+def test_vertex_cases_match_the_fraction_reference(pairs, dim):
+    h = PH.HPolyhedron.from_pairs(pairs, dim)
+    assert _vertices_or_direction(PH.vertices, h) == _vertices_or_direction(vertex_oracle.vertices, h)
+
+
+def test_vertices_runs_an_lp_only_for_boundedness_or_a_rank_deficient_empty_set(monkeypatch):
+    real, calls = PH.lp.solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(PH.lp, "solve", counting)
+    for pairs, dim, n_vertices, n_lps in (
+        ([], 0, 1, 1),
+        ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)], 3, 4, 1),  # Stiemke only
+        (VERTEX_CASES["empty, full rank"][0], 2, 0, 0),  # no vertex among full-rank normals: empty, no LP
+        (VERTEX_CASES["empty, rank-deficient"][0], 2, 0, 1),  # the feasibility LP
+    ):
+        calls.clear()
+        assert len(PH.vertices(PH.HPolyhedron.from_pairs(pairs, dim)).vertices) == n_vertices
+        assert len(calls) == n_lps, pairs
+
+
+def test_hpolyhedron_rejects_rows_of_the_wrong_length():
+    e = (F(1), F(0))
+    for normals, offsets, dim in (
+        ((e, (F(1),)), (F(0), F(0)), 2),  # a short normal
+        ((e, (F(0), F(1), F(5))), (F(0), F(0)), 2),  # a long one
+        ((e, e), (F(0),), 2),  # one offset short
+        ((e,), (F(0),), "2"),
+        ((e,), (F(0),), True),
+        ((), (), -1),
+    ):
+        with pytest.raises(ValueError):
+            PH.HPolyhedron(normals, offsets, dim)

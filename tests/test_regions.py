@@ -600,6 +600,45 @@ def test_a3_adjoint_recursion_reaches_a_second_threshold(a3_adjoint_family, monk
     assert total == PH.volume(RG.r_region(ctx3.p, ctx3.q, A3_ADJ_T, A3_ADJ_S)) == F(7811731, 147456)
 
 
+@pytest.fixture(scope="module")
+def a3_adjoint_leaves(a3_adjoint_family):
+    fam = a3_adjoint_family
+    q = parabolic(A3, frozenset({2}))  # Levi {a1, a2}
+    ctx3 = RG.make_context(A3, minimal_parabolic(A3), q, fam.psi, RG.suggest_epsilon(fam), family=fam)
+    return ctx3, RG.decompose(ctx3, A3_ADJ_T, A3_ADJ_S)
+
+
+def test_a3_adjoint_recursion_leaves_transport_refine_and_partition(a3_adjoint_leaves):
+    ctx3, descs = a3_adjoint_leaves
+    t, s = A3_ADJ_T, A3_ADJ_S
+    check = [(add(t, (F(1, 4), F(0), F(0))), s), (add(t, (F(1, 2), F(0), F(0))), s)]
+    for d in descs:
+        assert RG.region_vertices_affine(ctx3, d, t, s, check=check)
+    refinable = [d for d in descs if d.pi_zero]
+    assert len(refinable) == 5
+    assert all(len(RG.refine(ctx3, d, d.pi_zero, t, s)) == 1 for d in refinable)
+    assert RG.lemma33_equivalence(ctx3, t, s) == ()
+    assert RG.decompose(ctx3, t, s, jobs=2) == descs
+
+    base_h = RG.instantiate(RG.base_inequalities(ctx3.psi, ctx3.p, ctx3.q), ctx3.basis, ctx3.b_form, t, s)
+    hs = [RG.instantiate(RG.region_inequalities(ctx3.psi, d), ctx3.basis, ctx3.b_form, t, s) for d in descs]
+
+    def strict(h, x):
+        return all(dot(a, x) + c > 0 for a, c in zip(h.normals, h.offsets))
+
+    base = PH.vertices(base_h).vertices
+    lo = [min(v[i] for v in base) for i in range(3)]
+    hi = [max(v[i] for v in base) for i in range(3)]
+    rng = random.Random(7)
+    done = 0
+    while done < 300:
+        x = tuple(a + F(rng.randrange(0, 1025), 1024) * (b - a) for a, b in zip(lo, hi))
+        if not strict(base_h, x) or any(PH.contains(h, x) and not strict(h, x) for h in hs):
+            continue  # outside, or on a measure-zero shared boundary
+        assert sum(1 for h in hs if strict(h, x)) == 1, x
+        done += 1
+
+
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
     ineqs = RG.region_inequalities(ctx.psi, leaf)
     h = RG.instantiate(ineqs, ctx.basis, ctx.b_form, T, S)
