@@ -1,9 +1,12 @@
 """Exact linear programming over the rationals.
 
 A small dense two-phase tableau simplex with Bland's rule.  Every feasibility
-answer doubles as a certificate for a geometric predicate, so no float enters.
-Tableau rows are Python ints: each is its true rational row times a positive
-scale, divided by its gcd after every pivot (the fraction-free, row-scaled form
+answer doubles as a certificate for a geometric predicate, so no float enters:
+every coefficient and right-hand side must be a `numbers.Rational` (an int, a
+Fraction, a numpy int), and anything else is a TypeError naming the argument
+and the index.  Tableau rows are Python ints: each is its true rational row
+times a positive scale, built straight from the numerators and denominators,
+and divided by its gcd after every pivot (the fraction-free, row-scaled form
 of exact elimination; Edmonds 1967, Bareiss 1968).  Bland's rule reads only the
 signs of the objective row and the order of the ratios b/a, which positive
 scales keep, so it makes the pivots of a plain Fraction tableau, and every
@@ -23,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Sequence
 
 from .linalg import Vec, eliminate, zeros
@@ -43,10 +47,15 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _integer_row(row):
-    """A rational row times the least positive integer that makes it integral."""
-    d = lcm(*(x.denominator for x in row))
-    return [x.numerator * (d // x.denominator) for x in row]
+def _exact(values, name):
+    """`values` as a list of ints and Fractions; any other rational becomes a Fraction."""
+    out = list(values)
+    for j, x in enumerate(out):
+        if type(x) is not int and type(x) is not Fraction:
+            if not isinstance(x, Rational):
+                raise TypeError(f"{name}[{j}] = {x!r} is not a rational number; the LP is exact")
+            out[j] = Fraction(int(x.numerator), int(x.denominator))
+    return out
 
 
 def _pivot(tab, basis, row, col):
@@ -86,15 +95,23 @@ def _simplex(tab, basis, ncols):
 
 
 def _standard_simplex(a, b, c):
-    """Solve min c.x, A x = b, x >= 0 over the rationals.  Returns (status, x, value)."""
+    """Solve min c.x, A x = b, x >= 0 over the rationals.  Returns (status, x, value).
+
+    Entries are ints or Fractions.  Each int row is its rational row times the
+    lcm d of its denominators: phase-1 row i is d [s A_i | e_i | s b_i], s = sign b_i.
+    """
     m, n = len(a), len(c)
 
     # phase 1: artificials form the starting basis
     ncols = n + m
     tab = []
     for i in range(m):
-        s = -1 if b[i] < 0 else 1
-        tab.append(_integer_row([s * x for x in a[i]] + [int(j == i) for j in range(m)] + [s * b[i]]))
+        d = lcm(b[i].denominator, *(x.denominator for x in a[i]))
+        sd = -d if b[i] < 0 else d
+        row = [x.numerator * (sd // x.denominator) for x in a[i]] + [0] * m
+        row[n + i] = d
+        row.append(b[i].numerator * (sd // b[i].denominator))
+        tab.append(row)
     basis = list(range(n, ncols))
     tab.append(_priced([0] * n + [1] * m + [0], tab, basis))  # min sum(artificials)
     _simplex(tab, basis, ncols)
@@ -112,7 +129,8 @@ def _standard_simplex(a, b, c):
 
     # phase 2: x_j = b/a on the row where column j is basic
     tab = [row[:n] + [row[ncols]] for row in tab[:-1]]
-    tab.append(_priced(_integer_row(list(c) + [0]), tab, basis))
+    d = lcm(*(x.denominator for x in c))
+    tab.append(_priced([x.numerator * (d // x.denominator) for x in c] + [0], tab, basis))
     if _simplex(tab, basis, n) == UNBOUNDED:
         return UNBOUNDED, None, None
     xb = {j: Fraction(row[n], row[j]) for row, j in zip(tab, basis)}
@@ -135,28 +153,27 @@ def solve(
 
     a_ub x <= b_ub, a_eq x = b_eq.  Free variables are split x = u - w,
     nonnegative variables enter the standard form as they are, and slacks
-    close the inequalities.
+    close the inequalities.  Every entry must be rational (TypeError
+    otherwise), and each row needs its right-hand side (ValueError otherwise).
     """
     if not 0 <= nonneg <= n:
         raise ValueError(f"nonneg={nonneg} must lie in 0..{n}")
+    if len(b_ub) != len(a_ub) or len(b_eq) != len(a_eq):
+        raise ValueError(f"{len(a_ub)} + {len(a_eq)} rows but {len(b_ub)} + {len(b_eq)} right-hand sides")
     nfree = n - nonneg
     nub = len(a_ub)
 
-    def columns(row):  # caller's coefficients -> u (nfree), w (nfree), x >= 0 (nonneg)
-        r = [Fraction(x) for x in row]
+    def columns(row, name):  # caller's coefficients -> u (nfree), w (nfree), x >= 0 (nonneg)
+        r = _exact(row, name)
         return r[:nfree] + [-x for x in r[:nfree]] + r[nfree:]
 
-    rows_a, rows_b = [], []
-    for i, row in enumerate(a_ub):
-        rows_a.append(columns(row) + [Fraction(1 if j == i else 0) for j in range(nub)])
-        rows_b.append(Fraction(b_ub[i]))
-    for i, row in enumerate(a_eq):
-        rows_a.append(columns(row) + [Fraction(0)] * nub)
-        rows_b.append(Fraction(b_eq[i]))
-    c = columns(objective)
+    rows_a = [columns(row, f"a_ub[{i}]") + [int(j == i) for j in range(nub)] for i, row in enumerate(a_ub)]
+    rows_a += [columns(row, f"a_eq[{i}]") + [0] * nub for i, row in enumerate(a_eq)]
+    rows_b = _exact(b_ub, "b_ub") + _exact(b_eq, "b_eq")
+    c = columns(objective, "objective")
     if not minimize:
         c = [-x for x in c]
-    status, xs, val = _standard_simplex(rows_a, rows_b, c + [Fraction(0)] * nub)
+    status, xs, val = _standard_simplex(rows_a, rows_b, c + [0] * nub)
     if status != OPTIMAL:
         return LPResult(status)
     x = tuple(xs[j] - xs[nfree + j] for j in range(nfree)) + xs[2 * nfree : nfree + n]
@@ -193,15 +210,15 @@ def interior_point(
     feasibility.  Correct for the polyhedral sets used here, where strict
     feasibility is equivalent to feasibility with some uniform margin.
     """
-    rows = [list(r) + [Fraction(1)] for r in a_strict]
+    rows = [list(r) + [1] for r in a_strict]
     rhs = list(b_strict)
     for r, b in zip(a_ub, b_ub):
-        rows.append(list(r) + [Fraction(0)])
+        rows.append(list(r) + [0])
         rhs.append(b)
-    rows.append([Fraction(0)] * n + [Fraction(1)])  # t <= 1
-    rhs.append(Fraction(1))
-    eq = [list(r) + [Fraction(0)] for r in a_eq]
-    obj = [Fraction(0)] * n + [Fraction(-1)]  # minimize -t
+    rows.append([0] * n + [1])  # t <= 1
+    rhs.append(1)
+    eq = [list(r) + [0] for r in a_eq]
+    obj = [0] * n + [-1]  # minimize -t
     res = solve(obj, n + 1, a_ub=rows, b_ub=rhs, a_eq=eq, b_eq=b_eq)
     if not res.ok or res.x is None or res.x[n] <= 0:
         return None

@@ -112,10 +112,14 @@ def feasible_point(h: HPolyhedron) -> Vec | None:
 
 def recession_cone_is_zero(normals: Sequence[Vec], dim: int) -> bool:
     """No d != 0 has a.d >= 0 for every normal a.  Stiemke: iff rank is dim and
-    sum y_i a_i = 0 for some y >= 1; y = 1 + z, z >= 0 makes that one LP."""
+    sum y_i a_i = 0 for some y >= 1 (`_positively_dependent`)."""
+    return rank(normals, dim) == dim and _positively_dependent(normals)
+
+
+def _positively_dependent(normals: Sequence[Vec]) -> bool:
+    """sum y_i a_i = 0 for some y >= 1; y = 1 + z, z >= 0 makes that one LP."""
     cols, m = list(zip(*normals)), len(normals)
-    return rank(normals, dim) == dim and (
-        lp.feasible_point(m, a_eq=cols, b_eq=[-sum(c) for c in cols], nonneg=m) is not None)
+    return lp.feasible_point(m, a_eq=cols, b_eq=[-sum(c) for c in cols], nonneg=m) is not None
 
 
 def recession_direction(h: HPolyhedron) -> Vec | None:
@@ -143,8 +147,9 @@ def vertices(h: HPolyhedron) -> VPolytope:
 
     A new `integer_solve` solution nums / den of a dim-subset of the int rows
     (a, c) is a vertex iff a.nums + c*den >= 0 on every row.  A nonempty pointed
-    set has a vertex, so only rank < dim with no vertex runs the feasibility LP;
-    a nonempty set runs one Stiemke LP, and `recession_direction` only to raise.
+    set has a vertex, so only rank < dim with no vertex runs the feasibility LP.
+    A vertex is a nonsingular dim-subset, so rank = dim is proved and only the
+    Stiemke LP decides boundedness; `recession_direction` runs only to raise.
     """
     dim = h.dim
     rows = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
@@ -159,7 +164,7 @@ def vertices(h: HPolyhedron) -> VPolytope:
             found.append(tuple(Fraction(x, den) for x in nums))
     if not found and (seen or feasible_point(h) is None):
         return VPolytope(())
-    if not found or not recession_cone_is_zero(h.normals, dim):
+    if not found or not _positively_dependent(h.normals):
         raise UnboundedError(recession_direction(h))
     return VPolytope(tuple(sorted(found)))
 

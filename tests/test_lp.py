@@ -4,6 +4,8 @@ from fractions import Fraction as F
 from functools import partial
 from unittest.mock import patch
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +34,36 @@ def test_solve_maximize_via_negation():
         b_ub=vec([1, 1, 0, 0]),
     )
     assert res.ok and res.value == F(-2) and res.x == vec([1, 1])
+
+
+def test_solve_rejects_inexact_input():
+    # a float or a string is not silently rounded or parsed: the LP is exact
+    rows = [vec([1, 0]), vec([0, 1])]
+    with pytest.raises(TypeError, match=r"b_ub\[1\] = 0\.1 "):
+        lp.solve(vec([1, 1]), 2, a_ub=rows, b_ub=[F(1), 0.1])
+    with pytest.raises(TypeError, match=r"a_eq\[0\]\[1\] = '1/3' "):
+        lp.solve(vec([1, 1]), 2, a_eq=[[F(1), "1/3"]], b_eq=[F(1)])
+    with pytest.raises(TypeError, match=r"objective\[0\]"):
+        lp.solve([0.5, 1], 2, a_ub=rows, b_ub=vec([1, 1]))
+
+
+def test_solve_needs_one_right_hand_side_per_row():
+    with pytest.raises(ValueError):
+        lp.solve(vec([1]), 1, a_ub=[vec([1])], b_ub=vec([1, 2]))
+    with pytest.raises(ValueError):
+        lp.solve(vec([1]), 1, a_eq=[vec([1]), vec([2])], b_eq=vec([1]))
+
+
+def test_solve_takes_numpy_integers():
+    # numpy ints are numbers.Rational: the same exact answer as Python ints
+    res = lp.solve(
+        np.array([1, 2], dtype=np.int64),
+        2,
+        a_ub=np.array([[-1, 0], [1, 0], [0, -1], [0, 1]], dtype=np.int64),
+        b_ub=np.array([1, 2, 0, 3], dtype=np.int64),
+    )
+    assert res.ok and res.x == vec([-1, 0]) and res.value == F(-1)
+    assert all(type(v) is F for v in (*res.x, res.value))
 
 
 def test_infeasible():

@@ -7,10 +7,13 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import add, dot, scale, vec
+from weylcone.linalg import add, dot, neg, scale, vec
 from weylcone.rootspace import (
     build_root_datum,
     full_group,
@@ -637,6 +640,102 @@ def test_a3_adjoint_recursion_leaves_transport_refine_and_partition(a3_adjoint_l
             continue  # outside, or on a measure-zero shared boundary
         assert sum(1 for h in hs if strict(h, x)) == 1, x
         done += 1
+
+
+# --- the cell search: inherited witnesses against one LP per sign vector -------
+
+
+@st.composite
+def arrangements(draw):
+    """(h, forms, level): h a box with corner v = (c, 0, ..., 0), maybe cut by up
+    to two halfspaces; 1-4 small integer forms, some through v at level c, so
+    that some LP witnesses land on a later form's hyperplane, and some zero,
+    whose cells are all empty at level 0 though every witness lies on them."""
+    dim = draw(st.integers(1, 3))
+    c = draw(st.sampled_from([0, 1, -2]))
+    corner = [c] + [0] * (dim - 1)
+    width = st.integers(1, 3)
+    around = draw(st.booleans())  # v inside the box rather than at a corner
+    pairs = []
+    for i, x in enumerate(corner):
+        if around:
+            lo, hi = x - draw(width), x + draw(width)
+        else:
+            lo, hi = sorted((x, x + draw(width) * draw(st.sampled_from([1, -1]))))
+        e = [0] * dim
+        e[i] = 1
+        pairs += [(e, -lo), ([-v for v in e], hi)]  # lo <= y_i <= hi
+    coef = st.integers(-2, 2)
+    for _ in range(draw(st.integers(0, 2))):  # a.y <= b
+        a = draw(st.lists(coef, min_size=dim, max_size=dim))
+        if any(a):
+            pairs.append(([-v for v in a], draw(st.integers(-1, 3))))
+    through = draw(st.booleans())
+    level = F(c) if through else draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2)]))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.lists(coef, min_size=dim, max_size=dim))
+        if draw(st.integers(0, 7)) == 0:
+            f = [0] * dim
+        if through and c and draw(st.booleans()):
+            f[0] = 1  # f.v = c = level: the hyperplane passes through the corner v
+        forms.append(vec(f))
+    return PH.HPolyhedron.from_pairs(pairs, dim), forms, level
+
+
+@settings(max_examples=150)
+@given(arrangements())
+def test_cells_match_one_lp_per_sign_vector(case):
+    h, forms, level = case
+    base_rows, base_rhs = [neg(a) for a in h.normals], list(h.offsets)
+    expected = {}
+    for signs in itertools.product((1, -1), repeat=len(forms)):
+        rows = base_rows + [scale(-s, f) for s, f in zip(signs, forms)]  # s (f.y - level) > 0
+        rhs = base_rhs + [-s * level for s in signs]
+        point = lp.interior_point(h.dim, a_strict=rows, b_strict=rhs)
+        if point is not None:
+            expected[signs] = point
+    cells = list(RG._cells(h, forms, level))
+    assert [signs for signs, _ in cells] == list(expected)
+    for signs, point in cells:
+        if point is not None:
+            assert point == expected[signs]  # the leaf's own LP, on the same rows
+            assert all(dot(a, point) + b > 0 for a, b in zip(h.normals, h.offsets))
+            assert all(s * (dot(f, point) - level) > 0 for s, f in zip(signs, forms))
+
+
+@pytest.fixture
+def interior_lps(monkeypatch):
+    """A list that gets one entry per `lp.interior_point` call."""
+    calls, real = [], RG.lp.interior_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(RG.lp, "interior_point", counting)
+    return calls
+
+
+def test_pi_cones_solves_leaf_lps_only_without_a_witness(a3_family, interior_lps):
+    # 30 strict-interior LPs without inherited witnesses
+    assert RG.pi_cones(a3_family.psi).cones == a3_family.cones
+    assert len(interior_lps) <= 24
+
+
+def test_rank_three_decomposition_reuses_witnesses(a3_ctx, interior_lps):
+    descs = RG.decompose(a3_ctx, A3_T, A3_S)
+    assert len(descs) == 10
+    assert len(interior_lps) <= 43  # 76 without inherited witnesses
+
+
+def test_a3_adjoint_recursion_reuses_witnesses(a3_adjoint_family, interior_lps):
+    fam = a3_adjoint_family
+    q = parabolic(A3, frozenset({2}))  # Levi {a1, a2}
+    ctx3 = RG.make_context(A3, minimal_parabolic(A3), q, fam.psi, RG.suggest_epsilon(fam), family=fam)
+    interior_lps.clear()
+    assert len(RG.decompose(ctx3, A3_ADJ_T, A3_ADJ_S)) == 7
+    assert len(interior_lps) <= 73  # 136 without inherited witnesses
 
 
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
