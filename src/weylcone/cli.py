@@ -75,10 +75,13 @@ def _parse_levi(datum: rootspace.RootDatum, text: str) -> rootspace.ParabolicSub
 
 
 def _rep_spec(text: str):
-    named = {"adjoint", "standard", "trivial"}
-    if text in named or text.startswith("sym"):
+    if text in {"adjoint", "standard", "trivial"}:
         return text
-    return _parse_vec(text)
+    if not text.startswith("sym"):
+        return _parse_vec(text)
+    if not (text[3:].isascii() and text[3:].isdigit()):
+        raise ArgumentDataError(f"bad representation {text!r}: K in symK must be a nonnegative integer")
+    return text
 
 
 def _datum(args) -> rootspace.RootDatum:

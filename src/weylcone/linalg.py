@@ -2,9 +2,11 @@
 
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  Everything
 here is exact -- no floats -- because downstream predicates (hull membership,
-face identity, LP feasibility) must be decided, not estimated.  Square systems
-are solved on int rows (`integer_solve`) that `eliminate` keeps divided by
-their gcd: fraction-free Gauss-Jordan (Bareiss 1968), as the `lp` simplex pivots.
+face identity, LP feasibility) must be decided, not estimated.  Every
+elimination runs on int rows, scaled by `integer_rows`: one fraction-free
+Gauss-Jordan (`_reduce`, Edmonds 1967) whose steps `eliminate` keeps divided
+by their gcd, as the `lp` simplex pivots, serves `rref` and `integer_solve`;
+`det` is Bareiss's exact-division elimination (1968).
 """
 
 from __future__ import annotations
@@ -89,29 +91,13 @@ def rref(rows: Sequence[Sequence[Fraction]], width: int | None = None):
     Zero rows are dropped.  `width` pads/validates the row length when the
     input may be empty.
     """
-    work = [list(map(Fraction, r)) for r in rows]
+    work = mat(rows)
     if width is None:
         if not work:
             raise ValueError("width required for empty input")
         width = len(work[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(width):
-        pivot = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        pv = work[r][c]
-        work[r] = [x / pv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)
+    red, pivots = _reduce(integer_rows(work)[0], width)
+    return tuple(tuple(Fraction(x, row[c]) for x in row) for row, c in zip(red, pivots)), pivots
 
 
 def rank(rows: Sequence[Sequence[Fraction]], width: int | None = None) -> int:
@@ -144,20 +130,37 @@ def eliminate(row, prow, col):
     return [x // g for x in out] if g > 1 else out
 
 
+def _reduce(rows: Sequence[Sequence[int]], width: int) -> tuple[list[Sequence[int]], tuple[int, ...]]:
+    """Gauss-Jordan on int rows over their first `width` columns: (pivot rows, pivot columns).
+
+    Each pivot is positive and the only nonzero entry of its column; the rows
+    with no pivot (zero in those columns) are dropped."""
+    work = list(rows)
+    pivots: list[int] = []
+    for c in range(width):
+        r = len(pivots)
+        p = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if p is None:
+            continue
+        prow = work[p] if work[p][c] > 0 else [-x for x in work[p]]
+        work[p], work[r] = work[r], prow
+        work = [row if i == r or row[c] == 0 else eliminate(row, prow, c) for i, row in enumerate(work)]
+        pivots.append(c)
+        if len(pivots) == len(work):
+            break
+    return work[: len(pivots)], tuple(pivots)
+
+
 def integer_solve(rows: Sequence[Sequence[int]], n: int) -> tuple[tuple[int, ...], int] | None:
     """x = nums / den solving the n int rows [a | b] of a x = b, or None if a is singular.
 
-    Gauss-Jordan on ints; den > 0 (the lcm of the final diagonal) and
+    One `_reduce`; den > 0 (the lcm of the final diagonal) and
     gcd(den, *nums) == 1, so each rational solution has exactly one (nums, den)."""
-    work = list(rows)
-    for c in range(n):
-        r = next((i for i in range(c, n) if work[i][c]), None)
-        if r is None:
-            return None
-        work[r], work[c] = work[c], work[r]
-        work = [row if i == c or row[c] == 0 else eliminate(row, work[c], c) for i, row in enumerate(work)]
-    den = lcm(*(work[i][i] for i in range(n)))
-    nums = [work[i][n] * (den // work[i][i]) for i in range(n)]
+    red, pivots = _reduce(rows, n)
+    if len(pivots) < n:
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(red)))
+    nums = [row[n] * (den // row[i]) for i, row in enumerate(red)]
     g = gcd(den, *nums)
     return tuple(x // g for x in nums), den // g
 
@@ -193,23 +196,22 @@ def solve_any(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], width: int
 
 
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    n = len(a)
-    work = [list(map(Fraction, row)) for row in a]
-    result = Fraction(1)
+    """Bareiss's exact-division elimination on the int rows d·a: det a = det(d·a) / d^n."""
+    rows, d = integer_rows(mat(a))
+    work = list(rows)
+    n, sign, prev = len(work), 1, 1
     for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
+        p = next((i for i in range(c, n) if work[i][c]), None)
+        if p is None:
             return Fraction(0)
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            result = -result
-        result *= work[c][c]
-        inv = 1 / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return result
+        if p != c:
+            work[c], work[p] = work[p], work[c]
+            sign = -sign
+        prow = work[c]
+        # each entry is a (c+1)-minor of d·a, so the division by the last pivot is exact
+        work[c + 1 :] = [[(prow[c] * x - row[c] * y) // prev for x, y in zip(row, prow)] for row in work[c + 1 :]]
+        prev = prow[c]
+    return Fraction(sign * prev, d**n)
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
@@ -252,13 +254,7 @@ def span_key(rows: Sequence[Sequence[Fraction]], width: int):
 
 
 def independent_subset(rows: Sequence[Vec], width: int) -> tuple[int, ...]:
-    """Indices of a lexicographically-first maximal independent subset."""
-    chosen: list[int] = []
-    current: list[Vec] = []
-    r = 0
-    for i, row in enumerate(rows):
-        if rank(current + [row], width) > r:
-            chosen.append(i)
-            current.append(row)
-            r += 1
-    return tuple(chosen)
+    """Indices of a lexicographically-first maximal independent subset.
+
+    These are the pivot columns of the rows taken as columns: one elimination."""
+    return rref(transpose(rows), len(rows))[1]

@@ -208,15 +208,14 @@ def interior_point(
 
     Maximizes the margin t (capped at 1); a positive optimum certifies strict
     feasibility.  Correct for the polyhedral sets used here, where strict
-    feasibility is equivalent to feasibility with some uniform margin.
+    feasibility is equivalent to feasibility with some uniform margin.  Each
+    row needs its right-hand side (ValueError otherwise).
     """
-    rows = [list(r) + [1] for r in a_strict]
-    rhs = list(b_strict)
-    for r, b in zip(a_ub, b_ub):
-        rows.append(list(r) + [0])
-        rhs.append(b)
-    rows.append([0] * n + [1])  # t <= 1
-    rhs.append(1)
+    for name, a, b in (("strict", a_strict, b_strict), ("eq", a_eq, b_eq), ("ub", a_ub, b_ub)):
+        if len(a) != len(b):
+            raise ValueError(f"a_{name} has {len(a)} rows but b_{name} has {len(b)} right-hand sides")
+    rows = [list(r) + [1] for r in a_strict] + [list(r) + [0] for r in a_ub] + [[0] * n + [1]]  # t <= 1
+    rhs = [*b_strict, *b_ub, 1]
     eq = [list(r) + [0] for r in a_eq]
     obj = [0] * n + [-1]  # minimize -t
     res = solve(obj, n + 1, a_ub=rows, b_ub=rhs, a_eq=eq, b_eq=b_eq)

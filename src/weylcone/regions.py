@@ -171,10 +171,9 @@ def _span_classes(funcs: Sequence[Vec], n: int) -> dict:
     out = {}
     for size in range(1, n + 1):
         for combo in combinations(funcs, size):
-            if rank(combo, n) < size:
-                continue
             key = span_key(combo, n)
-            out.setdefault(key, combo)
+            if len(key) == size:
+                out.setdefault(key, combo)
     return out
 
 

@@ -1,7 +1,8 @@
 """Differential campaigns, deselected by default: run them with `pytest -m campaign -s`.
 
-Each campaign checks an exact routine against an independent floating-point
-library on thousands of random instances and prints how many it checked.
+Each campaign checks an exact routine against an independent library, a
+floating-point one or SymPy's exact matrices, on thousands of random instances
+and prints how many it checked.
 """
 
 import random
@@ -15,7 +16,7 @@ from scipy.spatial import HalfspaceIntersection
 
 from weylcone import lp
 from weylcone import polyhedra as PH
-from weylcone.linalg import dot
+from weylcone.linalg import det, dot, invert, rref
 
 pytestmark = pytest.mark.campaign
 
@@ -185,3 +186,46 @@ def test_interior_point_matches_the_highs_margin():
         checked += 1
         empty += x is None
     print(f"\nlp.interior_point vs the HiGHS margin: {checked} cases ({empty} with no point), {skipped} skipped near the cut")
+
+
+# --- exact eliminations against SymPy --------------------------------------------
+
+
+def _random_rank_matrix(rng, m, n, r):
+    """An m x n rational matrix of rank at most r (almost always r): the product
+    of random m x r and r x n factors with small rational entries."""
+    def factor(rows, cols):
+        return [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(cols)] for _ in range(rows)]
+
+    left, right = factor(m, r), factor(r, n)
+    return [[sum((left[i][k] * right[k][j] for k in range(r)), F(0)) for j in range(n)] for i in range(m)]
+
+
+def test_rref_det_and_invert_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def fractions(matrix):
+        return tuple(tuple(F(int(x.p), int(x.q)) for x in matrix.row(i)) for i in range(matrix.rows))
+
+    rng = random.Random(16)
+    ranks, squares = Counter(), 0
+    for _ in range(3000):
+        m = rng.randint(1, 6)
+        n = m if rng.random() < 0.5 else rng.randint(1, 6)
+        full = min(m, n)  # full rank twice as likely as each lower rank
+        rows = _random_rank_matrix(rng, m, n, rng.choice((full, *range(full + 1))))
+        exact = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+        reduced, pivots = exact.rref()
+        assert rref(rows, n) == (fractions(reduced)[: len(pivots)], tuple(pivots)), rows
+        ranks[len(pivots)] += 1
+        if m == n:
+            squares += 1
+            d = exact.det()
+            assert det(rows) == F(int(d.p), int(d.q)), rows
+            if d == 0:
+                with pytest.raises(ValueError):
+                    invert(rows)
+            else:
+                assert invert(rows) == fractions(exact.inv()), rows
+    print(f"\nrref, det and invert vs sympy.Matrix: 3000 matrices up to 6 x 6 ({squares} square), by rank {dict(sorted(ranks.items()))}")
+    assert all(ranks[r] for r in range(7))

@@ -124,6 +124,16 @@ def test_bad_rational_is_argument_error(capsys, monkeypatch):
         assert json.loads(out)["error"]["kind"] == "argument"
 
 
+def test_malformed_symmetric_power_is_argument_error(capsys):
+    for rep in ("symx", "sym-1"):
+        code, out = run(["rootdatum", "--type", "A", "--rank", "2", "--rep", rep], capsys)
+        assert code == 2, rep
+        assert json.loads(out)["error"] == {
+            "kind": "argument",
+            "message": f"bad representation {rep!r}: K in symK must be a nonnegative integer",
+        }
+
+
 def test_usage_error_exits_via_argparse():
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])

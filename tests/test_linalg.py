@@ -33,7 +33,7 @@ from weylcone.linalg import (
     vec,
 )
 
-from vertex_oracle import fraction_solve
+from vertex_oracle import fraction_det, fraction_independent_subset, fraction_rref, fraction_solve
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -215,3 +215,59 @@ def test_singular_systems_still_raise(case):
     with pytest.raises(ValueError):
         solve(a, b)
     assert integer_solve(integer_rows([(*row, x) for row, x in zip(a, b)])[0], len(a)) is None
+
+
+@st.composite
+def degenerate_matrices(draw, square=False):
+    """(rows, width): m x n rational rows, m 0-5 and n 1-6 (n = m if square),
+    each row random, zero, a copy of an earlier row or a combination of them."""
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = m if square else draw(st.integers(min_value=1, max_value=6))
+    rows: list[tuple[F, ...]] = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(("random", "zero", "copy", "combination") if rows else ("random", "zero")))
+        if kind == "random":
+            row = draw(frac_vec(n))
+        elif kind == "zero":
+            row = (F(0),) * n
+        elif kind == "copy":
+            row = draw(st.sampled_from(rows))
+        else:
+            coeffs = draw(st.lists(fracs, min_size=len(rows), max_size=len(rows)))
+            row = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(n))
+        rows.append(row)
+    return rows, n
+
+
+@given(degenerate_matrices())
+def test_rref_rank_nullspace_and_subset_match_the_fraction_reference(case):
+    rows, n = case
+    expected, pivots = fraction_rref(rows, n)
+    assert rref(rows, n) == (expected, pivots)
+    assert rank(rows, n) == len(pivots)
+    kernel = tuple(
+        tuple(-expected[pivots.index(c)][f] if c in pivots else F(c == f) for c in range(n))
+        for f in range(n)
+        if f not in pivots
+    )
+    assert nullspace(rows, n) == kernel
+    assert independent_subset([vec(r) for r in rows], n) == fraction_independent_subset(rows, n)
+
+
+@given(degenerate_matrices(), st.data())
+def test_solve_any_matches_the_fraction_reference(case, data):
+    rows, n = case
+    b = data.draw(frac_vec(len(rows)))
+    expected, pivots = fraction_rref([(*r, x) for r, x in zip(rows, b)], n + 1)
+    x = solve_any(rows, b, n)
+    if n in pivots:
+        assert x is None
+        return
+    assert x == tuple(expected[pivots.index(c)][n] if c in pivots else F(0) for c in range(n))
+    assert mat_vec(rows, x) == vec(b)
+
+
+@given(degenerate_matrices(square=True))
+def test_det_matches_the_fraction_reference(case):
+    rows, _ = case
+    assert det(rows) == fraction_det(rows)

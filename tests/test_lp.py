@@ -128,6 +128,20 @@ def test_interior_point_with_equalities():
     assert x is not None and x[0] == x[1] and 0 < x[0] < 1
 
 
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("ub", dict(a_strict=[[1]], b_strict=[1], a_ub=[[1], [-1]], b_ub=[0])),
+        ("strict", dict(a_strict=[[1], [-1]], b_strict=[1])),
+        ("eq", dict(a_strict=[[1]], b_strict=[1], a_eq=[[1]], b_eq=[0, 1])),
+    ],
+)
+def test_interior_point_needs_one_right_hand_side_per_row(name, args):
+    # the message counts the caller's own arguments, not those of the LP it builds
+    with pytest.raises(ValueError, match=rf"^a_{name} has \d rows but b_{name} has \d right-hand sides$"):
+        lp.interior_point(1, **args)
+
+
 def test_lexmin_breaks_ties():
     # the segment x + y = 1, x,y >= 0 minimizes x+y everywhere; lexmin picks x first
     objs = [vec([1, 0]), vec([0, 1])]
