@@ -530,6 +530,7 @@ class SymbolicIneq:
     kind: str  # 'delta_p' | 'hat_pq' | 'delta_q' | 'hat_q' | 'weight'
 
     def rhs_value(self, b_form: Vec, t: Vec, s: Vec) -> Fraction:
+        """The right-hand side at (T, S), summed symbolically (`compile_system` builds it in ints)."""
         return (
             self.b_coeff * dot(b_form, t)
             + dot(self.t_form, t)
@@ -623,19 +624,49 @@ def _quotient_rows(basis: Sequence[Vec], forms: Sequence[Vec]) -> list[Vec]:
     return [tuple(dot(f, bv) for bv in basis) for f in forms]
 
 
+@dataclass(frozen=True)
+class ParametricSystem:
+    """An inequality system compiled for one subspace basis and threshold functional.
+
+    Row i reads normals[i].y >= (rows[i] . (T, S)) / den: normals are the lhs rows in
+    subspace coordinates, rows the int parameter rows (b_coeff*B + t_form + ts_form, ts_form)
+    of the right-hand side, both negated for 'le' rows.  A caller that loops over (T, S)
+    compiles once per call; nothing is cached across calls."""
+
+    normals: tuple[Vec, ...]
+    rows: tuple[tuple[int, ...], ...]
+    den: int
+    dim: int
+    rank: int
+
+    def at(self, t, s) -> HPolyhedron:
+        """The H-representation at (T, S): one int product per row."""
+        tv, sv = vec(t), vec(s)
+        if not len(tv) == len(sv) == self.rank:
+            raise ValueError(f"T and S must have length {self.rank}")
+        (ts,), d = integer_rows([tv + sv])
+        return HPolyhedron(self.normals, tuple(Fraction(-sum(map(mul, r, ts)), self.den * d) for r in self.rows), self.dim)
+
+    def parameter_rows(self, i: int) -> tuple[Vec, Vec]:
+        """(row_T, row_S) of the tight equality normals[i].y = row_T.T + row_S.S."""
+        row = [Fraction(c, self.den) for c in self.rows[i]]
+        return tuple(row[: self.rank]), tuple(row[self.rank :])
+
+
+def compile_system(ineqs: Sequence[SymbolicIneq], basis: Sequence[Vec], b_form: Vec) -> ParametricSystem:
+    """The system of `ineqs` at every (T, S), built once (see ParametricSystem)."""
+    rows, den = integer_rows([add(add(scale(iq.b_coeff, b_form), iq.t_form), iq.ts_form) + iq.ts_form for iq in ineqs])
+    le = [iq.rel != "ge" for iq in ineqs]
+    normals = tuple(neg(r) if f else r for f, r in zip(le, _quotient_rows(basis, [iq.lhs for iq in ineqs])))
+    rows = tuple(tuple(-c for c in r) if f else r for f, r in zip(le, rows))
+    return ParametricSystem(normals, rows, den, len(basis), len(b_form))
+
+
 def instantiate(
     ineqs: Sequence[SymbolicIneq], basis: Sequence[Vec], b_form: Vec, t, s
 ) -> HPolyhedron:
     """H-representation in the coordinates of the given subspace basis."""
-    tv, sv = vec(t), vec(s)
-    pairs = []
-    for iq, lhs_y in zip(ineqs, _quotient_rows(basis, [iq.lhs for iq in ineqs])):
-        rhs = iq.rhs_value(b_form, tv, sv)
-        if iq.rel == "ge":
-            pairs.append((lhs_y, -rhs))
-        else:
-            pairs.append((neg(lhs_y), rhs))
-    return HPolyhedron.from_pairs(pairs, len(basis))
+    return compile_system(ineqs, basis, b_form).at(t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -832,12 +863,11 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
 
 def _descriptors_for_cell(args) -> list[RegionDescriptor]:
     """All recursion leaves inside one sign cell (a picklable work unit)."""
-    ctx, tv, sv, signs = args
+    ctx, tv, sv, base_h, signs = args
     basis = ctx.basis
     psi = ctx.psi
     pi = ctx.pi
     b_value = dot(ctx.b_form, tv)
-    base_h = instantiate(base_inequalities(psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv)
     pi_y = _quotient_rows(basis, pi)
     out: list[RegionDescriptor] = []
 
@@ -905,7 +935,7 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
         base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv
     )
     pi_y = _quotient_rows(basis, ctx.pi)
-    work = [(ctx, tv, sv, signs) for signs in _sign_cells(base_h, pi_y)]
+    work = [(ctx, tv, sv, base_h, signs) for signs in _sign_cells(base_h, pi_y)]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -940,12 +970,6 @@ class VertexEntry:
         return add(mat_vec(self.t_matrix, t), mat_vec(self.s_matrix, s))
 
 
-def _rhs_parameter_rows(iq: SymbolicIneq, b_form: Vec) -> tuple[Vec, Vec]:
-    """The tight equality lhs(X) = row_T(T) + row_S(S)."""
-    row_t = add(add(scale(iq.b_coeff, b_form), iq.t_form), iq.ts_form)
-    return row_t, iq.ts_form
-
-
 def region_vertices_affine(
     ctx: DecompositionContext,
     desc: RegionDescriptor,
@@ -958,47 +982,44 @@ def region_vertices_affine(
     Each vertex is resolved from the lexicographically first independent
     subset of its tight inequalities; the optional check samples re-verify
     the full tight sets, region membership, and vertex-set bijection at other
-    parameter values, raising TransportError on any drift."""
+    parameter values, raising TransportError on any drift.  The region's
+    system is compiled once for all of them."""
     tv, sv = vec(t), vec(s)
-    basis = ctx.basis
-    ineqs = region_inequalities(ctx.psi, desc)
-    h = instantiate(ineqs, basis, ctx.b_form, tv, sv)
-    vp = polyhedra.vertices(h)
-    dim_y = len(basis)
-    lhs_rows = _quotient_rows(basis, [iq.lhs for iq in ineqs])
+    system = compile_system(region_inequalities(ctx.psi, desc), ctx.basis, ctx.b_form)
+    entries = _vertex_atlas(system, system.at(tv, sv), tv, sv)
+    for t2, s2 in check:
+        t2, s2 = vec(t2), vec(s2)
+        _check_transport(system, entries, t2, s2, _where(desc, tv, sv, T2=t2, S2=s2))
+    return entries
+
+
+def _vertex_atlas(system: ParametricSystem, h: HPolyhedron, tv: Vec, sv: Vec) -> tuple[VertexEntry, ...]:
+    """The sorted atlas entries of h = system.at(tv, sv)."""
     entries = []
-    for v in vp.vertices:
+    for v in polyhedra.vertices(h).vertices:
         tight = polyhedra.tight_set(h, v)
         order = sorted(tight)
-        chosen_local = independent_subset([lhs_rows[i] for i in order], dim_y)
+        chosen_local = independent_subset([h.normals[i] for i in order], h.dim)
         solve_rows = tuple(order[i] for i in chosen_local)
-        if len(solve_rows) != dim_y:
+        if len(solve_rows) != h.dim:
             raise AssertionError("tight rows of a vertex do not span")
-        m_inv = invert([lhs_rows[i] for i in solve_rows])
-        rt = [_rhs_parameter_rows(ineqs[i], ctx.b_form)[0] for i in solve_rows]
-        rs = [_rhs_parameter_rows(ineqs[i], ctx.b_form)[1] for i in solve_rows]
-        t_matrix = mat_mul(m_inv, rt)
-        s_matrix = mat_mul(m_inv, rs)
-        entry = VertexEntry(v, tight, solve_rows, t_matrix, s_matrix)
+        m_inv = invert([h.normals[i] for i in solve_rows])
+        rt, rs = zip(*map(system.parameter_rows, solve_rows))
+        entry = VertexEntry(v, tight, solve_rows, mat_mul(m_inv, rt), mat_mul(m_inv, rs))
         if entry.at(tv, sv) != v:
             raise AssertionError("affine law fails to reproduce its own vertex")
         entries.append(entry)
     entries.sort(key=lambda e: e.point)
-    for t2, s2 in check:
-        t2, s2 = vec(t2), vec(s2)
-        _check_transport(ctx, ineqs, lhs_rows, entries, t2, s2, _where(desc, tv, sv, T2=t2, S2=s2))
     return tuple(entries)
 
 
-def _check_transport(ctx, ineqs, lhs_rows, entries, t2: Vec, s2: Vec, where: str) -> None:
-    basis = ctx.basis
-    h2 = instantiate(ineqs, basis, ctx.b_form, t2, s2)
+def _check_transport(system: ParametricSystem, entries, t2: Vec, s2: Vec, where: str) -> None:
+    h2 = system.at(t2, s2)
     predicted = []
     for e in entries:
         y2 = e.at(t2, s2)
         for i in e.tight:
-            iq = ineqs[i]
-            if dot(lhs_rows[i], y2) != iq.rhs_value(ctx.b_form, t2, s2):
+            if dot(h2.normals[i], y2) + h2.offsets[i] != 0:
                 raise TransportError(
                     f"tight constraint {i} breaks at the transported vertex {_text(y2)}" + where
                 )
@@ -1080,8 +1101,8 @@ def refine(
         raise ValueError("the refinement subset must be a nonempty subset of the unconsumed weights")
     basis = ctx.basis
     dim_y = len(basis)
-    ineqs = region_inequalities(ctx.psi, desc)
-    h = instantiate(ineqs, basis, ctx.b_form, tv, sv)
+    system = compile_system(region_inequalities(ctx.psi, desc), basis, ctx.b_form)
+    h = system.at(tv, sv)
     rows_ub, rhs_ub = h.ub_rows()
     p1_rows = _quotient_rows(basis, p1)
     if (
@@ -1111,7 +1132,7 @@ def refine(
         lam_b_row = add(lam_b_row, scale(sg, r))
 
     b_value = dot(ctx.b_form, tv)
-    atlas = region_vertices_affine(ctx, desc, tv, sv)
+    atlas = _vertex_atlas(system, h, tv, sv)
     c_values = set()
     for e in atlas:
         c_y = dot(lam_b_row, e.point) / b_value
@@ -1129,12 +1150,9 @@ def refine(
         raise ValueError("every vertex lies on the kernel; nothing to cut")
     delta_prime = min(positive) / 2
 
-    lam_b_amb = zeros(ctx.datum.rank)
-    for b in basis_b:
-        lam_b_amb = add(lam_b_amb, scale(desc.sgn(b), b))
-    cut_ineqs = ineqs + (_ineq(lam_b_amb, "le", "cut", b_coeff=delta_prime),)
-    cut_h = instantiate(cut_ineqs, basis, ctx.b_form, tv, sv)
-    cut_vp = polyhedra.vertices(cut_h)
+    # the cut row of refinement_inequalities, lam_b.y <= delta' B(T), at (T, S)
+    cut_height = delta_prime * b_value
+    cut_vp = polyhedra.vertices(h.with_constraints([(neg(lam_b_row), cut_height)]))
 
     def qmap(y: Vec) -> Vec:
         return tuple(dot(r, y) for r in b_rows)
@@ -1142,7 +1160,6 @@ def refine(
     proj_pts = tuple(sorted({qmap(v) for v in cut_vp.vertices}))
     ext = polyhedra.extreme_points(proj_pts)
     origin = zeros(m)
-    cut_height = delta_prime * b_value
     for e in ext:
         if e != origin and dot(sgn_vec, e) != cut_height:
             raise AssertionError("projected cut region is not a pyramid over the cut facet")
@@ -1219,25 +1236,30 @@ class SliceData:
 def slice_polytope(
     ctx: DecompositionContext, ref: RefinementDescriptor, x, t, s
 ) -> SliceData:
-    tv, sv = vec(t), vec(s)
-    xv = vec(x)
+    return _slice_at(ctx, _slice_frame(ctx, ref), x, t, s)
+
+
+def _slice_frame(ctx: DecompositionContext, ref: RefinementDescriptor) -> tuple:
+    """The parameter-free part of a slice: the compiled refinement system, the
+    kernel of the chosen weights, and the system's normals on that kernel."""
     basis = ctx.basis
-    y = coords_in_basis(basis, xv)
+    system = compile_system(refinement_inequalities(ctx, ref), basis, ctx.b_form)
+    kernel = nullspace(_quotient_rows(basis, ref.pi_one), len(basis))
+    return system, kernel, tuple(tuple(dot(a, k) for k in kernel) for a in system.normals)
+
+
+def _slice_at(ctx: DecompositionContext, frame: tuple, x, t, s) -> SliceData:
+    system, kernel, normals_u = frame
+    y = coords_in_basis(ctx.basis, vec(x))
     if y is None:
         raise ValueError("the base point does not lie in the subspace of the pair")
-    ineqs = refinement_inequalities(ctx, ref)
-    h = instantiate(ineqs, basis, ctx.b_form, tv, sv)
-    for a, c in zip(h.normals, h.offsets):
-        if dot(a, y) + c < 0:
-            raise ValueError("the base point lies outside the refined region")
-    p1_rows = _quotient_rows(basis, ref.pi_one)
-    kernel = nullspace(p1_rows, len(basis))
+    h = system.at(t, s)
+    offsets = tuple(dot(a, y) + c for a, c in zip(h.normals, h.offsets))
+    if any(c < 0 for c in offsets):
+        raise ValueError("the base point lies outside the refined region")
     if not kernel:
         raise ValueError("the chosen weights leave a zero-dimensional slice")
-    pairs = []
-    for a, c in zip(h.normals, h.offsets):
-        pairs.append((tuple(dot(a, k) for k in kernel), dot(a, y) + c))
-    h_u = HPolyhedron.from_pairs(pairs, len(kernel))
+    h_u = HPolyhedron(normals_u, offsets, len(kernel))
     return SliceData(polyhedra.vertices(h_u), h_u, kernel, y)
 
 
@@ -1297,13 +1319,14 @@ def fit_slice_model(
     values: dict[tuple, float] = {}
     mu_u = None
     dim_u = None
+    frame = _slice_frame(ctx, ref)
     for a in params:
         for b in params:
             for c in params:
                 xx = add(x0v, scale(a, dxv))
                 tt = add(t0v, scale(b, dtv))
                 ss = add(s0v, scale(c, dsv))
-                sd = slice_polytope(ctx, ref, xx, tt, ss)
+                sd = _slice_at(ctx, frame, xx, tt, ss)
                 if mu_u is None:
                     mu_u = _slice_exponent(ctx, sd, mu_v)
                     dim_u = len(sd.kernel_basis)

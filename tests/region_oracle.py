@@ -1,0 +1,48 @@
+"""A plain `Fraction` reference for `regions.instantiate`, and the systems to try it on.
+
+`instantiate_oracle` reads each `SymbolicIneq` as it is written,
+lhs(X) REL b_coeff*B(T) + t_form(T) + ts_form(T+S), with X = sum_i y_i basis_i,
+and sums it out row by row in `Fraction`: the normal is (lhs . basis_i)_i,
+negated for 'le', and the offset is -rhs for 'ge' and rhs for 'le'.  It calls
+nothing in weylcone, so it shares no code with the compiled parameter rows.
+"""
+
+from fractions import Fraction
+
+from weylcone import regions as RG
+
+
+def _dot(u, v):
+    total = Fraction(0)
+    for a, b in zip(u, v, strict=True):
+        total += a * b
+    return total
+
+
+def instantiate_oracle(ineqs, basis, b_form, t, s):
+    """(normals, offsets) of the system at (T, S) in the coordinates of basis."""
+    t = [Fraction(c) for c in t]
+    ts = [a + Fraction(b) for a, b in zip(t, s, strict=True)]
+    normals, offsets = [], []
+    for iq in ineqs:
+        row = tuple(_dot(iq.lhs, b) for b in basis)
+        rhs = iq.b_coeff * _dot(b_form, t) + _dot(iq.t_form, t) + _dot(iq.ts_form, ts)
+        if iq.rel == "ge":
+            normals.append(row)
+            offsets.append(-rhs)
+        else:
+            normals.append(tuple(-c for c in row))
+            offsets.append(rhs)
+    return tuple(normals), tuple(offsets)
+
+
+def region_systems(ctx, descs, t, s):
+    """(name, ineqs) of the base system, every region's and every refinement's:
+    one refinement per leaf with unconsumed weights, on all of them, at (T, S)."""
+    out = [("base", RG.base_inequalities(ctx.psi, ctx.p, ctx.q))]
+    for i, d in enumerate(descs):
+        out.append((f"region {i}", RG.region_inequalities(ctx.psi, d)))
+        if d.pi_zero:
+            for j, ref in enumerate(RG.refine(ctx, d, d.pi_zero, t, s)):
+                out.append((f"refinement {i}.{j}", RG.refinement_inequalities(ctx, ref)))
+    return out

@@ -1,8 +1,8 @@
 """Differential campaigns, deselected by default: run them with `pytest -m campaign -s`.
 
-Each campaign checks an exact routine against an independent library, a
-floating-point one or SymPy's exact matrices, on thousands of random instances
-and prints how many it checked.
+Each campaign checks an exact routine against an independent reference, a
+floating-point library, SymPy's exact matrices or a plain `Fraction` oracle,
+on thousands of random instances and prints how many it checked.
 """
 
 import random
@@ -16,7 +16,11 @@ from scipy.spatial import HalfspaceIntersection
 
 from weylcone import lp
 from weylcone import polyhedra as PH
+from weylcone import regions as RG
 from weylcone.linalg import det, dot, invert, rref
+from weylcone.rootspace import build_root_datum, parabolic, weights_of
+
+import region_oracle
 
 pytestmark = pytest.mark.campaign
 
@@ -229,3 +233,47 @@ def test_rref_det_and_invert_match_sympy():
                 assert invert(rows) == fractions(exact.inv()), rows
     print(f"\nrref, det and invert vs sympy.Matrix: 3000 matrices up to 6 x 6 ({squares} square), by rank {dict(sorted(ranks.items()))}")
     assert all(ranks[r] for r in range(7))
+
+
+# --- compiled region systems against the Fraction oracle ----------------------
+
+
+def _random_parameter(rng):
+    """Small integers, moderate fractions, and large numerators or denominators, of either sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return F(rng.randint(-50, 50))
+    if kind == 1:
+        return F(rng.randint(-(10**6), 10**6), rng.randint(1, 10**6))
+    if kind == 2:
+        return F(rng.randint(-(2**70), 2**70), rng.randint(1, 2**64))
+    return F(rng.randint(-9, 9), rng.choice((2**61 - 1, 10**18 + 9, 3**40)))
+
+
+def test_instantiate_matches_the_fraction_oracle_at_rank_three():
+    a3 = build_root_datum("A", 3)
+    b3 = build_root_datum("B", 3)
+    cases = []  # (datum, rep, p outside, q outside, epsilon or None for the suggested one, T, S)
+    a3_t, a3_s = (F(99), F(77), F(44)), (F(3, 5), F(7, 15), F(4, 15))
+    cases.append((a3, "standard", {0, 1, 2}, {2}, F(1, 40), a3_t, a3_s))
+    cases.append((a3, "standard", {0, 1}, {1}, None, a3_t, a3_s))
+    cases.append((a3, "adjoint", {0, 1, 2}, {2}, None, (F(28), F(217, 8), F(73, 4)), (F(33, 64), F(1, 2), F(67, 192))))
+    cases.append((b3, "standard", {0, 1}, {0}, None, (F(55), F(77), F(44)), (F(5, 8), F(7, 8), F(1, 2))))
+    systems = []
+    for datum, rep, p_out, q_out, eps, t, s in cases:
+        fam = RG.pi_cones(RG.psi_pi(datum, weights_of(datum, rep)))
+        p, q = parabolic(datum, frozenset(p_out)), parabolic(datum, frozenset(q_out))
+        eps = RG.suggest_epsilon(fam) if eps is None else eps
+        ctx = RG.make_context(datum, p, q, fam.psi, eps, family=fam)
+        descs = RG.decompose(ctx, t, s)
+        systems += [(ctx, ineqs) for _, ineqs in region_oracle.region_systems(ctx, descs, t, s)]
+    rng = random.Random(17)
+    rows = 0
+    for _ in range(3000):
+        ctx, ineqs = rng.choice(systems)
+        t = tuple(_random_parameter(rng) for _ in range(3))
+        s = tuple(_random_parameter(rng) for _ in range(3))
+        h = RG.instantiate(ineqs, ctx.basis, ctx.b_form, t, s)
+        assert (h.normals, h.offsets) == region_oracle.instantiate_oracle(ineqs, ctx.basis, ctx.b_form, t, s), (ineqs, t, s)
+        rows += len(ineqs)
+    print(f"\ninstantiate vs the Fraction oracle: 3000 (T, S) over {len(systems)} rank-3 systems, {rows} rows")

@@ -217,6 +217,18 @@ def test_regions_slice_outside_x_is_domain_error(capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
+def test_regions_slice_outside_x_names_the_refined_region(capsys):
+    code, out = run(
+        ["regions", "slice"] + DECOMPOSE_ARGS[2:]
+        + ["--region-index", "1", "--pi-one", "2,3", "--ref-index", "0", "--X", "97/12,100"],
+        capsys,
+    )
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"kind": "domain", "message": "the base point lies outside the refined region"}
+    }
+
+
 def test_regions_refine_closure_error_prints_plain_rationals(capsys):
     code, out = run(
         ["regions", "refine"] + DECOMPOSE_ARGS[2:] + ["--region-index", "1", "--pi-one", "2"],

@@ -1,5 +1,6 @@
 """Weight-system cones, threshold recursion, refinement, slices, fits."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -23,6 +24,7 @@ from weylcone.rootspace import (
 )
 
 import distance_oracle
+import region_oracle
 
 A2 = build_root_datum("A", 2)
 P0 = minimal_parabolic(A2)
@@ -766,6 +768,86 @@ def test_standard_rep_context_decomposes(standard_psi):
     assert RG.lemma33_equivalence(ctx2, t2, s2) == ()
 
 
+# --- compiled parameter systems ---------------------------------------------
+
+RATIONALS = st.builds(F, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+PARAMETERS = st.lists(RATIONALS, min_size=3, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def parametric_systems(ctx, descs, a3_ctx, a3_adjoint_leaves):
+    """(ctx, name, ineqs) of every base, region and refinement system of the A2
+    adjoint fixture and of the A3 standard and A3 adjoint decompositions."""
+    ctx3, leaves3 = a3_adjoint_leaves
+    cases = [
+        (ctx, descs, T, S),
+        (a3_ctx, RG.decompose(a3_ctx, A3_T, A3_S), A3_T, A3_S),
+        (ctx3, leaves3, A3_ADJ_T, A3_ADJ_S),
+    ]
+    out = [(c, name, ineqs) for c, ds, t, s in cases for name, ineqs in region_oracle.region_systems(c, ds, t, s)]
+    assert len(out) == 4 + 18 + 13
+    return out
+
+
+@settings(max_examples=25)
+@given(PARAMETERS, PARAMETERS)
+def test_instantiate_matches_the_fraction_oracle(parametric_systems, t, s):
+    for c, name, ineqs in parametric_systems:
+        n = c.datum.rank
+        tn, sn = tuple(t[:n]), tuple(s[:n])
+        h = RG.instantiate(ineqs, c.basis, c.b_form, tn, sn)
+        assert (h.normals, h.offsets) == region_oracle.instantiate_oracle(ineqs, c.basis, c.b_form, tn, sn), name
+        assert h.dim == len(c.basis)
+        assert all(type(x) is F for x in h.offsets) and all(type(x) is F for a in h.normals for x in a)
+        # one compiled system serves every (T, S)
+        system = RG.compile_system(ineqs, c.basis, c.b_form)
+        assert system.at(tn, sn) == h
+        assert system.at(sn, tn) == RG.instantiate(ineqs, c.basis, c.b_form, sn, tn)
+
+
+def test_instantiate_rejects_parameters_of_the_wrong_length(ctx):
+    ineqs = RG.base_inequalities(ctx.psi, P0, Q1)
+    with pytest.raises(ValueError, match="length 2"):
+        RG.instantiate(ineqs, ctx.basis, ctx.b_form, (F(8), F(8), F(1)), S)
+
+
+def test_vertex_laws_solve_their_rows_for_every_parameter(ctx, leaf, a3_adjoint_leaves):
+    """Each law solves lhs.(basis y) = (b_coeff*B + t_form + ts_form).T + ts_form.S
+    on its solve rows as matrices, which fixes t_matrix and s_matrix."""
+    ctx3, leaves3 = a3_adjoint_leaves
+    for c, d, t, s in [(ctx, leaf, T, S)] + [(ctx3, d, A3_ADJ_T, A3_ADJ_S) for d in leaves3]:
+        ineqs = RG.region_inequalities(c.psi, d)
+        for entry in RG.region_vertices_affine(c, d, t, s):
+            for i in entry.solve_rows:
+                iq = ineqs[i]
+                lhs_y = [sum((a * b for a, b in zip(iq.lhs, bv)), F(0)) for bv in c.basis]
+                row_t = [iq.b_coeff * b + u + v for b, u, v in zip(c.b_form, iq.t_form, iq.ts_form)]
+                for matrix, row in ((entry.t_matrix, row_t), (entry.s_matrix, list(iq.ts_form))):
+                    assert [sum((lhs_y[k] * matrix[k][j] for k in range(len(lhs_y))), F(0)) for j in range(len(row))] == row
+
+
+def test_loops_compile_their_system_once(ctx, leaf, refinement, monkeypatch):
+    sd = RG.slice_polytope(ctx, refinement, X0, T, S)
+    dx = tuple(F(1, 32) * c for c in sd.kernel_basis[0])
+    compiled, real = [], RG.compile_system
+
+    def counting(*args):
+        compiled.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(RG, "compile_system", counting)
+    RG.fit_slice_model(ctx, refinement, MU, X0, dx, T, (F(1, 4), F(0)), S, (F(-1, 64), F(0)), grid=5)
+    assert len(compiled) == 1  # 125 slices
+    compiled.clear()
+    t2, s2 = (F(33, 4), F(8)), (F(31, 64), F(1, 2))
+    t3, s3 = (F(17, 2), F(8)), (F(15, 32), F(1, 2))
+    RG.region_vertices_affine(ctx, leaf, T, S, check=[(t2, s2), (t3, s3)])
+    assert len(compiled) == 1
+    compiled.clear()
+    RG.refine(ctx, leaf, leaf.pi_zero, T, S)  # the region, its atlas and its cut
+    assert len(compiled) == 1
+
+
 # --- vertex atlas -----------------------------------------------------------
 
 
@@ -843,6 +925,26 @@ def test_slice_polytope_fixture(ctx, refinement):
     assert sd.polytope.vertices == ((F(-1, 24),), (F(5, 24),))
     with pytest.raises(ValueError):
         RG.slice_polytope(ctx, refinement, (F(100), F(0)), T, S)
+
+
+def test_slice_polytope_checks_subspace_then_region_then_dimension(ctx, refinement, a3_family):
+    # every weight of the region spans the plane, so its kernel slice is a point
+    flat = dataclasses.replace(refinement, pi_one=refinement.region.pi)
+    with pytest.raises(ValueError, match="^the chosen weights leave a zero-dimensional slice$"):
+        RG.slice_polytope(ctx, flat, X0, T, S)
+    for ref in (refinement, flat):
+        with pytest.raises(ValueError, match="^the base point lies outside the refined region$"):
+            RG.slice_polytope(ctx, ref, (F(100), F(0)), T, S)
+    # P{a3} <= Q{a1, a3} in A3 standard: its subspace is a plane in the 3-space
+    p, q = parabolic(A3, frozenset({0, 1})), parabolic(A3, frozenset({1}))
+    ctx3 = RG.make_context(A3, p, q, a3_family.psi, RG.suggest_epsilon(a3_family), family=a3_family)
+    leaf3 = next(d for d in RG.decompose(ctx3, A3_T, A3_S) if d.pi_zero)
+    (ref3,) = RG.refine(ctx3, leaf3, leaf3.pi_zero, A3_T, A3_S)
+    for ref in (ref3, dataclasses.replace(ref3, pi_one=leaf3.pi)):
+        with pytest.raises(ValueError, match="^the base point does not lie in the subspace of the pair$"):
+            RG.slice_polytope(ctx3, ref, (F(0), F(0), F(1)), A3_T, A3_S)
+        with pytest.raises(ValueError, match="^the base point lies outside the refined region$"):
+            RG.slice_polytope(ctx3, ref, (F(1), F(0), F(0)), A3_T, A3_S)
 
 
 def test_slice_exp_integral_matches_quadrature(ctx, refinement):
