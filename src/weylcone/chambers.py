@@ -6,15 +6,17 @@ for which s_sigma(x) lands inside P(x) form the closed cone C(sigma); maximal
 common refinements of these cones are the chambers.  On a chamber, the
 exponential integral over P(x) is the finite vertex sum (per-sigma closed
 form), and its degenerate-direction limit is computed symbolically as an exact
-polynomial-times-exponential function of the offset parameters.
+polynomial-times-exponential function of the offset parameters.  Vertex maps
+and parameter forms are computed from the dual basis on the complement.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, combinations_with_replacement, product
+from math import factorial, prod
 from typing import Mapping, Sequence
 
 from . import polyhedra
@@ -26,8 +28,6 @@ from .linalg import (
     identity,
     invert,
     is_zero,
-    mat_vec,
-    neg,
     rank,
     solve_any,
     transpose,
@@ -98,10 +98,12 @@ class ParametricPolyhedron:
 
 @dataclass(frozen=True)
 class SigmaData:
+    """A sigma whose complementary normals form a basis.  Vertex maps and
+    parameter forms are computed from the dual basis on the complement."""
+
     sigma: frozenset[int]
     complement: tuple[int, ...]
     dual_basis: tuple[Vec, ...]  # u_{i,sigma} for i in complement order
-    vertex_matrix: Mat  # d x N, s_sigma(x) = vertex_matrix . x
     box_volume: Fraction
 
 
@@ -109,6 +111,11 @@ class SigmaData:
 class ChamberData:
     pp: ParametricPolyhedron
     sigmas: Mapping[frozenset[int], SigmaData]
+
+    @cached_property
+    def bounded(self) -> bool:
+        """is_bounded(pp), decided once for these data."""
+        return is_bounded(self.pp)
 
 
 def enumerate_bases(pp: ParametricPolyhedron) -> ChamberData:
@@ -120,24 +127,16 @@ def enumerate_bases(pp: ParametricPolyhedron) -> ChamberData:
         det_rows = det(rows)
         if det_rows == 0:
             continue
-        u_cols = invert(rows)  # columns are the dual basis
-        dual = tuple(tuple(u_cols[r][k] for r in range(d)) for k in range(d))
+        dual = transpose(invert(rows))  # the inverse's columns are the dual basis
         sigma = frozenset(range(n)) - frozenset(comp)
-        vm_cols = []
-        for j in range(n):
-            if j in sigma:
-                vm_cols.append(zeros(d))
-            else:
-                k = comp.index(j)
-                vm_cols.append(neg(dual[k]))
-        vmat = transpose(vm_cols)
-        vol = abs(Fraction(1) / det_rows)
-        out[sigma] = SigmaData(sigma, comp, dual, vmat, vol)
+        out[sigma] = SigmaData(sigma, comp, dual, abs(Fraction(1) / det_rows))
     return ChamberData(pp, out)
 
 
 def vertex_map(data: SigmaData, x: Sequence) -> Vec:
-    return mat_vec(data.vertex_matrix, vec(x))
+    """s_sigma(x) = -sum_k x_{complement[k]} u_k."""
+    xs = [x[c] for c in data.complement]
+    return tuple(-dot(xs, col) for col in zip(*data.dual_basis))
 
 
 @dataclass(frozen=True)
@@ -226,6 +225,8 @@ def bv_integral(cd: ChamberData, chamber: frozenset[frozenset[int]], x: Sequence
     sigma and dual vector.  The result is an exact coefficient/exponent sum.
     """
     xv = vec(x)
+    if len(xv) != cd.pp.n_constraints:
+        raise ValueError(f"x has length {len(xv)}, expected one entry per constraint ({cd.pp.n_constraints})")
     muv = vec(mu)
     terms: dict[Fraction, Fraction] = {}
     for sigma in chamber:
@@ -281,7 +282,7 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
     coefficient is assembled.  Requires a linear offset map (no constant part).
     """
     pp = cd.pp
-    if not is_bounded(pp):
+    if not cd.bounded:
         raise ValueError("polyhedron is unbounded on its chambers; limit formula needs boundedness")
     if not is_zero(pp.offset_const):
         raise ValueError("symbolic limit requires a linear offset map (zero constant part)")
@@ -290,69 +291,43 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
     m = pp.n_params
     d = pp.dim
 
-    # groups keyed by the linear form theta -> -mu(s_sigma(x(theta)))
+    # with x(theta) = OM theta, s_sigma = -sum_k x_{c_k} u_k makes the exponent -mu(s_sigma)
+    # = sum_k mu(u_k) OM[c_k] and mu0(s_sigma) = -sum_k mu0(u_k) OM[c_k] covectors on theta
     groups: dict[Vec, list] = {}
     for sigma in chamber:
         data = cd.sigmas[sigma]
-        # s_sigma(x(theta)) = vertex_matrix . offset_matrix . theta
-        smap = tuple(
-            tuple(dot(row, col) for col in transpose(pp.offset_matrix))
-            for row in data.vertex_matrix
-        )  # d x m
-        a_form = neg(mat_vec(transpose(smap), muv))  # -mu(s(theta)) as covector on theta
-        b_form = mat_vec(transpose(smap), mu0)  # mu0(s(theta))
-        groups.setdefault(a_form, []).append((data, b_form))
+        vals = [dot(muv, u) for u in data.dual_basis]
+        ws = [dot(mu0, u) for u in data.dual_basis]
+        cols = tuple(zip(*(pp.offset_matrix[c] for c in data.complement)))
+        a_form = tuple(dot(vals, col) for col in cols)
+        b_form = tuple(-dot(ws, col) for col in cols)
+        groups.setdefault(a_form, []).append((data.box_volume, vals, ws, b_form))
 
     terms: dict[Vec, Polynomial] = {}
     for a_form, members in groups.items():
-        by_power: dict[int, Polynomial] = {}
-        for data, b_form in members:
-            vals = [dot(muv, u) for u in data.dual_basis]
-            zero_idx = [i for i, v in enumerate(vals) if v == 0]
-            msig = len(zero_idx)
-            k_const = data.box_volume
-            for i, v in enumerate(vals):
-                k_const /= dot(mu0, data.dual_basis[i]) if v == 0 else v
-            cs = [dot(mu0, data.dual_basis[i]) / vals[i] for i, v in enumerate(vals) if v != 0]
-            # denominator series: prod 1/(1 + t c) = sum_j g_j t^j, to order msig
-            g = [Fraction(1)] + [Fraction(0)] * msig
-            for c in cs:
-                powers = [Fraction(1)]
-                for _ in range(msig):
-                    powers.append(powers[-1] * (-c))
-                g = [
-                    sum((g[j - r] * powers[r] for r in range(j + 1)), Fraction(0))
-                    for j in range(msig + 1)
-                ]
-            # exponential series: e^{-t * B(theta)} = sum_r ((-B)^r / r!) t^r
-            neg_b = Polynomial.make(
-                m,
-                {
-                    tuple(1 if i == j else 0 for i in range(m)): -c
-                    for j, c in enumerate(b_form)
-                    if c != 0
-                },
-            )
-            powers_b = [Polynomial.constant(m, 1)]
-            for _ in range(msig):
-                powers_b.append(powers_b[-1] * neg_b)
-            e_series = [p.scale(Fraction(1, math.factorial(r))) for r, p in enumerate(powers_b)]
+        by_power: dict[int, dict] = {}  # t-power -> monomial -> coefficient
+        for vol, vals, ws, b_form in members:
+            msig = vals.count(0)
+            # sum_j g_j t^j = vol / prod(v, or w where v = 0) * prod_{v != 0} 1/(1 + t w/v), to t^msig
+            g = [vol / prod(w if v == 0 else v for v, w in zip(vals, ws))] + [Fraction(0)] * msig
+            for c in (-w / v for v, w in zip(vals, ws) if v != 0):
+                for j in range(1, msig + 1):
+                    g[j] += c * g[j - 1]
+            e_series = _exp_series(b_form, msig)
             # collect t^{j + r - msig} for j + r <= msig
-            for j in range(msig + 1):
-                if g[j] == 0:
-                    continue
+            for j, gj in enumerate(g):
                 for r in range(msig + 1 - j):
-                    power = j + r - msig
-                    contrib = e_series[r].scale(g[j] * k_const)
-                    by_power[power] = by_power.get(power, Polynomial.make(m, {})) + contrib
-        for power, poly in sorted(by_power.items()):
-            if power < 0 and not poly.is_zero():
+                    acc = by_power.setdefault(j + r - msig, {})
+                    for mono, c in e_series[r].items():
+                        acc[mono] = acc.get(mono, 0) + gj * c
+        for power in sorted(by_power):
+            if power < 0 and any(by_power[power].values()):
                 raise PoleCancellationError(
                     f"negative power t^{power} failed to cancel in exponent group {a_form}"
                 )
-        p0 = by_power.get(0, Polynomial.make(m, {}))
+        p0 = Polynomial.make(m, by_power.get(0, {}))
         if not p0.is_zero():
-            terms[a_form] = terms.get(a_form, Polynomial.make(m, {})) + p0
+            terms[a_form] = p0
 
     f = TFiniteFunction.make(m, terms)
     for lam, p in f.terms.items():
@@ -360,3 +335,17 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
         if p.degree() > bound:
             raise AssertionError(f"degree bound violated: {p.degree()} > {bound} for exponent {lam}")
     return f
+
+
+def _exp_series(form: Vec, order: int) -> list[dict]:
+    """(-B)^r / r! for r = 0..order, B = form . theta, as monomial -> coefficient:
+    the multinomial sum over B's support of prod_i (-b_i)^{a_i} / a_i!."""
+    support = [i for i, c in enumerate(form) if c != 0]
+    series = []
+    for r in range(order + 1):
+        coeffs = {}
+        for pick in combinations_with_replacement(support, r):
+            mono = tuple(map(pick.count, range(len(form))))
+            coeffs[mono] = prod((-form[i]) ** e / factorial(e) for i, e in enumerate(mono) if e)
+        series.append(coeffs)
+    return series

@@ -127,13 +127,13 @@ def _cmd_bv(args) -> int:
     if any(len(a) != dim for a in normals):
         raise ArgumentDataError("every normal must have the same length")
     pp = chambers.ParametricPolyhedron.make(normals, dim)
-    cd = chambers.enumerate_bases(pp)
     x = _parse_vec(args.x)
     mu = _parse_vec(args.mu)
     if len(x) != pp.n_constraints:
         raise ArgumentDataError("x must have one entry per constraint")
     if len(mu) != dim:
         raise ArgumentDataError("mu must match the ambient dimension")
+    cd = chambers.enumerate_bases(pp)
     assignment = chambers.chamber_of(cd, x)
     out = {
         "chamber": sorted(sorted(s) for s in assignment.members),
@@ -178,6 +178,13 @@ def _cmd_cones(args) -> int:
     return 0
 
 
+def _rank_vec(text: str, name: str, rank: int) -> tuple[Fraction, ...]:
+    v = _parse_vec(text)
+    if len(v) != rank:
+        raise ArgumentDataError(f"--{name} has length {len(v)}, the rank is {rank}")
+    return v
+
+
 def _regions_context(args):
     datum = _datum(args)
     psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep)))
@@ -185,7 +192,7 @@ def _regions_context(args):
     q = _parse_levi(datum, args.Q)
     large = _parse_fraction_arg(args.largeness) if args.largeness else None
     ctx = regions.make_context(datum, p, q, psi, _parse_fraction_arg(args.eps), large)
-    return ctx, _parse_vec(args.T), _parse_vec(args.S)
+    return ctx, _rank_vec(args.T, "T", datum.rank), _rank_vec(args.S, "S", datum.rank)
 
 
 def _cmd_regions_decompose(args) -> int:
@@ -222,6 +229,8 @@ def _cmd_regions_refine(args) -> int:
 
 def _cmd_regions_slice(args) -> int:
     ctx, t, s = _regions_context(args)
+    x = _rank_vec(args.X, "X", ctx.datum.rank)
+    mu = _rank_vec(args.mu, "mu", ctx.datum.rank) if args.mu else None
     desc, pi_one = _pick_region(ctx, t, s, args)
     refs = regions.refine(ctx, desc, pi_one, t, s)
     if not 0 <= args.ref_index < len(refs):
@@ -229,15 +238,14 @@ def _cmd_regions_slice(args) -> int:
             f"refinement index {args.ref_index} out of range (0..{len(refs) - 1})"
         )
     ref = refs[args.ref_index]
-    x = _parse_vec(args.X)
     sd = regions.slice_polytope(ctx, ref, x, t, s)
     out = {
         "vertices": [_form(v) for v in sd.polytope.vertices],
         "kernel_basis": [_form(k) for k in sd.kernel_basis],
         "exact": True,
     }
-    if args.mu:
-        out["integral"] = regions.slice_exp_integral(ctx, ref, x, t, s, _parse_vec(args.mu))
+    if mu is not None:
+        out["integral"] = regions.slice_exp_integral(ctx, ref, x, t, s, mu)
         out["integral_kind"] = "float"
     _emit(out)
     return 0

@@ -5,7 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import chamber_oracle
+import vertex_oracle
 from weylcone import chambers as CH
 from weylcone import polyhedra as PH
 from weylcone.linalg import neg, vec
@@ -56,6 +60,18 @@ def test_enumerate_bases_interval():
     data = cd.sigmas[frozenset({1})]
     assert data.dual_basis == ((F(1),),) and data.box_volume == 1
     assert CH.vertex_map(data, (F(0), F(1))) == (F(0),)
+
+
+@given(seed=st.integers(0, 2**32), d=st.integers(1, 3))
+def test_vertex_map_solves_the_complement_system(seed, d):
+    rng = random.Random(seed)
+    pp = rand_bounded_instance(rng, d, 6)
+    x = tuple(F(rng.randrange(-9, 10), rng.randrange(1, 4)) for _ in range(pp.n_constraints))
+    for data in CH.enumerate_bases(pp).sigmas.values():
+        comp = data.complement
+        # mu_j(v) + x_j = 0 for every j in the complement
+        want = vertex_oracle.fraction_solve([pp.normals[j] for j in comp], [-x[j] for j in comp])
+        assert CH.vertex_map(data, x) == want
 
 
 def test_is_bounded():
@@ -140,6 +156,14 @@ def test_bv_integral_rejects_degenerate_mu():
         CH.bv_integral(cd, asg.members, x, (F(1), F(0)))
 
 
+def test_bv_integral_rejects_x_of_wrong_length():
+    cd = chamber_data(INTERVAL)
+    asg = CH.chamber_of(cd, (F(0), F(1)))
+    for x in ((F(0),), (F(0), F(1), F(5))):
+        with pytest.raises(ValueError, match="one entry per constraint"):
+            CH.bv_integral(cd, asg.members, x, (F(2),))
+
+
 def test_bv_integral_matches_oracle_random():
     rng = random.Random(17)
     for _ in range(12):
@@ -203,3 +227,69 @@ def test_limit_degree_bounds_generic():
     assert abs(fn.eval(x) - es.eval()) < 1e-12
     for lam, deg in fn.exponent_degree_bound().items():
         assert deg <= (2 if not any(lam) else 1)
+
+
+def test_limit_rejects_unbounded_and_affine_offsets():
+    ray = CH.ParametricPolyhedron.make([(1, 0), (0, 1), (1, 1)], 2)
+    cd = CH.enumerate_bases(ray)
+    asg = CH.chamber_of(cd, (F(1), F(1), F(1)))
+    with pytest.raises(ValueError, match="unbounded"):
+        CH.bv_limit_tfinite(cd, asg.members, (F(1), F(2)))
+    assert cd.bounded is False
+    shifted = CH.ParametricPolyhedron.make(
+        [(1,), (-1,)], 1, offset_matrix=[(1,), (1,)], offset_const=(0, 1)
+    )
+    cd = CH.enumerate_bases(shifted)
+    asg = CH.chamber_of(cd, (F(0), F(1)))
+    with pytest.raises(ValueError, match="zero constant part"):
+        CH.bv_limit_tfinite(cd, asg.members, (F(0),))
+
+
+def _killing_covector(rng, u):
+    """A nonzero covector vanishing on u (zero when d = 1)."""
+    if len(u) == 1:
+        return (F(0),)
+    if len(u) == 2:
+        return (u[1], -u[0])
+    while True:
+        w = tuple(F(rng.randrange(-3, 4)) for _ in range(3))
+        mu = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+        if any(mu):
+            return mu
+
+
+def _limit_or_error(limit, cd, chamber, mu):
+    try:
+        return limit(cd, chamber, mu)
+    except (ValueError, AssertionError) as exc:  # PoleCancellationError is an AssertionError
+        return type(exc), str(exc)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["zero", "random", "kills"]),
+)
+def test_limit_matches_the_polynomial_reference(seed, d, kind):
+    # non-identity N x m offset maps, m = N included; the chamber is the one at
+    # x(theta) for a random theta when P(x(theta)) is nonempty, else at a random x
+    rng = random.Random(seed)
+    base = rand_bounded_instance(rng, d, 6)
+    n = base.n_constraints
+    m = rng.randrange(1, n + 2)
+    om = [tuple(F(rng.randrange(-2, 3)) for _ in range(m)) for _ in range(n)]
+    pp = CH.ParametricPolyhedron.make(base.normals, d, offset_matrix=om)
+    cd = CH.enumerate_bases(pp)
+    try:
+        asg = CH.chamber_of(cd, pp.offsets([F(rng.randrange(-4, 5)) for _ in range(m)]))
+    except ValueError:
+        asg = CH.chamber_of(cd, tuple(F(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(n)))
+    if kind == "zero":
+        mu = (F(0),) * d
+    elif kind == "random":
+        mu = tuple(F(rng.randrange(-3, 4)) for _ in range(d))
+    else:
+        duals = [u for s in sorted(asg.members, key=sorted) for u in cd.sigmas[s].dual_basis]
+        mu = _killing_covector(rng, rng.choice(duals))
+    got = _limit_or_error(CH.bv_limit_tfinite, cd, asg.members, mu)
+    assert got == _limit_or_error(chamber_oracle.limit_tfinite, cd, asg.members, mu)

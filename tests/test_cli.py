@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,9 @@ DECOMPOSE_ARGS = [
     "regions", "decompose", "--type", "A", "--rank", "2", "--rep", "adjoint",
     "--P", "", "--Q", "a2", "--eps", "1/4", "--T", "8,8", "--S", "1/2,1/2",
 ]
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(argv, capsys):
@@ -94,6 +98,38 @@ def test_bv_degenerate_mu_is_domain_error(capsys):
     assert "generic" in json.loads(out)["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "pin, argv",
+    [
+        ("bv_limit_square.json", ["--normals", "1,0;0,1;-1,0;0,-1", "--x", "0,0,2,3", "--mu", "1,0"]),
+        (
+            "bv_limit_cut_box.json",
+            ["--normals", "1,0,0;0,1,0;0,0,1;-1,0,0;0,-1,0;0,0,-1;-1,-1,-1",
+             "--x", "0,0,0,2,3,4,11/2", "--mu", "1,2,5"],
+        ),
+    ],
+)
+def test_bv_limit_stdout_is_pinned(capsys, pin, argv):
+    # the square's mu kills the vertical dual vectors; the cut box is a generic 3-d case
+    code, out = run(["bv"] + argv + ["--limit"], capsys)
+    assert code == 0
+    assert out.encode() == (DATA / pin).read_bytes()
+
+
+def test_bv_checks_arguments_before_enumerating_bases(capsys, monkeypatch):
+    def no_bases(*args, **kwargs):
+        raise AssertionError("a bad x or mu must be rejected before the basis enumeration")
+
+    monkeypatch.setattr(cli.chambers, "enumerate_bases", no_bases)
+    for x, mu, message in (
+        ("0", "2", "x must have one entry per constraint"),
+        ("0,1", "2,2", "mu must match the ambient dimension"),
+    ):
+        code, out = run(["bv", "--normals", "1;-1", "--x", x, "--mu", mu], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "argument", "message": message}
+
+
 def test_bv_arity_is_argument_error(capsys):
     code, out = run(["bv", "--normals", "1;-1", "--x", "0", "--mu", "2"], capsys)
     assert code == 2
@@ -122,6 +158,39 @@ def test_bad_rational_is_argument_error(capsys, monkeypatch):
         code, out = run(argv, capsys)
         assert code == 2, argv
         assert json.loads(out)["error"]["kind"] == "argument"
+
+
+def _regions_argv(command, **edits):
+    argv = ["regions", command] + DECOMPOSE_ARGS[2:]
+    if command != "decompose":
+        argv += ["--region-index", "1", "--pi-one", "2,3"]
+    if command == "slice":
+        argv += ["--X", "97/12,197/48", "--mu", "1,1"]
+    for flag, value in edits.items():
+        argv[argv.index(f"--{flag}") + 1] = value
+    return argv
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (_regions_argv("decompose", T="8"), "--T has length 1, the rank is 2"),
+        (_regions_argv("refine", S="1/2,1/2,1/2"), "--S has length 3, the rank is 2"),
+        (_regions_argv("slice", T="8,8,8"), "--T has length 3, the rank is 2"),
+        (_regions_argv("slice", X="100"), "--X has length 1, the rank is 2"),
+        (_regions_argv("slice", X="97/12,197/48,1"), "--X has length 3, the rank is 2"),
+        (_regions_argv("slice", mu="1"), "--mu has length 1, the rank is 2"),
+    ],
+    ids=["decompose-T", "refine-S", "slice-T", "slice-short-X", "slice-long-X", "slice-mu"],
+)
+def test_regions_vector_of_wrong_length_is_argument_error(capsys, monkeypatch, argv, message):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("a vector of the wrong length must be rejected before decomposing")
+
+    monkeypatch.setattr(cli.regions, "decompose", no_decompose)
+    code, out = run(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": message}
 
 
 def test_malformed_symmetric_power_is_argument_error(capsys):
