@@ -55,6 +55,13 @@ def _parse_fraction_arg(text: str) -> Fraction:
         raise ArgumentDataError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _parse_eps(text: str) -> Fraction:
+    eps = _parse_fraction_arg(text)
+    if eps <= 0:
+        raise ArgumentDataError(f"--eps must be positive, got {text!r}")
+    return eps
+
+
 def _parse_levi(datum: rootspace.RootDatum, text: str) -> rootspace.ParabolicSubset:
     """Parabolic from its Levi set, written 'a1,a3' or '1,3' ('' = minimal)."""
     levi = set()
@@ -114,7 +121,7 @@ def _cmd_gamma(args) -> int:
     q = _parse_levi(datum, args.Q)
     if not q.outside <= p.outside:
         raise ValueError("P must be contained in Q")
-    value = rootspace.gamma(p, q, _parse_vec(args.X), _parse_vec(args.T))
+    value = rootspace.gamma(p, q, _rank_vec(args.X, "X", datum.rank), _rank_vec(args.T, "T", datum.rank))
     _emit({"value": value if value == rootspace.BOUNDARY else int(value), "exact": True})
     return 0
 
@@ -161,7 +168,7 @@ def _cmd_bv(args) -> int:
 def _cmd_cones(args) -> int:
     datum = _datum(args)
     psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep)))
-    eps = _parse_fraction_arg(args.eps) if args.eps else None
+    eps = _parse_eps(args.eps) if args.eps else None
     family = regions.pi_cones(psi, eps)
     _emit(
         {
@@ -191,8 +198,8 @@ def _regions_context(args):
     p = _parse_levi(datum, args.P)
     q = _parse_levi(datum, args.Q)
     large = _parse_fraction_arg(args.largeness) if args.largeness else None
-    ctx = regions.make_context(datum, p, q, psi, _parse_fraction_arg(args.eps), large)
-    return ctx, _rank_vec(args.T, "T", datum.rank), _rank_vec(args.S, "S", datum.rank)
+    t, s = _rank_vec(args.T, "T", datum.rank), _rank_vec(args.S, "S", datum.rank)
+    return regions.make_context(datum, p, q, psi, _parse_eps(args.eps), large), t, s
 
 
 def _cmd_regions_decompose(args) -> int:

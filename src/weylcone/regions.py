@@ -113,22 +113,31 @@ class PsiSystem:
     functionals: tuple[Vec, ...]
 
     @cached_property
-    def kernels(self) -> tuple:
-        """(basis, maps, metric, denom) per kernel of `_admissible_kernels`, in
-        its order, built once per system on first use.  For the kernel's forms
-        S, G = S M^-1 S^T (M = datum.inner) and the projections P_r to the
-        parabolics r between its pair, maps are the integer matrices c S P_r,
-        metric is the integer g G^-1, and denom = c^2 g."""
+    def kernels(self) -> tuple[tuple, tuple]:
+        """(bases, terms) from one pass over the admissible kernels, built once per
+        system on first use.  bases: the distinct bases of every admissible kernel
+        (`pi_cones` takes its walls from them).  terms: (maps, metric, denom) per
+        kernel (p, q, S) that no kernel with span S and a wider interval [p', q']
+        dominates: ker S depends only on span S and conv{P_r x} grows with the
+        interval, so a dominated term is never the least.  With G = S M^-1 S^T
+        (M = datum.inner) and P_r the projections to the parabolics r between p
+        and q, maps are the integer matrices c S P_r, metric is the integer g G^-1,
+        and denom = c^2 g."""
+        found = [(key, p, q, combo, basis) for p, q, ks in _keyed_kernels(self) for key, combo, basis in ks]
+        intervals: dict[tuple, list] = {}
+        for key, p, q, _, _ in found:
+            intervals.setdefault(key, []).append((p.outside, q.outside))
         m_inv = invert(self.datum.inner)
-        out = []
-        for p, q, kernels in _admissible_kernels(self):
-            between = parabolics_between(p, q)
-            for combo, basis in kernels:
-                k = len(combo)
-                rows, c = integer_rows([coproject(f, r) for r in between for f in combo])
-                metric, g = integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
-                out.append((basis, tuple(rows[i : i + k] for i in range(0, len(rows), k)), metric, c * c * g))
-        return tuple(out)
+        terms = []
+        for key, p, q, combo, _ in found:
+            pq = (p.outside, q.outside)
+            if any(qo <= pq[1] and pq[0] <= po and (po, qo) != pq for po, qo in intervals[key]):
+                continue  # dominated
+            k = len(combo)
+            rows, c = integer_rows([coproject(f, r) for r in parabolics_between(p, q) for f in combo])
+            metric, g = integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
+            terms.append((tuple(rows[i : i + k] for i in range(0, len(rows), k)), metric, c * c * g))
+        return tuple(dict.fromkeys(b for *_, b in found)), tuple(terms)
 
 
 def psi_pi(datum: RootDatum, weights: WeightSet | Iterable) -> PsiSystem:
@@ -139,12 +148,7 @@ def psi_pi(datum: RootDatum, weights: WeightSet | Iterable) -> PsiSystem:
 
 def pi_at(psi: PsiSystem, p: ParabolicSubset) -> tuple[Vec, ...]:
     """Nonzero projections of the weights to the central subspace of p."""
-    out = set()
-    for lam in psi.weights:
-        lp_ = coproject(lam, p)
-        if not is_zero(lp_):
-            out.add(lp_)
-    return _sorted_forms(out)
+    return _sorted_forms(f for f in (coproject(lam, p) for lam in psi.weights) if not is_zero(f))
 
 
 def delta_p_at(psi: PsiSystem, p: ParabolicSubset) -> tuple[Vec, ...]:
@@ -200,24 +204,29 @@ def _proper_pairs(datum: RootDatum):
             yield parabolic(datum, p_out), q
 
 
-def _admissible_kernels(psi: PsiSystem):
-    """Admissible kernels of the system, grouped by parabolic pair.
-
-    Yields (p, q, ((combo, basis), ...)) in `_proper_pairs` order for every
-    pair with at least one admissible kernel: combo is one independent subset
-    per span class of the system at p, and basis (nonempty) spans its
-    intersection with the forms vanishing on the Levi of q.  Span classes
-    depend only on p, so each p's classes are built once per call.
-    """
+def _keyed_kernels(psi: PsiSystem):
+    """`_admissible_kernels` with span keys: (p, q, ((key, combo, basis), ...)).
+    Span classes depend only on p, so each p's classes are built once per call."""
     n = psi.datum.rank
     classes: dict[frozenset[int], tuple] = {}
     for p, q in _proper_pairs(psi.datum):
         if p.outside not in classes:
-            classes[p.outside] = tuple(_span_classes(psi_at(psi, p), n).values())
-        candidates = ((c, _intersection_with_dual(c, q, n)) for c in classes[p.outside])
-        kernels = tuple((c, basis) for c, basis in candidates if basis)
+            classes[p.outside] = tuple(_span_classes(psi_at(psi, p), n).items())
+        candidates = ((key, c, _intersection_with_dual(c, q, n)) for key, c in classes[p.outside])
+        kernels = tuple((key, c, basis) for key, c, basis in candidates if basis)
         if kernels:
             yield p, q, kernels
+
+
+def _admissible_kernels(psi: PsiSystem):
+    """Admissible kernels of the system, grouped by parabolic pair, unpruned.
+
+    Yields (p, q, ((combo, basis), ...)) in `_proper_pairs` order for every
+    pair with at least one admissible kernel: combo is one independent subset
+    per span class of the system at p, and basis (nonempty) spans its
+    intersection with the forms vanishing on the Levi of q.
+    """
+    return ((p, q, tuple((c, b) for _, c, b in kernels)) for p, q, kernels in _keyed_kernels(psi))
 
 
 def d_value_squared(x, psi: PsiSystem) -> Fraction:
@@ -230,12 +239,13 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
     M = datum.inner and G = S M^-1 S^T, the squared M-distance from h to
     ker S is (Sh)^T G^-1 (Sh), so each term is the least G^-1-norm over the
     hull of the vectors S h: one `polyhedra.min_norm_squared`, worked in
-    integers by scaling x, S P_r and G^-1 (`PsiSystem.kernels`).
+    integers by scaling x, S P_r and G^-1 (`PsiSystem.kernels`).  Kernels
+    dominated by one with the same span and a wider interval are skipped.
     """
     (xi,), den = integer_rows([vec(x)])
     terms = (
         polyhedra.min_norm_squared([[sum(map(mul, row, xi)) for row in m] for m in maps], metric) / denom
-        for _, maps, metric, denom in psi.kernels
+        for maps, metric, denom in psi.kernels[1]
     )
     best = min(terms, default=None)
     if best is None:
@@ -272,18 +282,10 @@ def _canonical_form(form: Vec) -> Vec:
 
 def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec]) -> bool:
     """Whether span(basis) contains a nonzero nonnegative root combination."""
-    n = datum.rank
-    k = len(basis)
-    nv = k + n  # free span coefficients, then s >= 0
-    a_eq = []
-    b_eq = []
-    for i in range(n):
-        row = [basis[j][i] for j in range(k)] + [-datum.simple_roots[a][i] for a in range(n)]
-        a_eq.append(row)
-        b_eq.append(Fraction(0))
+    n, k = datum.rank, len(basis)  # k free span coefficients, then n roots s >= 0 summing to 1
+    a_eq = [[b[i] for b in basis] + [-a[i] for a in datum.simple_roots] for i in range(n)]
     a_eq.append([Fraction(0)] * k + [Fraction(1)] * n)
-    b_eq.append(Fraction(1))
-    return lp.feasible_point(nv, a_eq=a_eq, b_eq=b_eq, nonneg=n) is not None
+    return lp.feasible_point(k + n, a_eq=a_eq, b_eq=[Fraction(0)] * n + [Fraction(1)], nonneg=n) is not None
 
 
 def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
@@ -296,12 +298,15 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     surviving cell carries an interior witness with d > 0 (validated): the
     point of the cell's own strict-interior LP on the dominant-cone rows and
     then its signed wall rows, solved here when `_cells` proved the cell
-    nonempty by an inherited witness and so ran no LP for it.
+    nonempty by an inherited witness and so ran no LP for it.  The walls come
+    from the bases of every admissible kernel, dominated ones included
+    (`PsiSystem.kernels`).  A non-positive epsilon raises before any work.
     """
+    if epsilon is not None and Fraction(epsilon) <= 0:
+        raise ValueError("epsilon must be positive")
     datum = psi.datum
     n = datum.rank
-    bases = dict.fromkeys(b for b, _, _, _ in psi.kernels)
-    walls = {_canonical_form(mu) for b in bases if not _meets_signed_root_cone(datum, b) for mu in b}
+    walls = {_canonical_form(mu) for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b) for mu in b}
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cells = []
@@ -312,8 +317,6 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
         if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
         cells.append(ConeCell(signs, w, d2))
-    if epsilon is not None and Fraction(epsilon) <= 0:
-        raise ValueError("epsilon must be positive")
     return ConeFamily(datum, psi, hyper, tuple(cells), Fraction(epsilon) if epsilon is not None else None)
 
 

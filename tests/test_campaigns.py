@@ -17,9 +17,10 @@ from scipy.spatial import HalfspaceIntersection
 from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import det, dot, invert, rref
+from weylcone.linalg import det, dot, invert, mat_vec, rref
 from weylcone.rootspace import build_root_datum, parabolic, weights_of
 
+import distance_oracle
 import region_oracle
 
 pytestmark = pytest.mark.campaign
@@ -277,3 +278,27 @@ def test_instantiate_matches_the_fraction_oracle_at_rank_three():
         assert (h.normals, h.offsets) == region_oracle.instantiate_oracle(ineqs, ctx.basis, ctx.b_form, t, s), (ineqs, t, s)
         rows += len(ineqs)
     print(f"\ninstantiate vs the Fraction oracle: 3000 (T, S) over {len(systems)} rank-3 systems, {rows} rows")
+
+
+# --- d^2 against the face-enumeration oracle ----------------------------------
+
+D2_FAMILIES = ["A2/adjoint", "A2/standard", "A2/sym2", "B2/standard", "B2/adjoint", "C2/standard", "C2/adjoint",
+               "D2/adjoint", "A3/standard", "A3/adjoint", "B3/standard", "B3/adjoint", "C3/standard", "C3/adjoint"]
+
+
+def test_d_value_matches_the_face_oracle_at_many_points():
+    """d^2 over the undominated kernels against `distance_oracle`, which
+    enumerates the faces of each hull for every admissible kernel."""
+    points = 0
+    for family in D2_FAMILIES:
+        datum = build_root_datum(family[0], int(family[1]))
+        psi = RG.psi_pi(datum, weights_of(datum, family[3:]))
+        roots_inv = invert(datum.simple_roots)
+        rng = random.Random(family)
+        for _ in range(40 if datum.rank == 2 else 25):
+            # a regular dominant point from its simple-root values
+            values = [F(rng.randint(1, 60), rng.choice((1, 2, 3, 4, 7))) for _ in range(datum.rank)]
+            x = tuple(mat_vec(roots_inv, values))
+            assert RG.d_value_squared(x, psi) == distance_oracle.d_value_squared(x, psi), (family, x)
+            points += 1
+    print(f"\nd^2 vs the face oracle: {points} regular dominant points over {len(D2_FAMILIES)} families")

@@ -58,12 +58,12 @@ def test_gamma_containment_is_domain_error(capsys):
     assert json.loads(out)["error"]["kind"] == "domain"
 
 
-def test_gamma_vector_of_wrong_length_is_domain_error(capsys):
+def test_gamma_vector_of_wrong_length_is_argument_error(capsys):
     base = ["gamma", "--type", "A", "--rank", "2", "--P", "", "--Q", ""]
-    for x, t, got in (("1", "2,2", 1), ("1,1", "2,2,2", 3)):
+    for x, t, message in (("1", "2,2", "--X has length 1"), ("1,1", "2,2,2", "--T has length 3")):
         code, out = run(base + ["--X", x, "--T", t], capsys)
-        assert code == 1
-        assert json.loads(out)["error"] == {"kind": "domain", "message": f"expected a vector of length 2, got {got}"}
+        assert code == 2
+        assert json.loads(out)["error"] == {"kind": "argument", "message": f"{message}, the rank is 2"}
 
 
 def test_bv_interval_exact_terms(capsys):
@@ -232,6 +232,25 @@ def test_cones_computes_d_once_per_cell(capsys, monkeypatch):
     assert code == 0
     witnesses = [tuple(F(c) for c in cell["witness"]) for cell in json.loads(out)["cells"]]
     assert len(witnesses) == 2 and sorted(calls) == sorted(witnesses)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cones", "--type", "A", "--rank", "2", "--rep", "standard", "--eps", "0"], "--eps must be positive, got '0'"),
+        (_regions_argv("decompose", eps="0/3"), "--eps must be positive, got '0/3'"),
+        (_regions_argv("decompose", T="8"), "--T has length 1, the rank is 2"),
+    ],
+    ids=["cones-eps", "decompose-eps", "decompose-T"],
+)
+def test_bad_arguments_are_rejected_before_the_cone_family(capsys, monkeypatch, argv, message):
+    def no_cones(*args, **kwargs):
+        raise AssertionError("bad arguments must be rejected before the cone family is built")
+
+    monkeypatch.setattr(cli.regions, "pi_cones", no_cones)
+    code, out = run(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": message}
 
 
 def test_regions_decompose(capsys):

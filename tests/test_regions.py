@@ -1,6 +1,7 @@
 """Weight-system cones, threshold recursion, refinement, slices, fits."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import random
@@ -14,12 +15,14 @@ from hypothesis import strategies as st
 from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import add, dot, neg, scale, vec
+from weylcone.linalg import add, dot, invert, mat_mul, mat_vec, neg, scale, transpose, vec
 from weylcone.rootspace import (
     build_root_datum,
+    coproject,
     full_group,
     minimal_parabolic,
     parabolic,
+    parabolics_between,
     weights_of,
 )
 
@@ -230,6 +233,67 @@ def test_span_classes_built_once_per_p(monkeypatch):
     assert len(calls) == 7  # one per nonempty p.outside, not one per proper pair (19)
 
 
+# (before, after): admissible kernels, and those that no kernel with the same
+# span and a wider parabolic interval dominates
+PRUNED_KERNELS = {
+    "A2/standard": (12, 7),
+    "A2/sym2": (12, 7),
+    "B2/adjoint": (11, 6),
+    "C2/adjoint": (11, 6),
+    "D2/adjoint": (9, 4),
+    "A3/standard": (129, 53),
+    "A3/adjoint": (67, 43),
+    "B3/adjoint": (117, 48),
+    "C3/adjoint": (117, 48),
+    "B4/standard": (513, 161),
+    "D4/standard": (601, 195),
+}
+
+
+def _family_psi(family):
+    datum = build_root_datum(family[0], int(family[1]))
+    return RG.psi_pi(datum, weights_of(datum, family[3:]))
+
+
+@pytest.mark.parametrize("family", sorted(PRUNED_KERNELS))
+def test_dominated_kernels_are_dropped(family):
+    psi = _family_psi(family)
+    full = [basis for _, _, kernels in RG._admissible_kernels(psi) for _, basis in kernels]
+    bases, terms = psi.kernels
+    assert (len(full), len(terms)) == PRUNED_KERNELS[family]
+    assert bases == tuple(dict.fromkeys(full))  # walls still come from every kernel
+
+
+@functools.cache
+def _unpruned(family):
+    """psi, and per kernel of `_admissible_kernels` with nothing dropped: the
+    forms S P_r for the parabolics r between p and q, and the metric
+    (S M^-1 S^T)^-1."""
+    psi = _family_psi(family)
+    m_inv = invert(psi.datum.inner)
+    return psi, [
+        ([[coproject(f, r) for f in combo] for r in parabolics_between(p, q)],
+         invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
+        for p, q, kernels in RG._admissible_kernels(psi)
+        for combo, _ in kernels
+    ]
+
+
+@pytest.mark.parametrize("family", ["A4/standard", "D4/standard"])
+@settings(max_examples=8)
+@given(values=st.lists(st.fractions(0, 12, max_denominator=4).filter(bool), min_size=4, max_size=4))
+def test_d_value_equals_the_unpruned_minimum(family, values):
+    """d^2 over the undominated kernels equals the least min-norm term over
+    every admissible kernel, at regular dominant points x given by their
+    simple-root values."""
+    psi, kernels = _unpruned(family)
+    roots = psi.datum.simple_roots
+    x = tuple(mat_vec(invert(roots), values))
+    assert [dot(a, x) for a in roots] == values
+    unpruned = min(PH.min_norm_squared([[dot(f, x) for f in fs] for fs in hull], metric) for hull, metric in kernels)
+    assert RG.d_value_squared(x, psi) == unpruned
+
+
 # --- cone families ----------------------------------------------------------
 
 
@@ -297,6 +361,35 @@ def test_pi_cones_a3_standard_is_pinned(a3_family):
     witnesses = [(9, 7, 4), (7, 6, 4), (4, 5, 3), (3, 5, 4), (5, 7, 8), (5, 9, 12)]
     assert [c.witness for c in a3_family.cones] == [vec(w) for w in witnesses]
     assert [c.d2 for c in a3_family.cones] == [F(1, 2)] * 6
+
+
+@pytest.mark.parametrize(
+    "family, walls, cells",
+    [
+        ("B4/standard", [(0, 1, 0, F(-4, 3)), (1, -2, 0, 2), (1, 0, -1, 1), (1, 0, F(-1, 2), 0), (1, 0, 0, -1),
+                         (1, 0, 0, F(-2, 3))], 13),
+        ("D4/standard", [(0, 0, 1, -1), (0, 1, F(-4, 3), 0), (0, 1, 0, F(-4, 3)), (1, -2, 0, 2), (1, -2, 2, 0),
+                         (1, 0, -1, 0), (1, 0, F(-2, 3), 0), (1, 0, F(-1, 2), F(-1, 2)), (1, 0, 0, -1),
+                         (1, 0, 0, F(-2, 3))], 26),
+    ],
+)
+def test_pi_cones_rank_four_is_pinned(family, walls, cells):
+    # the walls come from every admissible kernel, not only the undominated ones
+    fam = RG.pi_cones(_family_psi(family))
+    assert fam.hyperplanes == tuple(vec(w) for w in walls)
+    assert len(fam.cones) == cells
+
+
+def test_pi_cones_checks_epsilon_before_any_work(monkeypatch):
+    def no_cells(*args, **kwargs):
+        raise AssertionError("a non-positive epsilon must be rejected before the cell search")
+
+    monkeypatch.setattr(RG, "_cells", no_cells)
+    psi = RG.psi_pi(A3, weights_of(A3, "standard"))
+    for eps in (0, F(-1, 4)):
+        with pytest.raises(ValueError, match="^epsilon must be positive$"):
+            RG.pi_cones(psi, eps)
+    assert "kernels" not in vars(psi)  # nor were the kernels built
 
 
 def test_in_c_epsilon_requires_epsilon(adjoint_psi):
