@@ -62,6 +62,13 @@ def _parse_eps(text: str) -> Fraction:
     return eps
 
 
+def _parse_largeness(text: str) -> Fraction:
+    large = _parse_fraction_arg(text)
+    if large < 0:
+        raise ArgumentDataError(f"--largeness must be nonnegative, got {text!r}")
+    return large
+
+
 def _parse_levi(datum: rootspace.RootDatum, text: str) -> rootspace.ParabolicSubset:
     """Parabolic from its Levi set, written 'a1,a3' or '1,3' ('' = minimal)."""
     levi = set()
@@ -193,11 +200,13 @@ def _rank_vec(text: str, name: str, rank: int) -> tuple[Fraction, ...]:
 
 
 def _regions_context(args):
+    if args.jobs < 1:
+        raise ArgumentDataError(f"--jobs must be at least 1, got {args.jobs}")
+    large = _parse_largeness(args.largeness) if args.largeness else None
     datum = _datum(args)
     psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep)))
     p = _parse_levi(datum, args.P)
     q = _parse_levi(datum, args.Q)
-    large = _parse_fraction_arg(args.largeness) if args.largeness else None
     t, s = _rank_vec(args.T, "T", datum.rank), _rank_vec(args.S, "S", datum.rank)
     return regions.make_context(datum, p, q, psi, _parse_eps(args.eps), large), t, s
 

@@ -2,11 +2,13 @@
 
 Vectors are tuples of Fraction; matrices are tuples of row tuples.  Everything
 here is exact -- no floats -- because downstream predicates (hull membership,
-face identity, LP feasibility) must be decided, not estimated.  Every
-elimination runs on int rows, scaled by `integer_rows`: one fraction-free
-Gauss-Jordan (`_reduce`, Edmonds 1967) whose steps `eliminate` keeps divided
-by their gcd, as the `lp` simplex pivots, serves `rref` and `integer_solve`;
-`det` is Bareiss's exact-division elimination (1968).
+face identity, LP feasibility) must be decided, not estimated.  Products
+accumulate integer numerators over one running denominator (`dot`, and
+through it `mat_vec`, `mat_mul` and `gram`).  Every elimination runs on int
+rows, scaled by `integer_rows`: one fraction-free Gauss-Jordan (`_reduce`,
+Edmonds 1967) whose steps `eliminate` keeps divided by their gcd, as the `lp`
+simplex pivots, serves `rref`, `integer_solve` and `invert` (one elimination
+of [a | I]); `det` is Bareiss's exact-division elimination (1968).
 """
 
 from __future__ import annotations
@@ -59,7 +61,19 @@ def neg(v: Sequence[Fraction]) -> Vec:
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+    """Σ aᵢbᵢ as one normalised Fraction, also for ints and empty vectors: the integer
+    numerators accumulate over one running denominator d, which a term whose
+    denominator does not divide it widens to their lcm through one gcd."""
+    n, d = 0, 1
+    for a, b in zip(u, v, strict=True):
+        if p := a.numerator * b.numerator:
+            q = a.denominator * b.denominator
+            if d % q:
+                g = gcd(d, q)
+                n, d = n * (q // g) + p * (d // g), d // g * q
+            else:
+                n += p * (d // q)
+    return Fraction(n, d)
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -215,9 +229,13 @@ def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
+    """a⁻¹ by one `_reduce` of the int rows of [a | I]: row i ends as (row[i]·eᵢ | row[i]·(a⁻¹)ᵢ)."""
     n = len(a)
-    cols = [solve(a, unit(n, i)) for i in range(n)]
-    return transpose(cols)
+    rows, d = integer_rows(mat(a))
+    red, pivots = _reduce([(*row, *(d * (i == j) for j in range(n))) for i, row in enumerate(rows)], n)
+    if len(pivots) < n:
+        raise ValueError("singular system")
+    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
 
 
 def gram(basis: Sequence[Vec], inner: Mat) -> Mat:
@@ -233,10 +251,7 @@ def project_onto_span(basis: Sequence[Vec], x: Sequence[Fraction], inner: Mat) -
     g = gram(basis, inner)
     rhs = tuple(dot(b, mat_vec(inner, x)) for b in basis)
     coeff = solve(g, rhs)
-    out = zeros(len(x))
-    for c, b in zip(coeff, basis):
-        out = add(out, scale(c, b))
-    return out
+    return tuple(dot(coeff, col) for col in zip(*basis))
 
 
 def coords_in_basis(basis: Sequence[Vec], x: Sequence[Fraction]) -> Vec | None:

@@ -29,7 +29,7 @@ from math import lcm
 from numbers import Rational
 from typing import Sequence
 
-from .linalg import Vec, eliminate, zeros
+from .linalg import Vec, dot, eliminate, zeros
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -135,7 +135,7 @@ def _standard_simplex(a, b, c):
         return UNBOUNDED, None, None
     xb = {j: Fraction(row[n], row[j]) for row, j in zip(tab, basis)}
     x = tuple(xb.get(j, Fraction(0)) for j in range(n))
-    return OPTIMAL, x, sum((ci * xi for ci, xi in zip(c, x)), Fraction(0))
+    return OPTIMAL, x, dot(c, x)
 
 
 def solve(

@@ -15,8 +15,10 @@ import math
 from fractions import Fraction
 
 from weylcone.chambers import PoleCancellationError, choose_mu0, is_bounded
-from weylcone.linalg import dot, is_zero, mat_vec, neg, transpose, vec, zeros
+from weylcone.linalg import is_zero, neg, transpose, vec, zeros
 from weylcone.tfinite import Polynomial, TFiniteFunction
+
+from vertex_oracle import fraction_dot, fraction_mat_vec
 
 
 def vertex_matrix(data, n):
@@ -44,19 +46,19 @@ def limit_tfinite(cd, chamber, mu) -> TFiniteFunction:
     for sigma in chamber:
         data = cd.sigmas[sigma]
         smap = tuple(
-            tuple(dot(row, col) for col in transpose(pp.offset_matrix))
+            tuple(fraction_dot(row, col) for col in transpose(pp.offset_matrix))
             for row in vertex_matrix(data, pp.n_constraints)
         )  # d x m
-        a_form = neg(mat_vec(transpose(smap), muv))
-        b_form = mat_vec(transpose(smap), mu0)
+        a_form = neg(fraction_mat_vec(transpose(smap), muv))
+        b_form = fraction_mat_vec(transpose(smap), mu0)
         groups.setdefault(a_form, []).append((data, b_form))
 
     terms: dict = {}
     for a_form, members in groups.items():
         by_power: dict = {}
         for data, b_form in members:
-            vals = [dot(muv, u) for u in data.dual_basis]
-            w = [dot(mu0, u) for u in data.dual_basis]
+            vals = [fraction_dot(muv, u) for u in data.dual_basis]
+            w = [fraction_dot(mu0, u) for u in data.dual_basis]
             msig = sum(1 for v in vals if v == 0)
             k_const = data.box_volume
             for i, v in enumerate(vals):

@@ -4,8 +4,9 @@
 face: on each face the minimizer solves the normal equations over the face's
 affine span times the kernel, and an LP checks that some minimizer lies in the
 face.  `d_value_squared` is the distance d built from it.  Neither shares a
-code path with `polyhedra.min_norm_squared` (Wolfe's algorithm) beyond
-`linalg`, so the tests use them as its independent oracle.
+code path with `polyhedra.min_norm_squared` (Wolfe's algorithm) beyond the
+eliminations of `linalg`, and their products come from `vertex_oracle`, so the
+tests use them as its independent oracle.
 """
 
 from __future__ import annotations
@@ -14,10 +15,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from weylcone import lp, polyhedra
-from weylcone.linalg import Mat, Vec, add, dot, identity, is_zero, mat_vec, neg, nullspace, scale, solve_any, vec
+from weylcone.linalg import Mat, Vec, add, identity, is_zero, neg, nullspace, scale, solve_any, vec
 from weylcone.polyhedra import VPolytope
 from weylcone.regions import _admissible_kernels
 from weylcone.rootspace import parabolics_between, project
+
+from vertex_oracle import fraction_dot, fraction_mat_vec
 
 
 def squared_distance(forms: Sequence[Vec], poly: VPolytope, inner: Mat | None = None) -> Fraction:
@@ -36,7 +39,7 @@ def squared_distance(forms: Sequence[Vec], poly: VPolytope, inner: Mat | None = 
     kernel = nullspace([f for f in forms if not is_zero(f)], dim)
     # shortcut: does the kernel meet the hull?  f . (sum lam_j p_j) = 0 per form
     m = len(poly.vertices)
-    rows = [[dot(f, p) for p in poly.vertices] for f in forms]
+    rows = [[fraction_dot(f, p) for p in poly.vertices] for f in forms]
     rows.append([Fraction(1)] * m)
     rhs = [Fraction(0)] * len(forms) + [Fraction(1)]
     if lp.feasible_point(m, a_eq=rows, b_eq=rhs, nonneg=m) is not None:
@@ -61,9 +64,9 @@ def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> F
     nf = len(fbasis)
     nd = len(directions)
     # difference vector: r(t) = v0 + D t ; minimize r^T M r
-    img = [mat_vec(inner, d) for d in directions]
-    hess = [[dot(directions[i], img[j]) for j in range(nd)] for i in range(nd)]
-    rhs = [-dot(directions[i], mat_vec(inner, v0)) for i in range(nd)]
+    img = [fraction_mat_vec(inner, d) for d in directions]
+    hess = [[fraction_dot(directions[i], img[j]) for j in range(nd)] for i in range(nd)]
+    rhs = [-fraction_dot(directions[i], fraction_mat_vec(inner, v0)) for i in range(nd)]
     part = solve_any(hess, rhs, nd) if nd else ()
     if nd and part is None:
         return None  # cannot happen: PSD normal equations are always consistent
@@ -92,7 +95,7 @@ def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> F
     r = list(v0)
     for i in range(nd):
         r = add(r, scale(t[i], directions[i]))
-    return dot(r, mat_vec(inner, r))
+    return fraction_dot(r, fraction_mat_vec(inner, r))
 
 
 def d_value_squared(x, psi) -> Fraction:

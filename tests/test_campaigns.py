@@ -12,7 +12,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from scipy.optimize import linprog
-from scipy.spatial import HalfspaceIntersection
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from weylcone import lp
 from weylcone import polyhedra as PH
@@ -80,6 +80,62 @@ def test_vertices_match_scipy_halfspace_intersection():
         checked += 1
     print(f"\nvertices vs scipy HalfspaceIntersection: {checked} bounded full-dimensional polytopes, dim 2-4")
     assert checked >= 2000
+
+
+# --- exact volumes against Qhull ------------------------------------------------
+
+
+def _random_point_cloud(rng, d):
+    """Points in Q^d whose hull is full-dimensional: d+1 to d+3 random rational
+    points, then up to two copies of them and up to two convex combinations of
+    them (points that are no vertex), shuffled."""
+    while True:
+        n = rng.randint(d + 1, d + 3)
+        pts = [tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3))) for _ in range(d)) for _ in range(n)]
+        if PH.VPolytope(tuple(pts)).affine_dim() == d:
+            break
+    extra = [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+    for _ in range(rng.randint(0, 2)):
+        w = [F(rng.randint(0, 3)) for _ in pts]
+        w[rng.randrange(len(w))] += 1
+        extra.append(tuple(sum((wi * p[j] for wi, p in zip(w, pts)), F(0)) / sum(w) for j in range(d)))
+    pts += extra
+    rng.shuffle(pts)
+    return PH.VPolytope(tuple(pts))
+
+
+def _with_duplicate_and_redundant_rows(rng, h):
+    """h with up to two of its rows repeated, each as it is or scaled by 2, and
+    up to two implied rows: the sum of two rows with its offset loosened by 0-2."""
+    pairs = list(zip(h.normals, h.offsets))
+    for _ in range(rng.randint(0, 2)):
+        a, c = rng.choice(pairs)
+        k = rng.choice((1, 2))
+        pairs.append((tuple(k * x for x in a), k * c))
+    for _ in range(rng.randint(0, 2)):
+        (a, c), (b, e) = rng.choice(pairs), rng.choice(pairs)
+        if any(x + y for x, y in zip(a, b)):
+            pairs.append((tuple(x + y for x, y in zip(a, b)), c + e + rng.randint(0, 2)))
+    rng.shuffle(pairs)
+    return PH.HPolyhedron.from_pairs(pairs, h.dim)
+
+
+def test_volume_matches_scipy_convex_hull():
+    rng = random.Random(20)
+    kinds = Counter()
+    for k in range(3000):
+        if k % 3:
+            d = 2 + k % 4
+            poly = _random_point_cloud(rng, d)
+            kinds[f"points, dim {d}"] += 1
+        else:
+            d = 2 + k % 2
+            poly = PH.vertices(_with_duplicate_and_redundant_rows(rng, _random_bounded_polytope(rng, d)))
+            kinds[f"rows, dim {d}"] += 1
+        exact = PH.volume(poly)
+        floats = ConvexHull(np.array([[float(x) for x in p] for p in poly.vertices])).volume
+        assert exact > 0 and abs(float(exact) - floats) <= TOL * floats, (poly, exact, floats)
+    print(f"\nvolume vs scipy ConvexHull: 3000 full-dimensional polytopes, {dict(sorted(kinds.items()))}")
 
 
 # --- exact LPs against HiGHS ---------------------------------------------------

@@ -253,6 +253,28 @@ def test_bad_arguments_are_rejected_before_the_cone_family(capsys, monkeypatch, 
     assert json.loads(out)["error"] == {"kind": "argument", "message": message}
 
 
+@pytest.mark.parametrize("command", ["decompose", "refine", "slice"])
+def test_negative_largeness_is_argument_error(capsys, monkeypatch, command):
+    def no_cones(*args, **kwargs):
+        raise AssertionError("a negative --largeness must be rejected before the cone family is built")
+
+    monkeypatch.setattr(cli.regions, "pi_cones", no_cones)
+    code, out = run(_regions_argv(command) + ["--largeness", "-1"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": "--largeness must be nonnegative, got '-1'"}
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_argument_error(capsys, monkeypatch, jobs):
+    def no_cones(*args, **kwargs):
+        raise AssertionError("--jobs below 1 must be rejected before the cone family is built")
+
+    monkeypatch.setattr(cli.regions, "pi_cones", no_cones)
+    code, out = run(_regions_argv("decompose") + ["--jobs", jobs], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": f"--jobs must be at least 1, got {jobs}"}
+
+
 def test_regions_decompose(capsys):
     code, out = run(DECOMPOSE_ARGS, capsys)
     assert code == 0

@@ -33,7 +33,15 @@ from weylcone.linalg import (
     vec,
 )
 
-from vertex_oracle import fraction_det, fraction_independent_subset, fraction_rref, fraction_solve
+from vertex_oracle import (
+    fraction_det,
+    fraction_dot,
+    fraction_independent_subset,
+    fraction_invert,
+    fraction_mat_vec,
+    fraction_rref,
+    fraction_solve,
+)
 
 fracs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 
@@ -271,3 +279,83 @@ def test_solve_any_matches_the_fraction_reference(case, data):
 def test_det_matches_the_fraction_reference(case):
     rows, _ = case
     assert det(rows) == fraction_det(rows)
+
+
+# entries for the product kernel: ints, zeros, one shared denominator, coprime
+# prime denominators, and numerators far beyond a machine word
+kernel_entries = st.one_of(
+    st.integers(-5, 5),
+    st.just(F(0)),
+    st.integers(-30, 30).map(lambda n: F(n, 12)),
+    st.tuples(st.integers(-30, 30), st.sampled_from((2, 3, 5, 7, 11, 13))).map(lambda p: F(*p)),
+    st.tuples(st.integers(-(2**90), 2**90), st.integers(1, 2**40)).map(lambda p: F(*p)),
+)
+
+
+def kernel_vec(n):
+    return st.tuples(*[kernel_entries] * n)
+
+
+def kernel_mat(rows, cols):
+    return st.tuples(*[kernel_vec(cols)] * rows)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(kernel_vec(n), kernel_vec(n))))
+def test_dot_matches_the_fraction_reference(pair):
+    u, v = pair
+    got = dot(u, v)
+    assert got == fraction_dot(u, v) and type(got) is F
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: st.tuples(kernel_mat(s[0], s[1]), kernel_mat(s[1], s[2]), kernel_vec(s[1]))
+))
+def test_products_match_the_fraction_reference(case):
+    a, b, v = case
+    got = mat_vec(a, v)
+    assert got == fraction_mat_vec(a, v) and all(type(x) is F for x in got)
+    got = mat_mul(a, b)
+    assert got == tuple(tuple(fraction_dot(row, col) for col in zip(*b)) for row in a)
+    assert all(type(x) is F for row in got for x in row)
+
+
+@given(st.integers(0, 4).flatmap(lambda n: st.tuples(st.lists(kernel_vec(n), max_size=4), kernel_mat(n, n))))
+def test_gram_matches_the_fraction_reference(case):
+    basis, inner = case
+    got = gram(basis, inner)
+    assert got == tuple(tuple(fraction_dot(b, fraction_mat_vec(inner, c)) for c in basis) for b in basis)
+    assert all(type(x) is F for row in got for x in row)
+
+
+@given(st.tuples(st.integers(0, 6), st.integers(0, 6)).filter(lambda s: s[0] != s[1]).flatmap(
+    lambda s: st.tuples(kernel_vec(s[0]), kernel_vec(s[1]))
+))
+def test_dot_of_unequal_lengths_raises(pair):
+    u, v = pair
+    with pytest.raises(ValueError):
+        dot(u, v)
+    with pytest.raises(ValueError):
+        mat_vec((u,), v)
+
+
+@st.composite
+def square_matrices(draw):
+    """n x n matrices of kernel entries, n 0-5; in about one case of three the
+    last row is replaced by a combination of the others, so the matrix is singular."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    rows = list(draw(kernel_mat(n, n)))
+    if n and draw(st.integers(min_value=0, max_value=2)) == 0:
+        coeffs = draw(st.lists(fracs, min_size=n - 1, max_size=n - 1))
+        rows[-1] = tuple(sum((c * r[j] for c, r in zip(coeffs, rows)), F(0)) for j in range(n))
+    return rows
+
+
+@given(square_matrices())
+def test_invert_matches_the_fraction_reference(rows):
+    try:
+        expected = fraction_invert(rows)
+    except ValueError:
+        with pytest.raises(ValueError, match="^singular system$"):
+            invert(rows)
+        return
+    assert invert(rows) == expected

@@ -1,13 +1,15 @@
-"""Fraction references for the eliminations and for vertex enumeration.
+"""Fraction references for the products, the eliminations and vertex enumeration.
 
-`fraction_solve` and `fraction_rref` are Gauss-Jordan elimination on
-`Fraction` rows, `fraction_det` is Gaussian elimination on `Fraction` rows,
-`fraction_independent_subset` adds one row at a time while the rank grows, and
-`vertices` is basis enumeration that solves every dim-subset with
-`fraction_solve` and tests membership with `Fraction` dot products, after a
-feasibility LP and the Stiemke boundedness LP.  None of them calls an
-elimination of `linalg`, all of which run on int rows, so the tests use them
-as the independent oracle of the integer kernels.
+`fraction_dot` sums normalised `Fraction` products one term at a time and
+`fraction_mat_vec` is built on it; `fraction_solve` and `fraction_rref` are
+Gauss-Jordan elimination on `Fraction` rows, `fraction_invert` is one
+`fraction_solve` per unit vector, `fraction_det` is Gaussian elimination on
+`Fraction` rows, `fraction_independent_subset` adds one row at a time while
+the rank grows, and `vertices` is basis enumeration that solves every
+dim-subset with `fraction_solve` and tests membership with `fraction_dot`,
+after a feasibility LP and the Stiemke boundedness LP.  None of them calls a
+product or an elimination of `linalg`, all of which run on ints, so the tests
+use them as the independent oracle of the integer kernels.
 """
 
 from __future__ import annotations
@@ -16,7 +18,15 @@ from fractions import Fraction
 from itertools import combinations
 
 from weylcone import polyhedra
-from weylcone.linalg import Vec, dot
+from weylcone.linalg import Mat, Vec
+
+
+def fraction_dot(u, v) -> Fraction:
+    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+
+
+def fraction_mat_vec(m, v) -> Vec:
+    return tuple(fraction_dot(row, v) for row in m)
 
 
 def fraction_solve(a, b) -> Vec:
@@ -35,6 +45,13 @@ def fraction_solve(a, b) -> Vec:
                 f = work[i][c]
                 work[i] = [x - f * y for x, y in zip(work[i], work[c])]
     return tuple(work[i][n] for i in range(n))
+
+
+def fraction_invert(a) -> Mat:
+    """a⁻¹ column by column; raises ValueError if singular."""
+    n = len(a)
+    cols = [fraction_solve(a, tuple(Fraction(int(i == j)) for j in range(n))) for i in range(n)]
+    return tuple(zip(*cols)) if cols else ()
 
 
 def fraction_rref(rows, width=None):
@@ -106,6 +123,6 @@ def vertices(h: polyhedra.HPolyhedron) -> polyhedra.VPolytope:
             continue
         if v in found:
             continue
-        if all(dot(a, v) + c >= 0 for a, c in zip(h.normals, h.offsets)):
+        if all(fraction_dot(a, v) + c >= 0 for a, c in zip(h.normals, h.offsets)):
             found.add(v)
     return polyhedra.VPolytope(tuple(sorted(found)))
