@@ -425,17 +425,22 @@ def _simplex_det(simplex: Sequence[Vec]) -> Fraction:
 
 
 def _exp_divided_difference(values) -> float:
-    """exp[y_0,...,y_d] via the matrix exponential of the Opitz bidiagonal."""
+    """exp[y_0,...,y_d] = e^c exp[y_0 - c,...] (c in [min y, max y], nearest 0) via
+    `expm` of the Opitz bidiagonal, its diagonal scaled by 2^-s into [-1, 1] so that
+    `expm` does none of its own squaring, which loses digits at nearly equal
+    entries; s squarings of the nonnegative result give 2^(s d) times the corner."""
     import numpy as np
     from scipy.linalg import expm
 
     k = len(values)
-    j = np.zeros((k, k))
-    for i, y in enumerate(values):
-        j[i, i] = y
-    for i in range(k - 1):
-        j[i, i + 1] = 1.0
-    return float(expm(j)[0, k - 1])
+    c = min(max(0.0, min(values)), max(values))
+    m = max(abs(y - c) for y in values)
+    s = math.ceil(math.log2(m)) if m > 1 else 0
+    j = np.diag([math.ldexp(y - c, -s) for y in values]) + np.diag(np.ones(k - 1), 1)
+    e = expm(j)
+    for _ in range(s):
+        e = e @ e
+    return math.exp(c) * math.ldexp(float(e[0, k - 1]), -s * (k - 1))
 
 
 def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:

@@ -296,11 +296,11 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     that intersection contains a signed nonnegative root combination the zero
     set misses the open dominant cone entirely and no wall is needed.  Every
     surviving cell carries an interior witness with d > 0 (validated): the
-    point of the cell's own strict-interior LP on the dominant-cone rows and
-    then its signed wall rows, solved here when `_cells` proved the cell
-    nonempty by an inherited witness and so ran no LP for it.  The walls come
-    from the bases of every admissible kernel, dominated ones included
-    (`PsiSystem.kernels`).  A non-positive epsilon raises before any work.
+    point of the cell's own strict-interior LP (`_cell_point`) on the
+    dominant-cone rows and then its signed wall rows, one per leaf, since
+    `_cells` yields no points.  The walls come from the bases of every
+    admissible kernel, dominated ones included (`PsiSystem.kernels`).  A
+    non-positive epsilon raises before any work.
     """
     if epsilon is not None and Fraction(epsilon) <= 0:
         raise ValueError("epsilon must be positive")
@@ -310,9 +310,8 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cells = []
-    for signs, w in _cells(dominant, hyper):
-        if w is None:
-            w = _cell_point(dominant, hyper, signs)
+    for signs, _ in _cells(dominant, hyper):
+        w = _cell_point(dominant, hyper, signs)
         d2 = d_value_squared(w, psi)
         if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
@@ -752,46 +751,40 @@ def well_situated_report(ctx: DecompositionContext, t, s) -> WellSituatedReport:
 # the recursion
 
 
-def _cell_point(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level=Fraction(0)):
-    """The strict-interior LP point of the cell `signs` of `_cells`, or None if it is empty.
-
-    Its rows are h's, then s_i (f_i.y - level) > 0 in the order of the forms."""
+def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level=Fraction(0)):
+    """The strict rows of the cell `signs` of `_cells`: h's, then s_i (f_i.y - level) > 0."""
     rows, rhs = h.ub_rows()
     rows += [neg(scale(s, f)) for s, f in zip(signs, forms)]
-    rhs += [-s * level for s in signs]
-    return lp.interior_point(h.dim, a_strict=rows, b_strict=rhs)
+    return dict(a_strict=rows, b_strict=rhs + [-s * level for s in signs])
+
+
+def _cell_point(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level=Fraction(0)):
+    """The strict-interior LP point of the cell `signs` of `_cells`, or None if it is empty."""
+    return lp.interior_point(h.dim, **_cell_rows(h, forms, signs, level))
 
 
 def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
     """Open cells of the arrangement {f.y = level : f in forms} inside h.
 
     Depth-first over the forms, +1 before -1 (Sleumer 1999).  Yields
-    (signs, point) for every sign vector s whose cell {y strictly inside h :
+    (signs, None) for every sign vector s whose cell {y strictly inside h :
     s_i (f_i.y - level) > 0} is nonempty, in lexicographic order with +1
-    first.  Each node hands its strict interior point w down: a child with
-    s (f.w - level) > 0 is nonempty by w and runs no LP; any other child is
-    decided by its own strict-interior LP.  point is the leaf's own LP point,
-    which is `_cell_point` of that leaf, or None when an inherited witness
-    proved the leaf nonempty.  The root runs no LP when there are forms:
-    every child's LP has h's rows, so an empty h still yields nothing.
+    first.  Each child is decided by `lp.strictly_feasible` on its own rows,
+    and an empty one prunes its subtree; the root only when there are no
+    forms.  The dual gives no point and none is inherited: a caller that needs
+    a leaf's witness solves `_cell_point` for it.
     """
 
-    def rec(signs, w, own):
+    def rec(signs):
         if len(signs) == len(forms):
-            yield signs, w if own else None
+            yield signs, None
             return
-        f = forms[len(signs)]
         for s in (1, -1):
-            child = signs + (s,)
-            if w is not None and s * (dot(f, w) - level) > 0:
-                yield from rec(child, w, False)
-            elif (point := _cell_point(h, forms, child, level)) is not None:
-                yield from rec(child, point, True)
+            if lp.strictly_feasible(h.dim, **_cell_rows(h, forms, signs + (s,), level)):
+                yield from rec(signs + (s,))
 
-    if forms:
-        yield from rec((), None, False)
-    elif (point := _cell_point(h, forms, ())) is not None:
-        yield (), point
+    if forms or lp.strictly_feasible(h.dim, **_cell_rows(h, forms, (), level)):
+        yield from rec(())
 
 
 def _sign_cells(base_h: HPolyhedron, forms_y: Sequence[Vec]):

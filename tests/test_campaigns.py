@@ -249,6 +249,51 @@ def test_interior_point_matches_the_highs_margin():
     print(f"\nlp.interior_point vs the HiGHS margin: {checked} cases ({empty} with no point), {skipped} skipped near the cut")
 
 
+def test_strictly_feasible_matches_the_highs_margin():
+    """strictly_feasible is True exactly when HiGHS's largest uniform margin t
+    (a_strict x + t <= b_strict, t <= 1) exceeds TOL.  The strict rows are
+    `_random_lp`'s inequality rows, sometimes projected onto x_0 = 0 so that
+    they do not span, plus repeated rows, wall pairs a x < b, -a x < -b and
+    zero rows.  A cell that only touches a wall has margin exactly 0, which
+    HiGHS returns as 0.0, so those are checked; positive margins up to 1e-7
+    are too close to HiGHS's tolerance to call and are skipped."""
+    rng = random.Random(2101)
+    checked = skipped = empty = 0
+    while checked < 2000:
+        _, n, args = _random_lp(rng)
+        rows, rhs = [list(r) for r in args["a_ub"]], list(args["b_ub"])
+        if n > 1 and rng.random() < 0.3:
+            rows = [[F(0)] + r[1:] for r in rows]
+        if rows and rng.random() < 0.3:
+            i = rng.randrange(len(rows))
+            rows.append(rows[i])
+            rhs.append(rhs[i])
+        if rows and rng.random() < 0.3:
+            i = rng.randrange(len(rows))
+            rows.append([-x for x in rows[i]])
+            rhs.append(-rhs[i])
+        if rng.random() < 0.2:
+            rows.append([F(0)] * n)
+            rhs.append(F(rng.randint(-1, 1)))
+        feasible = lp.strictly_feasible(n, a_strict=rows, b_strict=rhs)
+        res = linprog(
+            np.r_[np.zeros(n), -1.0],
+            A_ub=_floats([r + [F(1)] for r in rows] + [[F(0)] * n + [F(1)]]),
+            b_ub=[float(b) for b in (*rhs, 1)],
+            bounds=[(None, None)] * (n + 1),
+            method="highs",
+        )
+        assert res.status == 0, res.message  # t can go down and t <= 1: always optimal
+        margin = res.x[n]
+        if TOL < margin <= 1e-7:
+            skipped += 1
+            continue
+        assert feasible == (margin > TOL), (n, rows, rhs, margin)
+        checked += 1
+        empty += not feasible
+    print(f"\nlp.strictly_feasible vs the HiGHS margin: {checked} cases ({empty} empty), {skipped} skipped near the cut")
+
+
 # --- exact eliminations against SymPy --------------------------------------------
 
 

@@ -386,6 +386,17 @@ def test_oracle_integrate(tmp_path, capsys):
     assert abs(blob["value"] - 1.0) < 1e-12
 
 
+def test_oracle_integrate_tiny_square_far_from_the_origin(tmp_path, capsys):
+    # [1, 1 + 1e-9]^2 with mu = (12, 12); the exact value is
+    # ((e^(12 + 1.2e-8) - e^12) / 12)^2 = 2.6489122447712940077e-08
+    e = F(1, 10**9)
+    src = tmp_path / "tiny_v.json"
+    src.write_text(PH.v_to_json(PH.VPolytope(((F(1), F(1)), (1 + e, F(1)), (F(1), 1 + e), (1 + e, 1 + e)))), "utf-8")
+    code, out = run(["oracle", "integrate", "--in", str(src), "--mu", "12,12"], capsys)
+    assert code == 0
+    assert abs(json.loads(out)["value"] - 2.6489122447712940077e-08) <= 1e-14 * 2.6489122447712940077e-08
+
+
 def test_oracle_integrate_mu_of_wrong_length_is_argument_error(tmp_path, capsys):
     src = tmp_path / "square_v.json"
     src.write_text(PH.v_to_json(PH.vertices(SQUARE_H)), encoding="utf-8")

@@ -142,6 +142,52 @@ def test_interior_point_needs_one_right_hand_side_per_row(name, args):
         lp.interior_point(1, **args)
 
 
+@st.composite
+def strict_systems(draw):
+    """(n, rows, rhs) for a_strict x < b_strict.  The rows are integer
+    combinations of k <= n generators, so with k < n the forms do not span and
+    the dual's equality rows are dependent; some rows come out zero, some are
+    repeated, and a wall pair a x < b, -a x < -b leaves an empty cell whose
+    closure is the hyperplane a x = b."""
+    n = draw(st.integers(1, 4))
+    coef = st.integers(-2, 2)
+    gens = draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=1, max_size=n))
+    rows, rhs = [], []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row", "row", "repeat", "wall"]))
+        if kind == "repeat" and rows:
+            i = draw(st.integers(0, len(rows) - 1))
+            rows.append(rows[i])
+            rhs.append(draw(st.sampled_from([rhs[i], rhs[i] + 1])))
+            continue
+        w = draw(st.lists(coef, min_size=len(gens), max_size=len(gens)))
+        a = [sum(c * g[j] for c, g in zip(w, gens)) for j in range(n)]
+        b = F(draw(st.integers(-3, 3)), draw(st.integers(1, 2)))
+        rows.append(a)
+        rhs.append(b)
+        if kind == "wall":
+            rows.append([-x for x in a])
+            rhs.append(-b)
+    return n, rows, rhs
+
+
+@settings(max_examples=300)
+@given(strict_systems())
+@example((2, [], []))
+@example((1, [[0]], [0]))
+@example((1, [[0]], [1]))
+@example((2, [[1, 0], [-1, 0]], [0, 0]))
+def test_strictly_feasible_matches_interior_point(case):
+    n, rows, rhs = case
+    expected = lp.interior_point(n, a_strict=rows, b_strict=rhs) is not None
+    assert lp.strictly_feasible(n, a_strict=rows, b_strict=rhs) is expected
+
+
+def test_strictly_feasible_needs_one_right_hand_side_per_row():
+    with pytest.raises(ValueError, match=r"^a_strict has 2 rows but b_strict has 1 right-hand sides$"):
+        lp.strictly_feasible(1, a_strict=[[1], [-1]], b_strict=[1])
+
+
 def test_lexmin_breaks_ties():
     # the segment x + y = 1, x,y >= 0 minimizes x+y everywhere; lexmin picks x first
     objs = [vec([1, 0]), vec([0, 1])]

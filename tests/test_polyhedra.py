@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -270,6 +271,48 @@ def test_integrate_exp_oracle_equal_exponents_at_simplex_vertices():
         part, _ = dblquad(lambda y, x: math.exp(-2 * x - 3 * y), lo, hi, lower, upper, epsabs=0, epsrel=1e-12)
         ref += part
     assert abs(got - ref) <= 1e-7 * ref
+
+
+def _mp_exp_divided_difference(values):
+    """exp[y_0,...,y_d] = sum_m h_m(y) / (m + d)!, with h_m the complete
+    homogeneous symmetric polynomial of degree m (the divided difference of
+    x^n is h_{n-d}), summed to 50 digits in mpmath; the guard digits absorb
+    the cancellation of negative values."""
+    d = len(values) - 1
+    with mpmath.workdps(50 + int(max(abs(y) for y in values))):
+        h = [mpmath.mpf(1)] + [mpmath.mpf(0)] * 200  # |y| <= 22: 22^200 / 200! is negligible
+        for y in values:
+            for m in range(1, len(h)):
+                h[m] += y * h[m - 1]
+        return sum(h[m] / mpmath.factorial(m + d) for m in range(len(h)))
+
+
+@st.composite
+def exp_nodes(draw):
+    """1-6 nodes: near-equal (within 1e-8) or exactly equal values near ±20,
+    values spread widely over [-20, 20], or a mix of the three."""
+    k = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["near", "equal", "wide", "mixed"]))
+    base = draw(st.sampled_from([1, -1])) * draw(st.floats(18, 22))
+    nodes = {"near": st.floats(-1e-8, 1e-8).map(lambda e: base + e), "equal": st.just(base), "wide": st.floats(-20, 20)}
+    nodes["mixed"] = st.one_of(*nodes.values())
+    return draw(st.lists(nodes[kind], min_size=k, max_size=k))
+
+
+@settings(max_examples=200)
+@given(exp_nodes())
+def test_exp_divided_difference_matches_mpmath(values):
+    ref = _mp_exp_divided_difference(values)
+    assert abs(PH._exp_divided_difference(values) - ref) <= 1e-12 * ref
+
+
+def test_integrate_exp_oracle_on_a_tiny_square_far_from_the_origin():
+    # [1, 1 + 1e-9]^2 with mu = (12, 12): every exponent lies within 3e-8 of 24
+    e = F(1, 10**9)
+    square = PH.VPolytope(((F(1), F(1)), (1 + e, F(1)), (F(1), 1 + e), (1 + e, 1 + e)))
+    with mpmath.workdps(50):
+        exact = ((mpmath.exp(12 * (1 + mpmath.mpf(e.numerator) / e.denominator)) - mpmath.exp(12)) / 12) ** 2
+    assert abs(PH.integrate_exp_oracle(square, (F(12), F(12))) - exact) <= 1e-14 * exact
 
 
 def test_integrate_exp_oracle_zero_mu_is_volume():

@@ -698,6 +698,43 @@ def test_a3_adjoint_recursion_reaches_a_second_threshold(a3_adjoint_family, monk
     assert total == PH.volume(RG.r_region(ctx3.p, ctx3.q, A3_ADJ_T, A3_ADJ_S)) == F(7811731, 147456)
 
 
+# The recursion at rank 4: P0 <= Q in A4 adjoint at the family's suggested
+# epsilon, with T and S as perfbench's rank-4 inputs place them.
+A4 = build_root_datum("A", 4)
+A4_ADJ_T = (F(119), F(119), F(102), F(68))
+A4_ADJ_S = (F(7, 9), F(7, 9), F(2, 3), F(4, 9))
+
+
+@pytest.fixture(scope="module")
+def a4_adjoint_family():
+    return RG.pi_cones(RG.psi_pi(A4, weights_of(A4, "adjoint")))
+
+
+@pytest.mark.parametrize(
+    "outside,leaves,deepest,certificates",
+    [({0}, 48, (1, F(1, 20), F(1, 400)), 10), ({1}, 17, (1, F(1, 20)), 2)],
+    ids=["Q{0}", "Q{1}"],
+)
+def test_a4_adjoint_recursion_is_pinned(a4_adjoint_family, monkeypatch, outside, leaves, deepest, certificates):
+    fam = a4_adjoint_family
+    eps = RG.suggest_epsilon(fam)
+    assert eps == F(134060717, 8589934592)
+    ctx4 = RG.make_context(A4, minimal_parabolic(A4), parabolic(A4, frozenset(outside)), fam.psi, eps, family=fam)
+    calls = []
+    lexmin = RG.lp.lexmin_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lexmin(*args, **kwargs)
+
+    monkeypatch.setattr(RG.lp, "lexmin_point", counting)
+    descs = RG.decompose(ctx4, A4_ADJ_T, A4_ADJ_S)
+    assert len(descs) == leaves
+    depth = max(len(d.deltas) for d in descs)
+    assert {d.deltas for d in descs if len(d.deltas) == depth} == {deepest}
+    assert len(calls) == certificates
+
+
 @pytest.fixture(scope="module")
 def a3_adjoint_leaves(a3_adjoint_family):
     fam = a3_adjoint_family
@@ -831,6 +868,42 @@ def test_a3_adjoint_recursion_reuses_witnesses(a3_adjoint_family, interior_lps):
     interior_lps.clear()
     assert len(RG.decompose(ctx3, A3_ADJ_T, A3_ADJ_S)) == 7
     assert len(interior_lps) <= 73  # 136 without inherited witnesses
+
+
+@pytest.fixture
+def cell_lps(monkeypatch):
+    """Counts of `lp.strictly_feasible` (cell decisions) and `lp.interior_point` (witnesses) calls."""
+    counts = {"strictly_feasible": 0, "interior_point": 0}
+
+    def counting(name):
+        real = getattr(RG.lp, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(RG.lp, name, wrapper)
+
+    counting("strictly_feasible")
+    counting("interior_point")
+    return counts
+
+
+def test_cells_are_decided_by_the_dual_and_leaves_solve_their_witness(a3_family, a3_adjoint_family, a3_ctx, cell_lps):
+    """Every cell of the search is one dual decision; only `pi_cones` leaves solve a primal LP."""
+    assert RG.pi_cones(a3_family.psi).cones == a3_family.cones
+    assert cell_lps == {"strictly_feasible": 30, "interior_point": 6}
+
+    cell_lps.update(strictly_feasible=0, interior_point=0)
+    assert len(RG.decompose(a3_ctx, A3_T, A3_S)) == 10
+    assert cell_lps == {"strictly_feasible": 76, "interior_point": 0}
+
+    fam = a3_adjoint_family
+    q = parabolic(A3, frozenset({2}))  # Levi {a1, a2}
+    ctx3 = RG.make_context(A3, minimal_parabolic(A3), q, fam.psi, RG.suggest_epsilon(fam), family=fam)
+    cell_lps.update(strictly_feasible=0, interior_point=0)
+    assert len(RG.decompose(ctx3, A3_ADJ_T, A3_ADJ_S)) == 7
+    assert cell_lps == {"strictly_feasible": 136, "interior_point": 0}
 
 
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
