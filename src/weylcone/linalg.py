@@ -268,7 +268,7 @@ def span_key(rows: Sequence[Sequence[Fraction]], width: int):
     return rref(rows, width)[0]
 
 
-def independent_subset(rows: Sequence[Vec], width: int) -> tuple[int, ...]:
+def independent_subset(rows: Sequence[Vec]) -> tuple[int, ...]:
     """Indices of a lexicographically-first maximal independent subset.
 
     These are the pivot columns of the rows taken as columns: one elimination."""

@@ -1,10 +1,10 @@
-"""Exact rational convex polyhedra and independent integration oracles.
+"""Exact rational convex polyhedra and an independent integration oracle.
 
 H-representation: constraints (normal, offset) meaning normal . v + offset >= 0.
 V-representation: tuple of extreme points.  All combinatorial questions (vertex
 identity, faces) and least norms over a point hull (`min_norm_squared`, P.
 Wolfe's minimum-norm point) are decided exactly over Q; floats appear only in
-the integration oracles at the very end.  Face queries on a V-polytope go
+the integration oracle at the very end.  Face queries on a V-polytope go
 through `faces`, straight from its points; `face_lattice(to_hrep(v))` finds
 the vertex incidences again by itself and is kept as the independent oracle.
 """
@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from operator import mul
 from typing import Sequence
 
@@ -98,7 +98,7 @@ class VPolytope:
             return ()
         v0 = self.vertices[0]
         diffs = [sub(v, v0) for v in self.vertices[1:]]
-        idx = independent_subset(diffs, self.dim)
+        idx = independent_subset(diffs)
         return tuple(diffs[i] for i in idx)
 
     def affine_dim(self) -> int:
@@ -239,12 +239,6 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
         raise ValueError("ambient dimension mismatch")
     sums = {add(p, q) for p in a.vertices for q in b.vertices}
     return VPolytope(extreme_points(tuple(sums)))
-
-
-def support_value(v: VPolytope, direction: Sequence[Fraction]) -> Fraction:
-    if not v.vertices:
-        raise ValueError("empty polytope has no support function")
-    return max(dot(direction, p) for p in v.vertices)
 
 
 def to_hrep(v: VPolytope) -> HPolyhedron:
@@ -464,41 +458,6 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
         ys = [float(dot(mu_q, p)) for p in simplex]
         total += float(_simplex_det(simplex)) * _exp_divided_difference(ys)
     return total
-
-
-def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[float, float]:
-    """Monte Carlo ∫ e^{mu} dv: (estimate, standard error).  Second-tier oracle."""
-    simplices = triangulate(poly)
-    if not simplices:
-        return 0.0, 0.0
-    d = poly.dim
-    fact = math.factorial(d)
-    vols = [float(_simplex_det(s)) / fact for s in simplices]
-    vol_total = sum(vols)
-    mu_f = [float(c) for c in mu]
-    acc = 0.0
-    acc2 = 0.0
-    cum = list(accumulate(vols))
-    for _ in range(samples):
-        r = rng.random() * vol_total
-        idx = next((i for i, c in enumerate(cum) if c >= r), len(cum) - 1)
-        simplex = simplices[idx]
-        # uniform barycentric coordinates via exponential spacings
-        es = [-math.log(rng.random()) for _ in range(d + 1)]
-        tot = sum(es)
-        bary = [e / tot for e in es]
-        pt = [0.0] * d
-        for b, p in zip(bary, simplex):
-            for c in range(d):
-                pt[c] += b * float(p[c])
-        val = math.exp(sum(c * x for c, x in zip(mu_f, pt)))
-        acc += val
-        acc2 += val * val
-    mean = acc / samples
-    var = max(acc2 / samples - mean * mean, 0.0)
-    est = mean * vol_total
-    se = vol_total * math.sqrt(var / samples)
-    return est, se
 
 
 # --- serialization ---------------------------------------------------------

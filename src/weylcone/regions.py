@@ -241,16 +241,19 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
     hull of the vectors S h: one `polyhedra.min_norm_squared`, worked in
     integers by scaling x, S P_r and G^-1 (`PsiSystem.kernels`).  Kernels
     dominated by one with the same span and a wider interval are skipped.
+    The least term is kept as an integer pair (numerator, denominator *
+    denom), compared by cross-multiplying; one `Fraction` is built at the end.
     """
     (xi,), den = integer_rows([vec(x)])
-    terms = (
-        polyhedra.min_norm_squared([[sum(map(mul, row, xi)) for row in m] for m in maps], metric) / denom
-        for maps, metric, denom in psi.kernels[1]
-    )
-    best = min(terms, default=None)
+    best = None
+    for maps, metric, denom in psi.kernels[1]:
+        term = polyhedra.min_norm_squared([[sum(map(mul, row, xi)) for row in m] for m in maps], metric)
+        num, div = term.numerator, term.denominator * denom
+        if best is None or num * best[1] < best[0] * div:
+            best = num, div
     if best is None:
         raise AssertionError("no admissible kernel exists; datum has no proper parabolic")
-    return best / (den * den)
+    return Fraction(best[0], best[1] * den * den)
 
 
 @dataclass(frozen=True)
@@ -280,9 +283,27 @@ def _canonical_form(form: Vec) -> Vec:
     return scale(Fraction(1) / lead, form)
 
 
-def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec]) -> bool:
-    """Whether span(basis) contains a nonzero nonnegative root combination."""
-    n, k = datum.rank, len(basis)  # k free span coefficients, then n roots s >= 0 summing to 1
+def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec], root_coords: Mat) -> bool:
+    """Whether span(basis) contains a nonzero nonnegative root combination.
+
+    The simple roots form a basis, so three sizes k of the basis need no LP.
+    k = n: always.  k = 1, basis (mu): iff the coordinates root_coords . mu of
+    mu in the simple-root basis (root_coords is the inverse of the transposed
+    simple roots) are all >= 0 or all <= 0.  k = n - 1, span = the
+    annihilator of nu: iff the values nu.alpha_i include a 0 or both signs
+    (Gordan 1873, one row).  Any other k solves one exact feasibility LP.
+    """
+    n, k = datum.rank, len(basis)
+    if k == n:
+        return True
+    if k == 1:
+        coords = mat_vec(root_coords, basis[0])
+        return all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
+    if k == n - 1:
+        (nu,) = nullspace(basis, n)
+        values = [dot(nu, a) for a in datum.simple_roots]
+        return min(values) <= 0 <= max(values)
+    # k free span coefficients, then n roots s >= 0 summing to 1
     a_eq = [[b[i] for b in basis] + [-a[i] for a in datum.simple_roots] for i in range(n)]
     a_eq.append([Fraction(0)] * k + [Fraction(1)] * n)
     return lp.feasible_point(k + n, a_eq=a_eq, b_eq=[Fraction(0)] * n + [Fraction(1)], nonneg=n) is not None
@@ -294,8 +315,10 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     For every admissible (p, q, span) class the zero set of its distance term
     lies inside each wall {mu = 0}, mu in span ∩ (Levi-q annihilator); when
     that intersection contains a signed nonnegative root combination the zero
-    set misses the open dominant cone entirely and no wall is needed.  Every
-    surviving cell carries an interior witness with d > 0 (validated): the
+    set misses the open dominant cone entirely and no wall is needed.  That
+    test (`_meets_signed_root_cone`) is closed-form for a basis of 1, n - 1 or
+    n forms, so ranks 2 and 3 solve no wall LP; other sizes solve one LP each.
+    Every surviving cell carries an interior witness with d > 0 (validated): the
     point of the cell's own strict-interior LP (`_cell_point`) on the
     dominant-cone rows and then its signed wall rows, one per leaf, since
     `_cells` yields no points.  The walls come from the bases of every
@@ -306,7 +329,10 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
         raise ValueError("epsilon must be positive")
     datum = psi.datum
     n = datum.rank
-    walls = {_canonical_form(mu) for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b) for mu in b}
+    root_coords = invert(transpose(datum.simple_roots))
+    walls = {
+        _canonical_form(mu) for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b, root_coords) for mu in b
+    }
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cells = []
@@ -357,16 +383,6 @@ def cone_of(family: ConeFamily, x) -> int | None:
         if all(s * dot(h, xv) > 0 for s, h in zip(cell.signs, family.hyperplanes)):
             return i
     return None
-
-
-def in_c_epsilon(family: ConeFamily, x) -> bool:
-    if family.epsilon is None:
-        raise ValueError("cone family carries no epsilon")
-    idx = cone_of(family, x)
-    if idx is None:
-        return False
-    xv = vec(x)
-    return d_value_squared(xv, family.psi) > family.epsilon**2 * family.datum.norm2(xv)
 
 
 # ---------------------------------------------------------------------------
@@ -825,7 +841,7 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
         cert.append((f, Fraction(0)))
     cert.sort(key=lambda fc: (fc[0], fc[1]))
     pi0 = desc.pi_zero
-    basis_idx = independent_subset(pi0, n)
+    basis_idx = independent_subset(pi0)
     pi0_basis = [pi0[i] for i in basis_idx]
     # variables: free span coefficients (nb), then the multipliers >= 0
     nb = len(pi0_basis)
@@ -995,7 +1011,7 @@ def _vertex_atlas(system: ParametricSystem, h: HPolyhedron, tv: Vec, sv: Vec) ->
     for v in polyhedra.vertices(h).vertices:
         tight = polyhedra.tight_set(h, v)
         order = sorted(tight)
-        chosen_local = independent_subset([h.normals[i] for i in order], h.dim)
+        chosen_local = independent_subset([h.normals[i] for i in order])
         solve_rows = tuple(order[i] for i in chosen_local)
         if len(solve_rows) != h.dim:
             raise AssertionError("tight rows of a vertex do not span")
@@ -1118,7 +1134,7 @@ def refine(
                 f"weight {_text(lam)} vanishes on the kernel slice but is outside the subset"
                 + _where(desc, tv, sv)
             )
-    idx = independent_subset(p1_rows, dim_y)
+    idx = independent_subset(p1_rows)
     basis_b = tuple(p1[i] for i in idx)
     m = len(basis_b)
     b_rows = _quotient_rows(basis, basis_b)

@@ -1,0 +1,58 @@
+"""Polytope references that the program itself never calls.
+
+`support_value` is the support function max_p direction.p over a vertex list,
+and `mc_integrate_exp` is a Monte Carlo estimate of the integral of e^{mu}
+over a polytope, a second-tier oracle for `polyhedra.integrate_exp_oracle`:
+it samples simplices of `polyhedra.triangulate` by volume and points in each
+by uniform barycentric coordinates, so it shares no divided differences with
+the formula it checks.
+"""
+
+import math
+from fractions import Fraction
+from itertools import accumulate
+from typing import Sequence
+
+from weylcone.linalg import dot
+from weylcone.polyhedra import VPolytope, _simplex_det, triangulate
+
+
+def support_value(v: VPolytope, direction: Sequence[Fraction]) -> Fraction:
+    if not v.vertices:
+        raise ValueError("empty polytope has no support function")
+    return max(dot(direction, p) for p in v.vertices)
+
+
+def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[float, float]:
+    """Monte Carlo ∫ e^{mu} dv: (estimate, standard error)."""
+    simplices = triangulate(poly)
+    if not simplices:
+        return 0.0, 0.0
+    d = poly.dim
+    fact = math.factorial(d)
+    vols = [float(_simplex_det(s)) / fact for s in simplices]
+    vol_total = sum(vols)
+    mu_f = [float(c) for c in mu]
+    acc = 0.0
+    acc2 = 0.0
+    cum = list(accumulate(vols))
+    for _ in range(samples):
+        r = rng.random() * vol_total
+        idx = next((i for i, c in enumerate(cum) if c >= r), len(cum) - 1)
+        simplex = simplices[idx]
+        # uniform barycentric coordinates via exponential spacings
+        es = [-math.log(rng.random()) for _ in range(d + 1)]
+        tot = sum(es)
+        bary = [e / tot for e in es]
+        pt = [0.0] * d
+        for b, p in zip(bary, simplex):
+            for c in range(d):
+                pt[c] += b * float(p[c])
+        val = math.exp(sum(c * x for c, x in zip(mu_f, pt)))
+        acc += val
+        acc2 += val * val
+    mean = acc / samples
+    var = max(acc2 / samples - mean * mean, 0.0)
+    est = mean * vol_total
+    se = vol_total * math.sqrt(var / samples)
+    return est, se

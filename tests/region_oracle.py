@@ -5,10 +5,17 @@ lhs(X) REL b_coeff*B(T) + t_form(T) + ts_form(T+S), with X = sum_i y_i basis_i,
 and sums it out row by row in `Fraction`: the normal is (lhs . basis_i)_i,
 negated for 'le', and the offset is -rhs for 'ge' and rhs for 'le'.  It calls
 nothing in weylcone, so it shares no code with the compiled parameter rows.
+
+`meets_signed_root_cone_lp` is the wall test of `regions.pi_cones` as one
+exact feasibility LP for every size of basis: the reference of the closed
+forms that `regions._meets_signed_root_cone` uses at k = 1, n - 1 and n.
+`in_c_epsilon` is membership in the shrunken cones of an epsilon cone family,
+read straight from the definition.
 """
 
 from fractions import Fraction
 
+from weylcone import lp
 from weylcone import regions as RG
 
 
@@ -46,3 +53,22 @@ def region_systems(ctx, descs, t, s):
             for j, ref in enumerate(RG.refine(ctx, d, d.pi_zero, t, s)):
                 out.append((f"refinement {i}.{j}", RG.refinement_inequalities(ctx, ref)))
     return out
+
+
+def meets_signed_root_cone_lp(datum, basis):
+    """Whether span(basis) contains a nonzero nonnegative root combination: is
+    there a point with sum_j c_j basis_j = sum_i s_i alpha_i, s >= 0, sum(s) = 1?"""
+    n, k = datum.rank, len(basis)  # k free span coefficients, then n roots s >= 0 summing to 1
+    a_eq = [[b[i] for b in basis] + [-a[i] for a in datum.simple_roots] for i in range(n)]
+    a_eq.append([Fraction(0)] * k + [Fraction(1)] * n)
+    return lp.feasible_point(k + n, a_eq=a_eq, b_eq=[Fraction(0)] * n + [Fraction(1)], nonneg=n) is not None
+
+
+def in_c_epsilon(family, x) -> bool:
+    """Whether x lies in an open cell of the family with d(x)^2 > epsilon^2 |x|^2."""
+    if family.epsilon is None:
+        raise ValueError("cone family carries no epsilon")
+    if RG.cone_of(family, x) is None:
+        return False
+    xv = tuple(Fraction(c) for c in x)
+    return RG.d_value_squared(xv, family.psi) > family.epsilon**2 * family.datum.norm2(xv)

@@ -17,7 +17,7 @@ from scipy.spatial import ConvexHull, HalfspaceIntersection
 from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import det, dot, invert, mat_vec, rref
+from weylcone.linalg import det, dot, invert, mat_vec, rref, transpose
 from weylcone.rootspace import build_root_datum, parabolic, weights_of
 
 import distance_oracle
@@ -403,3 +403,22 @@ def test_d_value_matches_the_face_oracle_at_many_points():
             assert RG.d_value_squared(x, psi) == distance_oracle.d_value_squared(x, psi), (family, x)
             points += 1
     print(f"\nd^2 vs the face oracle: {points} regular dominant points over {len(D2_FAMILIES)} families")
+
+
+# --- the wall test of pi_cones against its LP form at rank 4 -----------------
+
+
+def test_wall_test_matches_the_lp_oracle_at_rank_four():
+    """`_meets_signed_root_cone` (closed form at k = 1, 3 and 4, an LP at k = 2)
+    against one feasibility LP on every kernel basis of every rank-4 family."""
+    bases = 0
+    for ctype in "ABCD":
+        datum = build_root_datum(ctype, 4)
+        coords = invert(transpose(datum.simple_roots))
+        for rep in ("standard", "adjoint", "sym2"):
+            psi = RG.psi_pi(datum, weights_of(datum, rep))
+            for b in psi.kernels[0]:
+                got = RG._meets_signed_root_cone(datum, b, coords)
+                assert got == region_oracle.meets_signed_root_cone_lp(datum, b), (ctype, rep, b)
+                bases += 1
+    print(f"\nwall test vs the LP oracle: {bases} kernel bases over 12 rank-4 families")

@@ -163,8 +163,8 @@ def test_coords_in_basis_off_span():
 
 def test_independent_subset_lex_first():
     rows = [vec([1, 1]), vec([2, 2]), vec([0, 1]), vec([1, 0])]
-    assert independent_subset(rows, 2) == (0, 2)
-    assert independent_subset([vec([0, 0])], 2) == ()
+    assert independent_subset(rows) == (0, 2)
+    assert independent_subset([vec([0, 0])]) == ()
 
 
 def test_span_key_permutation_invariant():
@@ -259,7 +259,7 @@ def test_rref_rank_nullspace_and_subset_match_the_fraction_reference(case):
         if f not in pivots
     )
     assert nullspace(rows, n) == kernel
-    assert independent_subset([vec(r) for r in rows], n) == fraction_independent_subset(rows, n)
+    assert independent_subset([vec(r) for r in rows]) == fraction_independent_subset(rows, n)
 
 
 @given(degenerate_matrices(), st.data())

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylcone import lp
@@ -322,8 +322,8 @@ def test_suggest_epsilon_certifies_witnesses(standard_psi):
     fam_e = RG.with_epsilon(fam, eps)
     assert fam_e.epsilon == eps
     for cell in fam_e.cones:
-        assert RG.in_c_epsilon(fam_e, cell.witness)
-    assert not RG.in_c_epsilon(fam_e, (F(1), F(1)))
+        assert region_oracle.in_c_epsilon(fam_e, cell.witness)
+    assert not region_oracle.in_c_epsilon(fam_e, (F(1), F(1)))
 
 
 # Cell witnesses come from interior_point, so they depend on the exact pivot
@@ -395,7 +395,78 @@ def test_pi_cones_checks_epsilon_before_any_work(monkeypatch):
 def test_in_c_epsilon_requires_epsilon(adjoint_psi):
     fam = RG.pi_cones(adjoint_psi)
     with pytest.raises(ValueError):
-        RG.in_c_epsilon(fam, (F(1), F(1)))
+        region_oracle.in_c_epsilon(fam, (F(1), F(1)))
+
+
+def _root_coords(datum):
+    return invert(transpose(datum.simple_roots))
+
+
+@pytest.mark.parametrize(
+    "family", [f"{t}{r}/{rep}" for r in (2, 3) for t in "ABCD" for rep in ("standard", "adjoint", "sym2")]
+)
+def test_wall_test_matches_the_lp_oracle(family):
+    """The closed-form wall test against one feasibility LP on every kernel basis."""
+    psi = _family_psi(family)
+    datum = psi.datum
+    coords = _root_coords(datum)
+    bases = psi.kernels[0]
+    assert {len(b) for b in bases} == set(range(1, datum.rank + 1))
+    for b in bases:
+        assert RG._meets_signed_root_cone(datum, b, coords) == region_oracle.meets_signed_root_cone_lp(datum, b), b
+
+
+@st.composite
+def root_cone_bases(draw, n):
+    """(datum, basis, separated): k = 1..n independent forms at rank n.  A
+    separated basis lies in the annihilator of some nu with nu.alpha_i > 0 for
+    every simple root, so its span misses the signed root cone; by the
+    alternative theorem every span that misses it lies in such an annihilator.
+    The other bases mix random integer forms and signed nonnegative
+    combinations of the simple roots."""
+    datum = build_root_datum(draw(st.sampled_from("ABCD")), n)
+    roots = datum.simple_roots
+    separated = draw(st.booleans())
+    k = draw(st.integers(1, n - 1 if separated else n))
+    ints = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    if separated:
+        nu = mat_vec(invert(roots), draw(st.lists(st.integers(1, 4), min_size=n, max_size=n)))  # nu.alpha_i >= 1
+    rows = []
+    for _ in range(k):
+        if separated:
+            r = vec(draw(ints))
+            rows.append(add(scale(dot(nu, nu), r), scale(-dot(r, nu), nu)))
+        elif draw(st.booleans()):
+            c = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+            rows.append(scale(draw(st.sampled_from((1, -1))), mat_vec(transpose(roots), c)))
+        else:
+            rows.append(vec(draw(ints)))
+    assume(len(_echelon(rows)) == k)
+    return datum, tuple(rows), separated
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@given(data=st.data())
+def test_wall_test_matches_the_lp_oracle_on_random_bases(n, data):
+    datum, basis, separated = data.draw(root_cone_bases(n))
+    got = RG._meets_signed_root_cone(datum, basis, _root_coords(datum))
+    assert got == region_oracle.meets_signed_root_cone_lp(datum, basis)
+    assert not (separated and got)
+
+
+@pytest.mark.parametrize("family", ["A2/standard", "A3/standard"])
+def test_pi_cones_solves_no_wall_lp_below_rank_four(family, monkeypatch):
+    psi = _family_psi(family)
+    psi.kernels  # built before counting
+    calls, real = [], RG.lp.feasible_point
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(RG.lp, "feasible_point", counting)
+    assert RG.pi_cones(psi).hyperplanes
+    assert calls == []
 
 
 # --- nested hulls -----------------------------------------------------------
