@@ -150,12 +150,13 @@ def chamber_of(cd: ChamberData, x: Sequence) -> ChamberAssignment:
 
     The flag is set when every sigma is decided strictly (no vertex candidate
     sits exactly on a non-defining constraint), i.e. x is off every wall, so no
-    perturbation of x can strictly enlarge the member set.
+    perturbation of x can strictly enlarge the member set.  The normals span,
+    so a nonempty P(x) has a vertex s_sigma(x): it is empty iff Sigma_x is.
     """
     xv = vec(x)
     pp = cd.pp
-    if polyhedra.feasible_point(pp.instance(xv)) is None:
-        raise ValueError("outside C: P(x) is empty")
+    if len(xv) != pp.n_constraints:
+        raise ValueError(f"x has length {len(xv)}, expected one entry per constraint ({pp.n_constraints})")
     members = set()
     decided = True
     for sigma, data in cd.sigmas.items():
@@ -166,6 +167,8 @@ def chamber_of(cd: ChamberData, x: Sequence) -> ChamberAssignment:
         members.add(sigma)
         if not all(s > 0 for s in slacks):
             decided = False  # vertex candidate sits exactly on a wall
+    if not members:
+        raise ValueError("outside C: P(x) is empty")
     return ChamberAssignment(frozenset(members), decided)
 
 
@@ -175,12 +178,7 @@ def same_chamber(cd: ChamberData, x: Sequence, y: Sequence) -> bool:
     P(y)."""
     xv, yv = vec(x), vec(y)
     pp = cd.pp
-    assignment = chamber_of(cd, xv)
-    extremes = {}
-    for sigma in assignment.members:
-        v = vertex_map(cd.sigmas[sigma], xv)
-        extremes[v] = None
-    for v in extremes:
+    for v in dict.fromkeys(vertex_map(cd.sigmas[sigma], xv) for sigma in chamber_of(cd, xv).members):
         tight = [i for i in range(pp.n_constraints) if dot(pp.normals[i], v) + xv[i] == 0]
         rows = [pp.normals[i] for i in tight]
         if rank(rows, pp.dim) < pp.dim:

@@ -145,14 +145,20 @@ def recession_direction(h: HPolyhedron) -> Vec | None:
 def vertices(h: HPolyhedron) -> VPolytope:
     """Exact extreme points by basis enumeration (Avis-Fukuda 1992) on int rows.
 
-    A new `integer_solve` solution nums / den of a dim-subset of the int rows
-    (a, c) is a vertex iff a.nums + c*den >= 0 on every row.  A nonempty pointed
-    set has a vertex, so only rank < dim with no vertex runs the feasibility LP.
-    A vertex is a nonsingular dim-subset, so rank = dim is proved and only the
-    Stiemke LP decides boundedness; `recession_direction` runs only to raise.
+    Of the rows (a, c) along one primitive normal a/gcd(a) only the tightest,
+    the least c/gcd(a), is kept: it implies the others, as zero normals hold.
+    A new `integer_solve` solution nums / den of a dim-subset of the kept rows
+    is a vertex iff a.nums + c*den >= 0 on each.  A nonempty pointed set has a
+    vertex, so only rank < dim with no vertex runs the feasibility LP.  A vertex
+    is a nonsingular dim-subset, so rank = dim is proved and only the Stiemke LP
+    decides boundedness; `recession_direction` runs on the full h only to raise.
     """
-    dim = h.dim
-    rows = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
+    dim, least = h.dim, {}  # primitive normal -> least c / gcd(a)
+    for r in (integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)):
+        if g := math.gcd(*r[:dim]):
+            key, off = tuple(x // g for x in r[:dim]), Fraction(r[dim], g)
+            least[key] = min(off, least.get(key, off))
+    rows = [(*(x * c.denominator for x in a), c.numerator) for a, c in least.items()]
     seen, found = set(), []
     for subset in combinations([(*r[:dim], -r[dim]) for r in rows], dim):
         sol = integer_solve(subset, dim)
@@ -164,7 +170,7 @@ def vertices(h: HPolyhedron) -> VPolytope:
             found.append(tuple(Fraction(x, den) for x in nums))
     if not found and (seen or feasible_point(h) is None):
         return VPolytope(())
-    if not found or not _positively_dependent(h.normals):
+    if not found or not _positively_dependent([r[:dim] for r in rows]):
         raise UnboundedError(recession_direction(h))
     return VPolytope(tuple(sorted(found)))
 
@@ -226,12 +232,7 @@ def in_hull(points: Sequence[Vec], x: Sequence[Fraction]) -> bool:
 def extreme_points(points: Sequence[Vec]) -> tuple[Vec, ...]:
     """Subset of points not expressible as hulls of the others."""
     pts = sorted(set(points))
-    keep = []
-    for i, p in enumerate(pts):
-        others = pts[:i] + pts[i + 1 :]
-        if not in_hull(others, p):
-            keep.append(p)
-    return tuple(keep)
+    return tuple(p for i, p in enumerate(pts) if not in_hull(pts[:i] + pts[i + 1 :], p))
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:

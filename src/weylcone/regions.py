@@ -38,6 +38,7 @@ from .linalg import (
     add,
     coords_in_basis,
     dot,
+    identity,
     independent_subset,
     integer_rows,
     invert,
@@ -488,31 +489,27 @@ def kappa(datum: RootDatum, functionals: Sequence[Vec]) -> Fraction:
     """Squared thickening constant: |lam(X)| <= b for all lam in a subset S
     forces dist(X, ker S) < kappa * b.  Built by intersecting one kernel at a
     time; each step divides by a rational lower bound on sin^2(theta/2) for
-    the angle between the running kernel and the next hyperplane."""
+    the angle between the running kernel and the next hyperplane.  The subsets
+    are walked as a tree of prefixes, so each prefix's kernel is built once."""
     funcs = _sorted_forms(vec(f) for f in functionals)
     n = datum.rank
-    best = Fraction(2)
-    for size in range(1, n + 1):
-        for combo in combinations(funcs, size):
-            if rank(combo, n) < size:
-                continue
-            c2 = Fraction(1) / datum.form_norm2(combo[0])
-            rows = [combo[0]]
-            for lam in combo[1:]:
-                prev_kernel = nullspace(rows, n)
-                next_kernel = nullspace(list(rows) + [lam], n)
-                u0 = next(v for v in prev_kernel if dot(lam, v) != 0)
-                if next_kernel:
-                    u = sub(u0, project_onto_span(next_kernel, u0, datum.inner))
-                else:
-                    u = u0
-                dn2 = datum.form_norm2(lam)
-                sin_sq = dot(lam, u) ** 2 / (datum.norm2(u) * dn2)
-                half = _sin_half_sq_lower(sin_sq)
-                c2 = max(c2, Fraction(1) / dn2) / half
-                rows.append(lam)
-            best = max(best, c2)
-    return best
+
+    def widen(rows, kernel, c2, start) -> Fraction:  # the largest c2 over rows and their independent extensions
+        best = c2
+        for j, lam in enumerate(funcs[start:], start + 1):
+            u0 = next((v for v in kernel if dot(lam, v) != 0), None)
+            if u0 is None:
+                continue  # lam is dependent on rows, and so is every combo through both
+            grown, dn2 = rows + [lam], datum.form_norm2(lam)
+            grown_kernel = nullspace(grown, n)
+            step = Fraction(1) / dn2
+            if rows:
+                u = sub(u0, project_onto_span(grown_kernel, u0, datum.inner))
+                step = max(c2, step) / _sin_half_sq_lower(dot(lam, u) ** 2 / (datum.norm2(u) * dn2))
+            best = max(best, widen(grown, grown_kernel, step, j))
+        return best
+
+    return widen([], identity(n), Fraction(2), 0)
 
 
 def b_functional(datum: RootDatum, epsilon, kappa_sq: Fraction) -> Vec:

@@ -10,13 +10,17 @@ nothing in weylcone, so it shares no code with the compiled parameter rows.
 exact feasibility LP for every size of basis: the reference of the closed
 forms that `regions._meets_signed_root_cone` uses at k = 1, n - 1 and n.
 `in_c_epsilon` is membership in the shrunken cones of an epsilon cone family,
-read straight from the definition.
+read straight from the definition.  `kappa_oracle` is `regions.kappa` as a
+plain loop over every combination of functionals, which tests its rank and
+computes the kernel of every prefix again; `kappa` walks each prefix once.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 from weylcone import lp
 from weylcone import regions as RG
+from weylcone.linalg import dot, nullspace, project_onto_span, rank, sub
 
 
 def _dot(u, v):
@@ -72,3 +76,31 @@ def in_c_epsilon(family, x) -> bool:
         return False
     xv = tuple(Fraction(c) for c in x)
     return RG.d_value_squared(xv, family.psi) > family.epsilon**2 * family.datum.norm2(xv)
+
+
+def kappa_oracle(datum, functionals) -> Fraction:
+    """The largest squared thickening constant over every independent combo."""
+    funcs = RG._sorted_forms(tuple(Fraction(c) for c in f) for f in functionals)
+    n = datum.rank
+    best = Fraction(2)
+    for size in range(1, n + 1):
+        for combo in combinations(funcs, size):
+            if rank(combo, n) < size:
+                continue
+            c2 = Fraction(1) / datum.form_norm2(combo[0])
+            rows = [combo[0]]
+            for lam in combo[1:]:
+                prev_kernel = nullspace(rows, n)
+                next_kernel = nullspace(list(rows) + [lam], n)
+                u0 = next(v for v in prev_kernel if dot(lam, v) != 0)
+                if next_kernel:
+                    u = sub(u0, project_onto_span(next_kernel, u0, datum.inner))
+                else:
+                    u = u0
+                dn2 = datum.form_norm2(lam)
+                sin_sq = dot(lam, u) ** 2 / (datum.norm2(u) * dn2)
+                half = RG._sin_half_sq_lower(sin_sq)
+                c2 = max(c2, Fraction(1) / dn2) / half
+                rows.append(lam)
+            best = max(best, c2)
+    return best

@@ -18,7 +18,7 @@ from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
 from weylcone.linalg import det, dot, invert, mat_vec, rref, transpose
-from weylcone.rootspace import build_root_datum, parabolic, weights_of
+from weylcone.rootspace import build_root_datum, minimal_parabolic, parabolic, weights_of
 
 import distance_oracle
 import region_oracle
@@ -67,19 +67,33 @@ def _scipy_vertices(h):
     return merged
 
 
+def _with_parallel_looser_rows(rng, h):
+    """h with one to three rows parallel to its own: a row times 2 or 1/3 with
+    its offset loosened by 0-2, then `_with_duplicate_and_redundant_rows`."""
+    pairs = list(zip(h.normals, h.offsets))
+    for _ in range(rng.randint(1, 3)):
+        a, c = rng.choice(pairs)
+        k = rng.choice((F(2), F(1, 3)))
+        pairs.append((tuple(k * x for x in a), k * (c + rng.randint(0, 2))))
+    return _with_duplicate_and_redundant_rows(rng, PH.HPolyhedron.from_pairs(pairs, h.dim))
+
+
 def test_vertices_match_scipy_halfspace_intersection():
+    """Every other polytope has duplicated, parallel looser and implied rows
+    mixed in; SciPy always sees the polytope's own rows."""
     rng = random.Random(2024)
-    checked = 0
-    for k in range(2100):
-        h = _random_bounded_polytope(rng, 2 + k % 3)
-        exact = [np.array([float(x) for x in v]) for v in PH.vertices(h).vertices]
+    checked = Counter()
+    for k in range(2800):
+        h = _random_bounded_polytope(rng, 2 + k % 4)
+        mixed = _with_parallel_looser_rows(rng, h) if k // 4 % 2 else h
+        exact = [np.array([float(x) for x in v]) for v in PH.vertices(mixed).vertices]
         floats = _scipy_vertices(h)
-        assert len(exact) == len(floats), h
+        assert len(exact) == len(floats), mixed
         for v in exact:
-            assert min(np.max(np.abs(v - p)) for p in floats) <= TOL, (h, v)
-        checked += 1
-    print(f"\nvertices vs scipy HalfspaceIntersection: {checked} bounded full-dimensional polytopes, dim 2-4")
-    assert checked >= 2000
+            assert min(np.max(np.abs(v - p)) for p in floats) <= TOL, (mixed, v)
+        checked[f"dim {h.dim}{', mixed' if mixed is not h else ''}"] += 1
+    print(f"\nvertices vs scipy HalfspaceIntersection, bounded full-dimensional: {dict(sorted(checked.items()))}")
+    assert sum(checked.values()) == 2800
 
 
 # --- exact volumes against Qhull ------------------------------------------------
@@ -422,3 +436,28 @@ def test_wall_test_matches_the_lp_oracle_at_rank_four():
                 assert got == region_oracle.meets_signed_root_cone_lp(datum, b), (ctype, rep, b)
                 bases += 1
     print(f"\nwall test vs the LP oracle: {bases} kernel bases over 12 rank-4 families")
+
+
+# --- the A4 adjoint leaves tile their base region ---------------------------
+
+# The inputs of test_regions.py::test_a4_adjoint_recursion_is_pinned, and the
+# volume of the base region R for each Q.
+A4_ADJ_T = (F(119), F(119), F(102), F(68))
+A4_ADJ_S = (F(7, 9), F(7, 9), F(2, 3), F(4, 9))
+A4_ADJ_VOLUMES = {0: F(7050155, 1296), 1: F(3129581, 216)}
+
+
+def test_a4_adjoint_leaf_volumes_sum_to_the_base_region():
+    a4 = build_root_datum("A", 4)
+    fam = RG.pi_cones(RG.psi_pi(a4, weights_of(a4, "adjoint")))
+    eps = RG.suggest_epsilon(fam)
+    t, s = A4_ADJ_T, A4_ADJ_S
+    for outside, want in A4_ADJ_VOLUMES.items():
+        q = parabolic(a4, frozenset({outside}))
+        ctx = RG.make_context(a4, minimal_parabolic(a4), q, fam.psi, eps, family=fam)
+        descs = RG.decompose(ctx, t, s)
+        leaves = [RG.instantiate(RG.region_inequalities(ctx.psi, d), ctx.basis, ctx.b_form, t, s) for d in descs]
+        total = sum(PH.volume(PH.vertices(h)) for h in leaves)
+        base = RG.instantiate(RG.base_inequalities(ctx.psi, ctx.p, ctx.q), ctx.basis, ctx.b_form, t, s)
+        assert total == PH.volume(PH.vertices(base)) == want, (outside, total)
+        print(f"\nA4 adjoint P0 <= Q{{{outside}}}: {len(descs)} leaves, volumes sum to {total}")

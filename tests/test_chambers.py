@@ -92,6 +92,36 @@ def test_chamber_of_interval():
         CH.chamber_of(cd, (F(-2), F(1)))  # empty instance
 
 
+def test_chamber_of_is_empty_exactly_when_the_feasibility_lp_is():
+    # no LP in chamber_of: a nonempty P(x) is pointed, so some s_sigma(x) is its vertex
+    rng = random.Random(23)
+    kinds = set()
+    for _ in range(100):
+        d = rng.choice([1, 2, 3])
+        normals = [[rng.randrange(-2, 3) for _ in range(d)] for _ in range(rng.randrange(d, d + 4))]
+        try:
+            pp = CH.ParametricPolyhedron.make([a for a in normals if any(a)], d)
+        except ValueError:
+            continue
+        cd = chamber_data(pp)
+        x = tuple(F(rng.randrange(-4, 5), rng.randrange(1, 3)) for _ in range(pp.n_constraints))
+        empty = PH.feasible_point(pp.instance(x)) is None
+        kinds.add((empty, CH.is_bounded(pp)))
+        if empty:
+            with pytest.raises(ValueError, match="P\\(x\\) is empty"):
+                CH.chamber_of(cd, x)
+        else:
+            assert CH.chamber_of(cd, x).members
+    assert len(kinds) == 4  # empty and nonempty, bounded and unbounded
+
+
+def test_chamber_of_rejects_x_of_wrong_length():
+    cd = chamber_data(SQUARE)
+    for x in ((F(1),) * 3, (F(1),) * 5):
+        with pytest.raises(ValueError, match="one entry per constraint"):
+            CH.chamber_of(cd, x)
+
+
 def test_vertex_maps_enumerate_vertices():
     # Theorem-style check: at a maximal chamber the candidate vertices are
     # exactly the extreme points of the instance

@@ -518,15 +518,15 @@ def test_face_queries_never_build_an_hrep(monkeypatch):
 
 
 @st.composite
-def h_polyhedra(draw):
-    """H-polyhedra in dim 0-4 for the vertex differential test.
+def h_polyhedra(draw, min_dim=0, max_dim=4):
+    """H-polyhedra in dim 0-4 (by default) for the vertex differential test.
 
     A uniform draw is mostly unbounded or empty, so three draws in five start
     from a box around a centre p, one in five from its lower faces only, and
     each cut a.x + c >= 0 has a.p + c >= -1/2.  Cuts that leave out the last
     coordinate (without a box, rank-deficient normals), repeated, scaled and
     opposite rows and zero normals with c >= 0 all occur."""
-    dim = draw(st.integers(min_value=0, max_value=4))
+    dim = draw(st.integers(min_value=min_dim, max_value=max_dim))
     coef = st.fractions(min_value=-2, max_value=2, max_denominator=2)
     margin = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
     p = draw(st.tuples(*[coef] * dim))
@@ -555,6 +555,23 @@ def h_polyhedra(draw):
     return PH.HPolyhedron.from_pairs(draw(st.permutations(pairs)), dim)
 
 
+@st.composite
+def parallel_h_polyhedra(draw):
+    """`h_polyhedra` in dim 1-5 with more rows along the normals it has: positive
+    multiples of its rows with looser, equal or tighter offsets, and zero normals."""
+    h = draw(h_polyhedra(min_dim=1, max_dim=5))
+    pairs = list(zip(h.normals, h.offsets))
+    along = [(a, c) for a, c in pairs if any(a)]
+    for _ in range(draw(st.integers(min_value=1, max_value=4)) if along else 0):
+        a, c = draw(st.sampled_from(along))
+        k = draw(st.sampled_from([F(1), F(2), F(1, 3)]))
+        shift = draw(st.sampled_from([F(-1), F(-1, 2), F(0), F(0), F(1, 2), F(1)]))  # tighter, equal, looser
+        pairs.append((tuple(k * x for x in a), k * (c + shift)))
+    for c in draw(st.lists(st.sampled_from([F(0), F(1)]), max_size=2)):
+        pairs.append(((F(0),) * h.dim, c))
+    return PH.HPolyhedron.from_pairs(draw(st.permutations(pairs)), h.dim)
+
+
 def _vertices_or_direction(f, h):
     try:
         return "vertices", f(h).vertices
@@ -566,6 +583,30 @@ def _vertices_or_direction(f, h):
 @given(h_polyhedra())
 def test_vertices_match_the_fraction_reference(h):
     assert _vertices_or_direction(PH.vertices, h) == _vertices_or_direction(vertex_oracle.vertices, h)
+
+
+@settings(max_examples=150)
+@given(parallel_h_polyhedra())
+def test_vertices_on_parallel_rows_match_the_fraction_reference(h):
+    assert _vertices_or_direction(PH.vertices, h) == _vertices_or_direction(vertex_oracle.vertices, h)
+
+
+def test_vertices_solve_only_subsets_of_distinct_normal_directions(monkeypatch):
+    real, calls = PH.integer_solve, []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(PH, "integer_solve", counting)
+    for h, k in ((cube_h(3), 6), (simplex_h(4), 5)):
+        pairs = [(tuple(m * x for x in a), m * c + shift) for a, c in zip(h.normals, h.offsets)
+                 for m, shift in ((F(1), F(0)), (F(2), F(3)), (F(1, 3), F(1)))]  # (a, c) itself is the tightest
+        tripled = PH.HPolyhedron.from_pairs(random.Random(k).sample(pairs, len(pairs)), h.dim)
+        want = PH.vertices(h)
+        calls.clear()
+        assert PH.vertices(tripled) == want
+        assert len(calls) <= math.comb(k, h.dim)
 
 
 VERTEX_CASES = {

@@ -514,6 +514,18 @@ def test_kappa_at_least_two():
     assert RG.kappa(b3, b3.simple_roots) >= 2
 
 
+@pytest.mark.parametrize(
+    "kind,rank,rep",
+    [(t, r, rep) for t in "ABCD" for r in (2, 3, 4) for rep in ("standard", "adjoint") if r < 4 or rep == "standard"],
+)
+def test_kappa_matches_the_combination_loop(kind, rank, rep):
+    datum = build_root_datum(kind, rank)
+    psi = RG.psi_pi(datum, weights_of(datum, rep))
+    for p in (minimal_parabolic(datum), parabolic(datum, frozenset({0}))):
+        funcs = RG.psi_at(psi, p)
+        assert RG.kappa(datum, funcs) == region_oracle.kappa_oracle(datum, funcs)
+
+
 def test_b_functional_frozen(ctx):
     assert ctx.kappa_sq == 2
     assert ctx.b_form == (F(1, 8), F(-1, 16))
