@@ -88,18 +88,26 @@ def _parse_levi(datum: rootspace.RootDatum, text: str) -> rootspace.ParabolicSub
     return rootspace.parabolic_from_levi(datum, frozenset(levi))
 
 
-def _rep_spec(text: str):
+def _rep_spec(text: str, rank: int):
     if text in {"adjoint", "standard", "trivial"}:
         return text
     if not text.startswith("sym"):
-        return _parse_vec(text)
+        highest = _parse_vec(text)
+        if len(highest) != rank:
+            raise ArgumentDataError(f"highest weight {text!r} has length {len(highest)}, the rank is {rank}")
+        if any(c < 0 or c.denominator != 1 for c in highest):
+            raise ArgumentDataError(f"highest weight {text!r} must have nonnegative integer coordinates")
+        return highest
     if not (text[3:].isascii() and text[3:].isdigit()):
         raise ArgumentDataError(f"bad representation {text!r}: K in symK must be a nonnegative integer")
     return text
 
 
 def _datum(args) -> rootspace.RootDatum:
-    return rootspace.build_root_datum(args.ctype, args.rank)
+    try:  # --type is already one of ABCD, so only a rank below the type's minimum lands here
+        return rootspace.build_root_datum(args.ctype, args.rank)
+    except ValueError as exc:
+        raise ArgumentDataError(str(exc)) from exc
 
 
 def _emit(obj) -> None:
@@ -117,7 +125,7 @@ def _form(v) -> list[str]:
 
 def _cmd_rootdatum(args) -> int:
     datum = _datum(args)
-    weights = rootspace.weights_of(datum, _rep_spec(args.rep)) if args.rep else None
+    weights = rootspace.weights_of(datum, _rep_spec(args.rep, datum.rank)) if args.rep else None
     _emit(json.loads(rootspace.datum_to_json(datum, weights)))
     return 0
 
@@ -174,7 +182,7 @@ def _cmd_bv(args) -> int:
 
 def _cmd_cones(args) -> int:
     datum = _datum(args)
-    psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep)))
+    psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep, datum.rank)))
     eps = _parse_eps(args.eps) if args.eps else None
     family = regions.pi_cones(psi, eps)
     _emit(
@@ -204,7 +212,7 @@ def _regions_context(args):
         raise ArgumentDataError(f"--jobs must be at least 1, got {args.jobs}")
     large = _parse_largeness(args.largeness) if args.largeness else None
     datum = _datum(args)
-    psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep)))
+    psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep, datum.rank)))
     p = _parse_levi(datum, args.P)
     q = _parse_levi(datum, args.Q)
     t, s = _rank_vec(args.T, "T", datum.rank), _rank_vec(args.S, "S", datum.rank)
@@ -213,7 +221,7 @@ def _regions_context(args):
 
 def _cmd_regions_decompose(args) -> int:
     ctx, t, s = _regions_context(args)
-    descs = regions.decompose(ctx, t, s, jobs=args.jobs)
+    descs = regions.decompose(ctx, t, s)
     _emit(regions.decomposition_to_json(ctx, descs))
     return 0
 
@@ -223,7 +231,7 @@ def _pick_region(ctx, t, s, args):
         indices = [int(part) for part in args.pi_one.split(",") if part.strip()]
     except ValueError as exc:
         raise ArgumentDataError(f"bad weight index list {args.pi_one!r}: {exc}") from exc
-    descs = regions.decompose(ctx, t, s, jobs=args.jobs)
+    descs = regions.decompose(ctx, t, s)
     if not 0 <= args.region_index < len(descs):
         raise ArgumentDataError(
             f"region index {args.region_index} out of range (0..{len(descs) - 1})"
@@ -333,7 +341,7 @@ def _add_regions_args(sp) -> None:
     sp.add_argument("--T", required=True, help="rational vector")
     sp.add_argument("--S", required=True, help="rational vector")
     sp.add_argument("--largeness", default=None, help="override squared largeness bound")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="accepted (at least 1) and ignored; the run is serial")
 
 
 def build_parser() -> argparse.ArgumentParser:

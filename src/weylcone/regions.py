@@ -21,7 +21,6 @@ deterministic.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -353,16 +352,16 @@ def with_epsilon(family: ConeFamily, epsilon) -> ConeFamily:
     return ConeFamily(family.datum, family.psi, family.hyperplanes, family.cones, e)
 
 
-def _sqrt_lower(x: Fraction, scale_bits: int = 32) -> Fraction:
-    m = 1 << scale_bits
+def _sqrt_lower(x: Fraction) -> Fraction:
+    m = 1 << 32  # rounded to a multiple of 2^-32
     return Fraction(isqrt((x.numerator * m * m) // x.denominator), m)
 
 
-def _sqrt_upper(x: Fraction, scale_bits: int = 32) -> Fraction:
+def _sqrt_upper(x: Fraction) -> Fraction:
     rn, rd = isqrt(x.numerator), isqrt(x.denominator)
     if rn * rn == x.numerator and rd * rd == x.denominator:
         return Fraction(rn, rd)
-    m = 1 << scale_bits
+    m = 1 << 32  # rounded to a multiple of 2^-32
     return Fraction(isqrt((x.numerator * m * m) // x.denominator) + 1, m)
 
 
@@ -771,9 +770,9 @@ def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level
     return dict(a_strict=rows, b_strict=rhs + [-s * level for s in signs])
 
 
-def _cell_point(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level=Fraction(0)):
-    """The strict-interior LP point of the cell `signs` of `_cells`, or None if it is empty."""
-    return lp.interior_point(h.dim, **_cell_rows(h, forms, signs, level))
+def _cell_point(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int]):
+    """The strict-interior LP point of the cell `signs` of `_cells` at level 0, or None if it is empty."""
+    return lp.interior_point(h.dim, **_cell_rows(h, forms, signs))
 
 
 def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
@@ -798,11 +797,6 @@ def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
 
     if forms or lp.strictly_feasible(h.dim, **_cell_rows(h, forms, (), level)):
         yield from rec(())
-
-
-def _sign_cells(base_h: HPolyhedron, forms_y: Sequence[Vec]):
-    """Sign vectors of the forms' open cells inside the region (the work units of `decompose`)."""
-    return [s for s, _ in _cells(base_h, forms_y)]
 
 
 def _kernel_meets(region_h: HPolyhedron, forms_y: Sequence[Vec]) -> bool:
@@ -870,9 +864,10 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
     return delta / dmax
 
 
-def _descriptors_for_cell(args) -> list[RegionDescriptor]:
-    """All recursion leaves inside one sign cell (a picklable work unit)."""
-    ctx, tv, sv, base_h, signs = args
+def _descriptors_for_cell(
+    ctx: DecompositionContext, tv: Vec, sv: Vec, base_h: HPolyhedron, signs: Sequence[int]
+) -> list[RegionDescriptor]:
+    """All recursion leaves inside one sign cell."""
     basis = ctx.basis
     psi = ctx.psi
     pi = ctx.pi
@@ -928,10 +923,9 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
     """Split the nested-hull region into threshold polytopes (the index set).
 
     Every leaf's kernel of unconsumed weights meets the leaf region; the
-    interiors partition the region.  Inputs must be well-situated.  With
-    jobs > 1 the sign cells are processed in parallel by at most
-    min(jobs, cells, cpu count) workers; the result order is canonical either
-    way.
+    interiors partition the region.  Inputs must be well-situated.  The sign
+    cells are decomposed serially and the result order is canonical; `jobs`
+    is accepted and ignored.
     """
     report = well_situated_report(ctx, t, s)
     if not report.ok:
@@ -944,16 +938,7 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
         base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv
     )
     pi_y = _quotient_rows(basis, ctx.pi)
-    work = [(ctx, tv, sv, base_h, signs) for signs in _sign_cells(base_h, pi_y)]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_descriptors_for_cell, work))
-    else:
-        chunks = [_descriptors_for_cell(w) for w in work]
-    out = [d for chunk in chunks for d in chunk]
+    out = [d for signs, _ in _cells(base_h, pi_y) for d in _descriptors_for_cell(ctx, tv, sv, base_h, signs)]
     out.sort(key=lambda d: (d.pi_plus, d.lambdas))
     return tuple(out)
 

@@ -275,6 +275,27 @@ def test_jobs_below_one_is_argument_error(capsys, monkeypatch, jobs):
     assert json.loads(out)["error"] == {"kind": "argument", "message": f"--jobs must be at least 1, got {jobs}"}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--rank", "0"], "type A requires rank >= 1, got 0"),
+        (["--type", "D", "--rank", "1"], "type D requires rank >= 2, got 1"),
+        (["--rep", "1,2,3"], "highest weight '1,2,3' has length 3, the rank is 2"),
+        (["--rep", "1/2,0"], "highest weight '1/2,0' must have nonnegative integer coordinates"),
+        (["--rep", "0,-1"], "highest weight '0,-1' must have nonnegative integer coordinates"),
+    ],
+    ids=["A-rank-0", "D-rank-1", "long-weight", "fractional-weight", "negative-weight"],
+)
+def test_bad_datum_or_highest_weight_is_argument_error(capsys, monkeypatch, argv, message):
+    def no_weights(*args, **kwargs):
+        raise AssertionError("a bad datum or highest weight must be rejected before any weight is built")
+
+    monkeypatch.setattr(cli.rootspace, "weights_of", no_weights)
+    code, out = run(["rootdatum", "--type", "A", "--rank", "2", *argv], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": message}
+
+
 def test_regions_decompose(capsys):
     code, out = run(DECOMPOSE_ARGS, capsys)
     assert code == 0

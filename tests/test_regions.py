@@ -665,38 +665,6 @@ def test_decompose_deterministic_and_parallel(ctx, descs):
     assert RG.decompose(ctx, T, S, jobs=2) == descs
 
 
-def test_decompose_worker_count_is_bounded(ctx, descs, monkeypatch):
-    import concurrent.futures
-
-    started = []
-
-    class FakePool:  # records the pool size and maps serially; starts no process
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, work):
-            return map(fn, work)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    monkeypatch.setattr(RG.os, "cpu_count", lambda: 64)
-    # the fixture has a single sign cell, so no pool is started at all
-    assert RG.decompose(ctx, T, S, jobs=50) == descs and started == []
-    # three copies of that cell stand in for three sign cells
-    real_cells = RG._sign_cells
-    monkeypatch.setattr(RG, "_sign_cells", lambda h, f: list(real_cells(h, f)) * 3)
-    for jobs, cpus, expected in ((50, 64, 3), (50, 2, 2), (2, 64, 2), (50, None, None)):
-        monkeypatch.setattr(RG.os, "cpu_count", lambda: cpus)
-        started.clear()
-        assert RG.decompose(ctx, T, S, jobs=jobs) == RG.decompose(ctx, T, S)
-        assert started == ([expected] if expected else [])
-
-
 # A rank-3 region with several sign cells: P0 <= Q{2} in A3 standard.
 A3_T = (F(99), F(77), F(44))
 A3_S = (F(3, 5), F(7, 15), F(4, 15))
@@ -708,10 +676,25 @@ def a3_ctx(a3_family):
     return RG.make_context(A3, minimal_parabolic(A3), q, a3_family.psi, F(1, 40), family=a3_family)
 
 
+def test_decompose_starts_no_process_whatever_jobs(a3_ctx, monkeypatch):
+    """`jobs` is accepted and ignored: three sign cells, jobs=50, and not one process starts."""
+    import concurrent.futures
+    import multiprocessing.process
+
+    serial = RG.decompose(a3_ctx, A3_T, A3_S)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose must start no process")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert RG.decompose(a3_ctx, A3_T, A3_S, jobs=50) == serial
+
+
 def test_rank_three_decomposition_partitions_the_region(a3_ctx):
     descs = RG.decompose(a3_ctx, A3_T, A3_S)
     assert len({d.pi_plus for d in descs}) == 3 and len(descs) == 10
-    assert RG.decompose(a3_ctx, A3_T, A3_S, jobs=2) == descs  # starts the pool on two or more CPUs
+    assert RG.decompose(a3_ctx, A3_T, A3_S, jobs=2) == descs  # jobs is accepted; the run is serial
     base_h = RG.instantiate(
         RG.base_inequalities(a3_ctx.psi, a3_ctx.p, a3_ctx.q), a3_ctx.basis, a3_ctx.b_form, A3_T, A3_S
     )
