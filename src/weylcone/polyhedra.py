@@ -2,11 +2,12 @@
 
 H-representation: constraints (normal, offset) meaning normal . v + offset >= 0.
 V-representation: tuple of extreme points.  All combinatorial questions (vertex
-identity, faces) and least norms over a point hull (`min_norm_squared`, P.
-Wolfe's minimum-norm point) are decided exactly over Q; floats appear only in
-the integration oracle at the very end.  Face queries on a V-polytope go
-through `faces`, straight from its points; `face_lattice(to_hrep(v))` finds
-the vertex incidences again by itself and is kept as the independent oracle.
+identity, faces) and least norms over a point hull (`min_norm_squared`, P. Wolfe's
+minimum-norm point on the Gram matrix alone, `min_norm_gram`) are decided exactly
+over Q; floats appear only in the integration oracle at the very end.  Face
+queries on a V-polytope go through `faces`, straight from its points;
+`face_lattice(to_hrep(v))` finds the vertex incidences again by itself and is
+kept as the independent oracle.
 """
 
 from __future__ import annotations
@@ -329,40 +330,41 @@ def canonical_hrep(h: HPolyhedron) -> tuple:
 
 
 def min_norm_squared(points: Sequence[Vec], metric: Mat) -> Fraction:
-    """Least metric-norm² |x|² = x.metric.x over conv(points), exactly.
+    """Least metric-norm² |x|² = x.metric.x over conv(points), exactly: `min_norm_gram`
+    on the Gram matrix p.metric.q of the distinct points, from the one of least norm."""
+    pts = tuple(dict.fromkeys(map(tuple, points)))
+    images = [tuple(sum(map(mul, row, p)) for row in metric) for p in pts]
+    gram = [[sum(map(mul, p, image)) for image in images] for p in pts]
+    return min_norm_gram(gram, min(range(len(pts)), key=lambda i: gram[i][i]))
+
+
+def min_norm_gram(gram: Sequence[Sequence], start: int) -> Fraction:
+    """Least norm² over the hull of points given by their Gram matrix, from `start`.
 
     P. Wolfe's algorithm (Finding the nearest point in a polytope, Math.
-    Programming 11, 1976).  x starts at the point of least norm.  A major
-    cycle stops when x.x <= x.p for every point p (x is then optimal), else
-    adds the p with the least x.p to the corral.  A minor cycle moves x to
-    the affine minimum of the corral (a bordered Gram solve); if a weight is
-    not positive it steps back towards the old weights by the largest theta
-    that keeps them all >= 0 and drops the points whose weight reaches 0.
-    An added p has x.p < x.x, while every q in aff(corral) has x.q = x.x, so
-    the corral stays affinely independent and each solve is nonsingular.
-    Integer points and metric are worked in integers up to the first solve.
+    Programming 11, 1976) on inner products alone: x = sum w_i p_i is never
+    formed, as <x, p> = sum w_i <p_i, p>.  A major cycle stops when
+    <x, x> <= <x, p> for every point p (x is then optimal), else adds the p
+    with the least <x, p> to the corral.  A minor cycle moves x to the affine
+    minimum of the corral (a bordered Gram solve); if a weight is not positive
+    it steps back towards the old weights by the largest theta that keeps them
+    all >= 0 and drops the points whose weight reaches 0.  An added p has
+    <x, p> < <x, x>, while every q in aff(corral) has <x, q> = <x, x>, so the
+    corral stays affinely independent and each solve is nonsingular.  An
+    integer Gram matrix is worked in integers up to the first solve.
     """
-    pts = tuple(dict.fromkeys(map(tuple, points)))
-
-    def image(v):  # metric . v in the entries' own type (`mat_vec` makes Fractions)
-        return tuple(sum(map(mul, row, v)) for row in metric)
-
-    images = [image(p) for p in pts]
-    start = min(range(len(pts)), key=lambda i: sum(map(mul, pts[i], images[i])))
-    corral, weights = [start], [Fraction(1)]
-    x = pts[start]
+    corral, weights = [start], [1]
     while True:
-        mx = image(x)
-        xx = sum(map(mul, x, mx))
-        xp = [sum(map(mul, mx, p)) for p in pts]
-        j = min(range(len(pts)), key=xp.__getitem__)
+        xp = [sum(w * gram[i][j] for i, w in zip(corral, weights)) for j in range(len(gram))]
+        xx = sum(w * xp[i] for i, w in zip(corral, weights))
+        j = min(range(len(gram)), key=xp.__getitem__)
         if xx <= xp[j]:
             return Fraction(xx)
         corral.append(j)
         weights.append(Fraction(0))
         while True:
             m = len(corral)
-            bordered = [[sum(map(mul, pts[a], images[b])) for b in corral] + [-1] for a in corral]
+            bordered = [[gram[a][b] for b in corral] + [-1] for a in corral]
             bordered.append([1] * m + [0])
             alpha = solve(bordered, [0] * m + [1])[:m]
             if all(a > 0 for a in alpha):
@@ -372,7 +374,6 @@ def min_norm_squared(points: Sequence[Vec], metric: Mat) -> Fraction:
             mixed = [(1 - theta) * w + theta * a for w, a in zip(weights, alpha)]
             corral = [i for i, w in zip(corral, mixed) if w != 0]
             weights = [w for w in mixed if w != 0]
-        x = tuple(sum(w * pts[i][c] for i, w in zip(corral, weights)) for c in range(len(x)))
 
 
 def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:

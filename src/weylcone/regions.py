@@ -116,13 +116,13 @@ class PsiSystem:
     def kernels(self) -> tuple[tuple, tuple]:
         """(bases, terms) from one pass over the admissible kernels, built once per
         system on first use.  bases: the distinct bases of every admissible kernel
-        (`pi_cones` takes its walls from them).  terms: (maps, metric, denom) per
-        kernel (p, q, S) that no kernel with span S and a wider interval [p', q']
+        (`pi_cones` takes its walls from them).  terms: (gram, denom) per kernel
+        (p, q, S) that no kernel with span S and a wider interval [p', q']
         dominates: ker S depends only on span S and conv{P_r x} grows with the
         interval, so a dominated term is never the least.  With G = S M^-1 S^T
         (M = datum.inner) and P_r the projections to the parabolics r between p
-        and q, maps are the integer matrices c S P_r, metric is the integer g G^-1,
-        and denom = c^2 g."""
+        and q, gram holds the Gram rows (`_gram_rows`) of the distinct integer
+        matrices c S P_r in the integer metric g G^-1, and denom = c^2 g."""
         found = [(key, p, q, combo, basis) for p, q, ks in _keyed_kernels(self) for key, combo, basis in ks]
         intervals: dict[tuple, list] = {}
         for key, p, q, _, _ in found:
@@ -136,8 +136,23 @@ class PsiSystem:
             k = len(combo)
             rows, c = integer_rows([coproject(f, r) for r in parabolics_between(p, q) for f in combo])
             metric, g = integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
-            terms.append((tuple(rows[i : i + k] for i in range(0, len(rows), k)), metric, c * c * g))
+            maps = tuple(dict.fromkeys(rows[i : i + k] for i in range(0, len(rows), k)))
+            terms.append((_gram_rows(maps, metric), c * c * g))
         return tuple(dict.fromkeys(b for *_, b in found)), tuple(terms)
+
+
+def _gram_rows(maps: Sequence[Mat], metric: Mat) -> tuple:
+    """gram[r][s]: the integer coefficients of x -> (A_r x)^T metric (A_s x) over
+    the monomials x_i x_j, i <= j: B_ii and B_ij + B_ji for B = A_r^T metric A_s."""
+    cols = [tuple(zip(*a)) for a in maps]
+    images = [[[sum(map(mul, row, col)) for row in metric] for col in c] for c in cols]
+    n = len(cols[0])
+
+    def form(u, v):
+        b = [[sum(map(mul, ui, vj)) for vj in v] for ui in u]
+        return tuple(b[i][j] + b[j][i] if i < j else b[i][i] for i in range(n) for j in range(i, n))
+
+    return tuple(tuple(form(u, v) for v in images) for u in cols)
 
 
 def psi_pi(datum: RootDatum, weights: WeightSet | Iterable) -> PsiSystem:
@@ -238,16 +253,23 @@ def d_value_squared(x, psi: PsiSystem) -> Fraction:
     the projections of x across the parabolics between p and q.  With
     M = datum.inner and G = S M^-1 S^T, the squared M-distance from h to
     ker S is (Sh)^T G^-1 (Sh), so each term is the least G^-1-norm over the
-    hull of the vectors S h: one `polyhedra.min_norm_squared`, worked in
-    integers by scaling x, S P_r and G^-1 (`PsiSystem.kernels`).  Kernels
-    dominated by one with the same span and a wider interval are skipped.
-    The least term is kept as an integer pair (numerator, denominator *
-    denom), compared by cross-multiplying; one `Fraction` is built at the end.
+    hull of the vectors S h, skipping dominated kernels (`PsiSystem.kernels`).
+    A Gram entry is an integer dot of its row with the monomials x_i x_j of
+    the integer-scaled x.  A term is its nearest vertex's norm |p_s|^2 when
+    <p_s, p_r> >= |p_s|^2 for every r (Wolfe's optimality test), else
+    `polyhedra.min_norm_gram` on the whole Gram matrix.  The least term is
+    kept as an integer pair (numerator, denominator * denom), compared by
+    cross-multiplying; one `Fraction` is built at the end.
     """
     (xi,), den = integer_rows([vec(x)])
+    mono = [a * b for i, a in enumerate(xi) for b in xi[i:]]
     best = None
-    for maps, metric, denom in psi.kernels[1]:
-        term = polyhedra.min_norm_squared([[sum(map(mul, row, xi)) for row in m] for m in maps], metric)
+    for gram, denom in psi.kernels[1]:
+        norms = [sum(map(mul, row[r], mono)) for r, row in enumerate(gram)]
+        term = min(norms)
+        s = norms.index(term)
+        if any(sum(map(mul, g, mono)) < term for g in gram[s]):  # p_s is not optimal
+            term = polyhedra.min_norm_gram([[sum(map(mul, g, mono)) for g in row] for row in gram], s)
         num, div = term.numerator, term.denominator * denom
         if best is None or num * best[1] < best[0] * div:
             best = num, div

@@ -419,6 +419,31 @@ def test_d_value_matches_the_face_oracle_at_many_points():
     print(f"\nd^2 vs the face oracle: {points} regular dominant points over {len(D2_FAMILIES)} families")
 
 
+# (regular dominant, non-dominant) points per rank-4 family; the oracle takes
+# about 3-5 s per point on B4 and D4 and 8-10 s on A4
+D2_RANK4_POINTS = {"A4/standard": (1, 1), "B4/standard": (2, 2), "D4/standard": (2, 2)}
+
+
+def test_d_value_matches_the_face_oracle_at_rank_four():
+    """d^2 against `distance_oracle` on A4, B4 and D4 standard, at regular
+    dominant points and at points with a negative simple-root value."""
+    points = 0
+    for family, (dominant, other) in D2_RANK4_POINTS.items():
+        datum = build_root_datum(family[0], 4)
+        psi = RG.psi_pi(datum, weights_of(datum, "standard"))
+        roots_inv = invert(datum.simple_roots)
+        rng = random.Random(family)
+        for i in range(dominant + other):
+            # a point from its simple-root values, all positive for the first `dominant`
+            values = [F(rng.randint(1, 60), rng.choice((1, 2, 3, 4, 7))) for _ in range(4)]
+            if i >= dominant:
+                values[rng.randrange(4)] *= -1
+            x = tuple(mat_vec(roots_inv, values))
+            assert RG.d_value_squared(x, psi) == distance_oracle.d_value_squared(x, psi), (family, x)
+            points += 1
+    print(f"\nd^2 vs the face oracle at rank 4: {points} points over {len(D2_RANK4_POINTS)} families")
+
+
 # --- the wall test of pi_cones against its LP form at rank 4 -----------------
 
 

@@ -4,7 +4,9 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import random
+import types
 from fractions import Fraction as F
 
 import mpmath
@@ -23,6 +25,7 @@ from weylcone.rootspace import (
     minimal_parabolic,
     parabolic,
     parabolics_between,
+    project,
     weights_of,
 )
 
@@ -292,6 +295,79 @@ def test_d_value_equals_the_unpruned_minimum(family, values):
     assert [dot(a, x) for a in roots] == values
     unpruned = min(PH.min_norm_squared([[dot(f, x) for f in fs] for fs in hull], metric) for hull, metric in kernels)
     assert RG.d_value_squared(x, psi) == unpruned
+
+
+def _kept_kernels(psi):
+    """(p, q, combo) of every admissible kernel that no kernel with the same
+    span and a wider interval dominates, in the order of `psi.kernels[1]`."""
+    found = [(key, p, q, combo) for p, q, ks in RG._keyed_kernels(psi) for key, combo, _ in ks]
+    intervals = {}
+    for key, p, q, _ in found:
+        intervals.setdefault(key, []).append((p.outside, q.outside))
+    return [
+        (p, q, combo) for key, p, q, combo in found
+        if not any(qo <= q.outside and p.outside <= po and (po, qo) != (p.outside, q.outside)
+                   for po, qo in intervals[key])
+    ]
+
+
+def test_d_value_runs_wolfe_only_where_the_nearest_vertex_is_not_optimal(monkeypatch):
+    """At the wall points and at seeded points outside the dominant cone of
+    A2 and A3 (standard and adjoint), some terms are settled at their nearest
+    vertex and some fall back to Wolfe's algorithm.  Either way each term is
+    the face oracle's distance from its kernel to its hull, and d^2 is the
+    face oracle's d^2."""
+    calls = []
+    real = PH.min_norm_gram
+
+    def counting(gram, start):
+        calls.append(start)
+        return real(gram, start)
+
+    monkeypatch.setattr(PH, "min_norm_gram", counting)
+    terms = 0
+    for family in ["A2/standard", "A2/adjoint", "A3/standard", "A3/adjoint"]:
+        psi = _family_psi(family)
+        roots = psi.datum.simple_roots
+        rng = random.Random(family)
+        points = [tuple(map(F, w)) for w in WALL_POINTS.get(family, [])]
+        while len(points) < 4:
+            x = tuple(F(rng.randrange(-40, 41), rng.choice((1, 2, 4))) for _ in range(len(roots)))
+            if any(dot(a, x) < 0 for a in roots):
+                points.append(x)
+        for x in points:
+            assert RG.d_value_squared(x, psi) == distance_oracle.d_value_squared(x, psi), (family, x)
+            for (p, q, combo), term in zip(_kept_kernels(psi), psi.kernels[1]):
+                one = types.SimpleNamespace(kernels=((), (term,)))  # d^2 over this term alone
+                hull = PH.VPolytope(tuple(sorted({project(x, r) for r in parabolics_between(p, q)})))
+                want = distance_oracle.squared_distance(combo, hull, inner=psi.datum.inner)
+                assert RG.d_value_squared(x, one) == want, (family, x, p.outside, q.outside, combo)
+        terms += 2 * len(points) * len(psi.kernels[1])
+    assert 0 < len(calls) < terms  # the fallback ran, and so did the shortcut
+
+
+@pytest.mark.parametrize("family", ["A3/standard", "B3/adjoint", "D4/standard"])
+def test_gram_rows_give_the_metric_of_each_term(family):
+    """Evaluated at a seeded x, each term's integer Gram rows over its denom
+    and den^2 are (S P_r x)^T G^-1 (S P_s x), G = S M^-1 S^T, computed here
+    in Fractions from the kernel's combo; a repeated S P_r counts once."""
+    psi = _family_psi(family)
+    kept = _kept_kernels(psi)
+    terms = psi.kernels[1]
+    assert len(terms) == len(kept)
+    m_inv = invert(psi.datum.inner)
+    rng = random.Random(family)
+    for _ in range(3):
+        x = tuple(F(rng.randrange(-30, 31), rng.choice((1, 2, 3))) for _ in range(psi.datum.rank))
+        den = math.lcm(*(v.denominator for v in x))
+        mono = [den * a * den * b for i, a in enumerate(x) for b in x[i:]]
+        for (p, q, combo), (gram, denom) in zip(kept, terms):
+            g_inv = invert(mat_mul(mat_mul(combo, m_inv), transpose(combo)))
+            forms = dict.fromkeys(tuple(coproject(f, r) for f in combo) for r in parabolics_between(p, q))
+            hs = [[dot(f, x) for f in fs] for fs in forms]
+            want = [[dot(h, mat_vec(g_inv, k)) for k in hs] for h in hs]
+            got = [[F(sum(c * v for c, v in zip(row, mono)), denom * den * den) for row in rows] for rows in gram]
+            assert got == want, (family, p.outside, q.outside, combo, x)
 
 
 # --- cone families ----------------------------------------------------------
