@@ -12,13 +12,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath as mp
 from scipy.integrate import quad
-from scipy.special import exp1
-
-from .tfinite import Polynomial, TFiniteFunction
 
 TAIL_BOUND = 1e-14
 QUAD_TOL = 1e-12
@@ -68,21 +64,6 @@ def c_plus(tol: float = QUAD_TOL) -> float:
     return value
 
 
-def c_plus_series(tail_bound: float = 1e-16) -> float:
-    """The same constant with sum and integral swapped.
-
-    Integrating each lattice term exp(-pi e^{2x} n^2) over x in [0, inf)
-    gives E_1(pi n^2)/2 per term, hence sum_{n>=1} E_1(pi n^2) overall."""
-    total = 0.0
-    n = 1
-    while True:
-        term = float(exp1(math.pi * n * n))
-        total += term
-        if term < tail_bound:
-            return total
-        n += 1
-
-
 def c_minus(tol: float = QUAD_TOL) -> float:
     """The negative-branch constant: integral of e^x (theta(x) - 1) over [0, inf).
 
@@ -122,12 +103,6 @@ def limit_profile(branch: str) -> LimitProfile:
         report = sign_convention_report()
         return LimitProfile("minus", 1.0, c_minus(), report["orientation"])
     raise ValueError("branch must be 'plus' or 'minus'")
-
-
-def profile_plus_tfinite() -> TFiniteFunction:
-    """The positive-branch profile as a symbolic function of T."""
-    poly = Polynomial.make(1, {(1,): 1, (0,): Fraction(c_plus())})
-    return TFiniteFunction.make(1, {(0,): poly})
 
 
 def sign_convention_report(samples: tuple[float, ...] = (-2.0, -3.0, -4.0)) -> dict:

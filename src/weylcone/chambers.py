@@ -29,7 +29,6 @@ from .linalg import (
     invert,
     is_zero,
     rank,
-    solve_any,
     transpose,
     vec,
     zeros,
@@ -101,7 +100,6 @@ class SigmaData:
     """A sigma whose complementary normals form a basis.  Vertex maps and
     parameter forms are computed from the dual basis on the complement."""
 
-    sigma: frozenset[int]
     complement: tuple[int, ...]
     dual_basis: tuple[Vec, ...]  # u_{i,sigma} for i in complement order
     box_volume: Fraction
@@ -129,7 +127,7 @@ def enumerate_bases(pp: ParametricPolyhedron) -> ChamberData:
             continue
         dual = transpose(invert(rows))  # the inverse's columns are the dual basis
         sigma = frozenset(range(n)) - frozenset(comp)
-        out[sigma] = SigmaData(sigma, comp, dual, abs(Fraction(1) / det_rows))
+        out[sigma] = SigmaData(comp, dual, abs(Fraction(1) / det_rows))
     return ChamberData(pp, out)
 
 
@@ -170,28 +168,6 @@ def chamber_of(cd: ChamberData, x: Sequence) -> ChamberAssignment:
     if not members:
         raise ValueError("outside C: P(x) is empty")
     return ChamberAssignment(frozenset(members), decided)
-
-
-def same_chamber(cd: ChamberData, x: Sequence, y: Sequence) -> bool:
-    """Tight-set transport test: every extreme point of P(x), moved by solving
-    its tight subsystem at offsets y, must land on a unique point extreme in
-    P(y)."""
-    xv, yv = vec(x), vec(y)
-    pp = cd.pp
-    for v in dict.fromkeys(vertex_map(cd.sigmas[sigma], xv) for sigma in chamber_of(cd, xv).members):
-        tight = [i for i in range(pp.n_constraints) if dot(pp.normals[i], v) + xv[i] == 0]
-        rows = [pp.normals[i] for i in tight]
-        if rank(rows, pp.dim) < pp.dim:
-            return False  # transported system is not a point
-        w = solve_any(rows, [-yv[i] for i in tight], pp.dim)
-        if w is None:
-            return False
-        if not all(dot(pp.normals[i], w) + yv[i] >= 0 for i in range(pp.n_constraints)):
-            return False
-        wt = [i for i in range(pp.n_constraints) if dot(pp.normals[i], w) + yv[i] == 0]
-        if rank([pp.normals[i] for i in wt], pp.dim) < pp.dim:
-            return False
-    return True
 
 
 def is_bounded(pp: ParametricPolyhedron) -> bool:

@@ -5,9 +5,7 @@ V-representation: tuple of extreme points.  All combinatorial questions (vertex
 identity, faces) and least norms over a point hull (`min_norm_squared`, P. Wolfe's
 minimum-norm point on the Gram matrix alone, `min_norm_gram`) are decided exactly
 over Q; floats appear only in the integration oracle at the very end.  Face
-queries on a V-polytope go through `faces`, straight from its points;
-`face_lattice(to_hrep(v))` finds the vertex incidences again by itself and is
-kept as the independent oracle.
+queries on a V-polytope go through `faces`, straight from its points.
 """
 
 from __future__ import annotations
@@ -184,25 +182,6 @@ def tight_set(h: HPolyhedron, x: Sequence[Fraction]) -> frozenset[int]:
     return frozenset(i for i, (a, c) in enumerate(zip(h.normals, h.offsets)) if dot(a, x) + c == 0)
 
 
-def face_lattice(h: HPolyhedron) -> dict[frozenset[int], tuple[Vec, ...]]:
-    """All nonempty faces, keyed by their full tight-constraint set.
-
-    Faces are the closure under intersection of the facet vertex sets, so the
-    result contains the polytope itself, every facet, down to the vertices.
-    With `to_hrep` it is the independent oracle for `faces`.
-    """
-    vp = vertices(h)
-    if not vp.vertices:
-        return {}
-    vtight = {v: tight_set(h, v) for v in vp.vertices}
-    constraint_sets = [frozenset(v for v in vp.vertices if i in vtight[v]) for i in range(len(h.normals))]
-    out: dict[frozenset[int], tuple[Vec, ...]] = {}
-    for face in _close(frozenset(vp.vertices), constraint_sets):
-        key = frozenset.intersection(*(vtight[v] for v in face))
-        out[key] = tuple(sorted(face))
-    return out
-
-
 def _close(top: frozenset, sets: Sequence[frozenset]) -> set[frozenset]:
     """`top` and every nonempty intersection of it with some of `sets`."""
     closed = {top}
@@ -245,8 +224,7 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
 
 def to_hrep(v: VPolytope) -> HPolyhedron:
     """Facet enumeration (brute force over vertex subsets); affine hull becomes
-    equality pairs.  For small polytopes only; face queries use `faces`, and
-    `face_lattice(to_hrep(v))` is kept as their independent oracle."""
+    equality pairs.  For small polytopes only; face queries use `faces`."""
     if not v.vertices:
         raise ValueError("empty polytope has no H-representation")
     dim = v.dim
@@ -309,24 +287,6 @@ def _lift_form(form_in_coords: Vec, basis: Sequence[Vec], dim: int) -> Vec:
     w = solve_any([list(b) for b in basis], list(form_in_coords), dim)
     assert w is not None
     return w
-
-
-def _normalize_form(normal: Vec, offset: Fraction):
-    lead = next((x for x in normal if x != 0), None)
-    if lead is None:
-        return (normal, offset and Fraction(offset))
-    s = 1 / abs(lead)
-    return (scale(s, normal), Fraction(offset) * s)
-
-
-def canonical_hrep(h: HPolyhedron) -> tuple:
-    """Hashable canonical form of the constraint set (for H-rep comparisons).
-
-    Scales every constraint to a unit leading coefficient and sorts; redundant
-    constraints are not removed, so compare only like-constructed systems.
-    """
-    items = {_normalize_form(a, c) for a, c in zip(h.normals, h.offsets)}
-    return tuple(sorted(items))
 
 
 def min_norm_squared(points: Sequence[Vec], metric: Mat) -> Fraction:

@@ -56,7 +56,7 @@ from .linalg import (
     vec,
     zeros,
 )
-from .polyhedra import HPolyhedron, VPolytope, _normalize_form
+from .polyhedra import HPolyhedron, VPolytope
 from .rootspace import (
     BOUNDARY,
     ParabolicSubset,
@@ -220,8 +220,14 @@ def _proper_pairs(datum: RootDatum):
 
 
 def _keyed_kernels(psi: PsiSystem):
-    """`_admissible_kernels` with span keys: (p, q, ((key, combo, basis), ...)).
-    Span classes depend only on p, so each p's classes are built once per call."""
+    """Admissible kernels of the system, grouped by parabolic pair, unpruned.
+
+    Yields (p, q, ((key, combo, basis), ...)) in `_proper_pairs` order for
+    every pair with at least one admissible kernel: combo is one independent
+    subset per span class of the system at p, key is that class's span key,
+    and basis (nonempty) spans its intersection with the forms vanishing on
+    the Levi of q.  Span classes depend only on p, so each p's classes are
+    built once per call."""
     n = psi.datum.rank
     classes: dict[frozenset[int], tuple] = {}
     for p, q in _proper_pairs(psi.datum):
@@ -231,17 +237,6 @@ def _keyed_kernels(psi: PsiSystem):
         kernels = tuple((key, c, basis) for key, c, basis in candidates if basis)
         if kernels:
             yield p, q, kernels
-
-
-def _admissible_kernels(psi: PsiSystem):
-    """Admissible kernels of the system, grouped by parabolic pair, unpruned.
-
-    Yields (p, q, ((combo, basis), ...)) in `_proper_pairs` order for every
-    pair with at least one admissible kernel: combo is one independent subset
-    per span class of the system at p, and basis (nonempty) spans its
-    intersection with the forms vanishing on the Levi of q.
-    """
-    return ((p, q, tuple((c, b) for _, c, b in kernels)) for p, q, kernels in _keyed_kernels(psi))
 
 
 def d_value_squared(x, psi: PsiSystem) -> Fraction:
@@ -303,6 +298,12 @@ class ConeFamily:
 def _canonical_form(form: Vec) -> Vec:
     lead = next(c for c in form if c != 0)
     return scale(Fraction(1) / lead, form)
+
+
+def _normalize_form(form: Vec) -> Vec:
+    """form scaled so that its leading nonzero entry is 1 or -1."""
+    lead = next(c for c in form if c != 0)
+    return scale(1 / abs(lead), form)
 
 
 def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec], root_coords: Mat) -> bool:
@@ -563,15 +564,7 @@ class SymbolicIneq:
     b_coeff: Fraction
     t_form: Vec
     ts_form: Vec
-    kind: str  # 'delta_p' | 'hat_pq' | 'delta_q' | 'hat_q' | 'weight'
-
-    def rhs_value(self, b_form: Vec, t: Vec, s: Vec) -> Fraction:
-        """The right-hand side at (T, S), summed symbolically (`compile_system` builds it in ints)."""
-        return (
-            self.b_coeff * dot(b_form, t)
-            + dot(self.t_form, t)
-            + dot(self.ts_form, add(t, s))
-        )
+    kind: str  # 'delta_p' | 'hat_pq' | 'delta_q' | 'hat_q' | 'weight' | 'cut' | 'face'
 
 
 def _ineq(lhs, rel, kind, b_coeff=Fraction(0), t_form=None, ts_form=None, n=None):
@@ -1061,9 +1054,7 @@ class RefinementDescriptor:
     All fields are symbolic: the quotient coordinates are the values of the
     `basis_b` functionals, the cut keeps those values within delta_prime
     times the threshold functional, and `signs` fixes one side of every
-    problematic hyperplane.  None of the data depends on the parameters, and
-    `rbar_key` is the canonical H-form of the recession-invariant cone that
-    replaces the cut region after rescaling."""
+    problematic hyperplane.  None of the data depends on the parameters."""
 
     region: RegionDescriptor
     pi_one: tuple[Vec, ...]
@@ -1072,7 +1063,6 @@ class RefinementDescriptor:
     problematic: tuple[Vec, ...]
     signs: tuple[int, ...]
     pyramid_facets: tuple[Vec, ...]
-    rbar_key: tuple
 
 
 def _ambient_from_quotient(normal: Vec, basis_b: Sequence[Vec]) -> Vec:
@@ -1184,7 +1174,7 @@ def refine(
     hull_h = polyhedra.to_hrep(VPolytope(ext))
     facets = tuple(
         sorted(
-            _normalize_form(a, 0)[0]
+            _normalize_form(a)
             for a, c in zip(hull_h.normals, hull_h.offsets)
             if c == 0
         )
@@ -1212,18 +1202,10 @@ def refine(
         normals.add(_canonical_form(ns[0]))
     problematic = tuple(sorted(normals))
 
-    out = []
-    for signs, _ in _cells(hull_h, problematic):
-        cone_rows = [(f, Fraction(0)) for f in facets] + [
-            (scale(sg, nrm), Fraction(0)) for sg, nrm in zip(signs, problematic)
-        ]
-        key = polyhedra.canonical_hrep(HPolyhedron.from_pairs(cone_rows, m))
-        out.append(
-            RefinementDescriptor(
-                desc, p1, basis_b, delta_prime, problematic, signs, facets, key
-            )
-        )
-    result = tuple(out)
+    result = tuple(
+        RefinementDescriptor(desc, p1, basis_b, delta_prime, problematic, signs, facets)
+        for signs, _ in _cells(hull_h, problematic)
+    )
     for t2, s2 in check:
         again = refine(ctx, desc, pi_one, t2, s2)
         if again != result:
@@ -1246,7 +1228,6 @@ class SliceData:
     polytope: VPolytope
     h: HPolyhedron
     kernel_basis: tuple[Vec, ...]
-    x_coords: Vec
 
 
 def slice_polytope(
@@ -1276,7 +1257,7 @@ def _slice_at(ctx: DecompositionContext, frame: tuple, x, t, s) -> SliceData:
     if not kernel:
         raise ValueError("the chosen weights leave a zero-dimensional slice")
     h_u = HPolyhedron(normals_u, offsets, len(kernel))
-    return SliceData(polyhedra.vertices(h_u), h_u, kernel, y)
+    return SliceData(polyhedra.vertices(h_u), h_u, kernel)
 
 
 def slice_exp_integral(

@@ -343,13 +343,12 @@ def _saturation(datum: RootDatum, highest: Vec) -> frozenset[Vec]:
 
 
 def _dominantify(datum: RootDatum, w: Vec) -> Vec:
-    roots = datum.simple_roots
     cur = w
     while True:
         i = next((i for i in range(datum.rank) if cur[i] < 0), None)
         if i is None:
             return cur
-        cur = sub(cur, scale(cur[i], roots[i]))  # simple reflection s_i
+        cur = reflect(datum, i, cur)
 
 
 def _all_roots(datum: RootDatum) -> frozenset[Vec]:

@@ -3,7 +3,9 @@
 `squared_distance` finds the distance between a kernel and a polytope face by
 face: on each face the minimizer solves the normal equations over the face's
 affine span times the kernel, and an LP checks that some minimizer lies in the
-face.  `d_value_squared` is the distance d built from it.  Neither shares a
+face.  `d_value_squared` is the distance d built from it, over every kernel
+of `admissible_kernels`: `regions._keyed_kernels` without the span keys, so
+with no dominated kernel dropped.  Neither shares a
 code path with `polyhedra.min_norm_squared` (Wolfe's algorithm) beyond the
 eliminations of `linalg`, and their products come from `vertex_oracle`, so the
 tests use them as its independent oracle.
@@ -17,7 +19,7 @@ from typing import Sequence
 from weylcone import lp, polyhedra
 from weylcone.linalg import Mat, Vec, add, identity, is_zero, neg, nullspace, scale, solve_any, vec
 from weylcone.polyhedra import VPolytope
-from weylcone.regions import _admissible_kernels
+from weylcone.regions import _keyed_kernels
 from weylcone.rootspace import parabolics_between, project
 
 from vertex_oracle import fraction_dot, fraction_mat_vec
@@ -98,14 +100,22 @@ def _face_min(face_verts: Sequence[Vec], kernel: Sequence[Vec], inner: Mat) -> F
     return fraction_dot(r, fraction_mat_vec(inner, r))
 
 
+def admissible_kernels(psi):
+    """(p, q, ((combo, basis), ...)) per parabolic pair with an admissible
+    kernel, in `regions._proper_pairs` order: combo is one independent subset
+    per span class of the system at p, and basis (nonempty) spans its
+    intersection with the forms vanishing on the Levi of q."""
+    return ((p, q, tuple((c, b) for _, c, b in kernels)) for p, q, kernels in _keyed_kernels(psi))
+
+
 def d_value_squared(x, psi) -> Fraction:
-    """d(x)^2 over the admissible kernels of `regions._admissible_kernels`,
-    each term by `squared_distance` in the metric datum.inner."""
+    """d(x)^2 over every kernel of `admissible_kernels`, each term by
+    `squared_distance` in the metric datum.inner."""
     xv = vec(x)
     terms = (
         squared_distance(combo, VPolytope(tuple(sorted({project(xv, r) for r in parabolics_between(p, q)}))),
                          inner=psi.datum.inner)
-        for p, q, kernels in _admissible_kernels(psi)
+        for p, q, kernels in admissible_kernels(psi)
         for combo, _ in kernels
     )
     return min(terms)

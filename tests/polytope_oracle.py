@@ -5,7 +5,11 @@ and `mc_integrate_exp` is a Monte Carlo estimate of the integral of e^{mu}
 over a polytope, a second-tier oracle for `polyhedra.integrate_exp_oracle`:
 it samples simplices of `polyhedra.triangulate` by volume and points in each
 by uniform barycentric coordinates, so it shares no divided differences with
-the formula it checks.
+the formula it checks.  `face_lattice` is the face lattice of an
+H-polyhedron, read from the tight constraints of its vertices; on
+`polyhedra.to_hrep(v)` it is the oracle of `polyhedra.faces(v)`, which works
+from the points alone, and it closes the constraints' vertex sets under
+intersection with its own loop.
 """
 
 import math
@@ -13,8 +17,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Sequence
 
-from weylcone.linalg import dot
-from weylcone.polyhedra import VPolytope, _simplex_det, triangulate
+from weylcone.linalg import Vec, dot
+from weylcone.polyhedra import HPolyhedron, VPolytope, _simplex_det, tight_set, triangulate, vertices
 
 
 def support_value(v: VPolytope, direction: Sequence[Fraction]) -> Fraction:
@@ -56,3 +60,24 @@ def mc_integrate_exp(poly: VPolytope, mu: Sequence, samples: int, rng) -> tuple[
     est = mean * vol_total
     se = vol_total * math.sqrt(var / samples)
     return est, se
+
+
+def face_lattice(h: HPolyhedron) -> dict[frozenset[int], tuple[Vec, ...]]:
+    """All nonempty faces of a polytope, keyed by their full tight-constraint set.
+
+    A face is the vertex set of some set of constraints held with equality, so
+    the faces are the constraints' vertex sets closed under intersection, from
+    the polytope itself down to the vertices.
+    """
+    vp = vertices(h)
+    if not vp.vertices:
+        return {}
+    vtight = {v: tight_set(h, v) for v in vp.vertices}
+    constraint_sets = {frozenset(v for v in vp.vertices if i in vtight[v]) for i in range(len(h.normals))}
+    found = {frozenset(vp.vertices)}
+    grew = True
+    while grew:
+        more = {f & s for f in found for s in constraint_sets} - found - {frozenset()}
+        found |= more
+        grew = bool(more)
+    return {frozenset.intersection(*(vtight[v] for v in f)): tuple(sorted(f)) for f in found}

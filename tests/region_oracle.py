@@ -3,8 +3,9 @@
 `instantiate_oracle` reads each `SymbolicIneq` as it is written,
 lhs(X) REL b_coeff*B(T) + t_form(T) + ts_form(T+S), with X = sum_i y_i basis_i,
 and sums it out row by row in `Fraction`: the normal is (lhs . basis_i)_i,
-negated for 'le', and the offset is -rhs for 'ge' and rhs for 'le'.  It calls
-nothing in weylcone, so it shares no code with the compiled parameter rows.
+negated for 'le', and the offset is -rhs for 'ge' and rhs for 'le', where
+`rhs_value` is the right-hand side at (T, S).  Neither calls anything in
+weylcone, so they share no code with the compiled parameter rows.
 
 `meets_signed_root_cone_lp` is the wall test of `regions.pi_cones` as one
 exact feasibility LP for every size of basis: the reference of the closed
@@ -30,14 +31,19 @@ def _dot(u, v):
     return total
 
 
-def instantiate_oracle(ineqs, basis, b_form, t, s):
-    """(normals, offsets) of the system at (T, S) in the coordinates of basis."""
+def rhs_value(iq, b_form, t, s) -> Fraction:
+    """b_coeff*B(T) + t_form(T) + ts_form(T+S) of one inequality at (T, S)."""
     t = [Fraction(c) for c in t]
     ts = [a + Fraction(b) for a, b in zip(t, s, strict=True)]
+    return iq.b_coeff * _dot(b_form, t) + _dot(iq.t_form, t) + _dot(iq.ts_form, ts)
+
+
+def instantiate_oracle(ineqs, basis, b_form, t, s):
+    """(normals, offsets) of the system at (T, S) in the coordinates of basis."""
     normals, offsets = [], []
     for iq in ineqs:
         row = tuple(_dot(iq.lhs, b) for b in basis)
-        rhs = iq.b_coeff * _dot(b_form, t) + _dot(iq.t_form, t) + _dot(iq.ts_form, ts)
+        rhs = rhs_value(iq, b_form, t, s)
         if iq.rel == "ge":
             normals.append(row)
             offsets.append(-rhs)

@@ -9,6 +9,7 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -150,6 +151,61 @@ def test_volume_matches_scipy_convex_hull():
         floats = ConvexHull(np.array([[float(x) for x in p] for p in poly.vertices])).volume
         assert exact > 0 and abs(float(exact) - floats) <= TOL * floats, (poly, exact, floats)
     print(f"\nvolume vs scipy ConvexHull: 3000 full-dimensional polytopes, {dict(sorted(kinds.items()))}")
+
+
+# --- exp integrals against mpmath ----------------------------------------------
+
+
+def _tiny_simplex(rng, d):
+    """A nondegenerate d-simplex with edges 2^-6 to 2^-12, at a rational corner
+    c with |c_i| up to 50, and an integer exponent mu with |mu_i| <= 4."""
+    h = F(1, 2 ** rng.randint(6, 12))
+    corner = tuple(F(rng.randint(-50 * 64, 50 * 64), 64) for _ in range(d))
+    while True:
+        edges = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        if det([[F(x) for x in e] for e in edges]) != 0:
+            break
+    pts = [corner] + [tuple(c + h * x for c, x in zip(corner, e)) for e in edges]
+    return PH.VPolytope(tuple(sorted(pts))), tuple(F(rng.randint(-4, 4)) for _ in range(d))
+
+
+def _mp_simplex_integral(simplex, mu):
+    """∫ e^{mu} over the simplex by mpmath's Gauss-Legendre quadrature on the
+    unit cube, through x = v0 + u (v1 - v0) + (1 - u) w (v2 - v0) in dimension 2.
+    The factor e^{mu(v0)} stays outside the integral: mpmath's error estimate is
+    absolute, and the integrand is near 1 without it."""
+    with mpmath.workdps(40):
+        pts = [[mpmath.mpf(c.numerator) / c.denominator for c in p] for p in simplex.vertices]
+        m = [mpmath.mpf(int(c)) for c in mu]
+        v0, *rest = pts
+        diffs = [[a - b for a, b in zip(v, v0)] for v in rest]
+        base = mpmath.fsum(a * b for a, b in zip(m, v0))
+        slopes = [mpmath.fsum(a * b for a, b in zip(m, e)) for e in diffs]
+        if len(pts) == 2:
+            jac = abs(diffs[0][0])
+            value = mpmath.quad(lambda u: mpmath.exp(u * slopes[0]), [0, 1], method="gauss-legendre")
+        else:
+            jac = abs(diffs[0][0] * diffs[1][1] - diffs[0][1] * diffs[1][0])
+            value = mpmath.quad(
+                lambda u, w: (1 - u) * mpmath.exp(u * slopes[0] + (1 - u) * w * slopes[1]),
+                [0, 1], [0, 1], method="gauss-legendre",
+            )
+        return float(jac * mpmath.exp(base) * value)
+
+
+def test_integrate_exp_matches_mpmath_on_tiny_far_simplices():
+    rng = random.Random(26)
+    worst, checked = 0.0, Counter()
+    for k in range(400):
+        d = 1 + k % 2
+        simplex, mu = _tiny_simplex(rng, d)
+        got = PH.integrate_exp_oracle(simplex, mu)
+        want = _mp_simplex_integral(simplex, mu)
+        rel = abs(got - want) / want
+        assert rel <= 1e-12, (simplex, mu, got, want)
+        worst = max(worst, rel)
+        checked[f"dim {d}"] += 1
+    print(f"\nintegrate_exp_oracle vs mpmath.quad: {dict(checked)} tiny far simplices, worst relative error {worst:.2g}")
 
 
 # --- exact LPs against HiGHS ---------------------------------------------------

@@ -139,27 +139,6 @@ def test_vertex_maps_enumerate_vertices():
         assert got == expect
 
 
-def test_same_chamber_scaling_and_walls():
-    cd = chamber_data(SQUARE)
-    x = (F(1), F(1), F(1), F(1))
-    assert CH.same_chamber(cd, x, (F(2), F(2), F(2), F(2)))
-    assert CH.same_chamber(cd, x, (F(1), F(2), F(3), F(1)))
-    # chambers are closed: the collapsed square sits on this chamber's own wall
-    assert CH.same_chamber(cd, x, (F(0), F(1), F(0), F(1)))
-
-
-def test_same_chamber_detects_type_change():
-    # fourth row clips the triangle into a quadrilateral for small x4
-    pp = CH.ParametricPolyhedron.make([(1, 0), (0, 1), (-1, -1), (-1, 0)], 2)
-    cd = chamber_data(pp)
-    x_tri = (F(0), F(0), F(3), F(10))
-    x_quad = (F(0), F(0), F(3), F(1))
-    assert len(CH.chamber_of(cd, x_tri).members) == 3
-    assert len(CH.chamber_of(cd, x_quad).members) == 4
-    assert not CH.same_chamber(cd, x_tri, x_quad)
-    assert CH.same_chamber(cd, x_tri, tuple(2 * c for c in x_tri))
-
-
 def test_bv_integral_interval_exact_terms():
     cd = chamber_data(INTERVAL)
     x = (F(0), F(1))

@@ -15,7 +15,7 @@ from weylcone.linalg import dot, neg, sub, vec
 
 import vertex_oracle
 from distance_oracle import squared_distance
-from polytope_oracle import mc_integrate_exp, support_value
+from polytope_oracle import face_lattice, mc_integrate_exp, support_value
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -74,14 +74,14 @@ def test_tight_set_and_contains():
 
 
 def test_face_lattice_square_census():
-    lattice = PH.face_lattice(cube_h(2))
+    lattice = face_lattice(cube_h(2))
     sizes = sorted(len(f) for f in lattice.values())
     # 4 vertices, 4 edges, 1 full face
     assert sizes == [1, 1, 1, 1, 2, 2, 2, 2, 4]
 
 
 def test_face_lattice_simplex_census():
-    lattice = PH.face_lattice(simplex_h(3))
+    lattice = face_lattice(simplex_h(3))
     by_card = {}
     for f in lattice.values():
         by_card[len(f)] = by_card.get(len(f), 0) + 1
@@ -136,16 +136,6 @@ def test_to_hrep_lower_dimensional_segment():
     seg = PH.VPolytope(((F(0), F(0)), (F(1), F(1))))
     h = PH.to_hrep(seg)
     assert set(PH.vertices(h).vertices) == set(seg.vertices)
-
-
-def test_canonical_hrep_invariance():
-    h = cube_h(2)
-    # same square with scaled rows in reversed order
-    normals = tuple(tuple(3 * c for c in row) for row in reversed(h.normals))
-    offsets = tuple(3 * c for c in reversed(h.offsets))
-    h2 = PH.HPolyhedron(normals, offsets, 2)
-    assert PH.canonical_hrep(h) == PH.canonical_hrep(h2)
-    assert PH.canonical_hrep(h) != PH.canonical_hrep(simplex_h(2))
 
 
 def test_volume_simplices_and_cubes():
@@ -448,7 +438,7 @@ def point_clouds(draw):
 def test_faces_match_the_face_lattice_oracle(v):
     got = PH.faces(v)
     assert len(set(got)) == len(got)
-    assert set(got) == set(PH.face_lattice(PH.to_hrep(v)).values())
+    assert set(got) == set(face_lattice(PH.to_hrep(v)).values())
 
 
 def test_faces_censuses():
@@ -503,7 +493,7 @@ def test_face_queries_never_build_an_hrep(monkeypatch):
     def refuse(*args):
         raise AssertionError("face query went through an H-representation")
 
-    for name in ("to_hrep", "face_lattice", "vertices"):
+    for name in ("to_hrep", "vertices"):
         monkeypatch.setattr(PH, name, refuse)
     assert PH.triangulate(square) == [(o, e0, e), (o, e1, e)]
     assert PH.volume(PH.VPolytope(tuple(hexagon))) == 12

@@ -30,6 +30,7 @@ from weylcone.rootspace import (
 )
 
 import distance_oracle
+import polytope_oracle
 import region_oracle
 
 A2 = build_root_datum("A", 2)
@@ -159,7 +160,7 @@ def test_admissible_kernels_match_brute_force(ctype, rank, rep):
     order = [(p.outside, q.outside) for p, q in RG._proper_pairs(datum)]
     got = set()
     positions = []
-    for p, q, kernels in RG._admissible_kernels(psi):
+    for p, q, kernels in distance_oracle.admissible_kernels(psi):
         positions.append(order.index((p.outside, q.outside)))
         spans = [_echelon(combo) for combo, _ in kernels]
         assert len(set(spans)) == len(spans)  # one kernel per span class
@@ -261,7 +262,7 @@ def _family_psi(family):
 @pytest.mark.parametrize("family", sorted(PRUNED_KERNELS))
 def test_dominated_kernels_are_dropped(family):
     psi = _family_psi(family)
-    full = [basis for _, _, kernels in RG._admissible_kernels(psi) for _, basis in kernels]
+    full = [basis for _, _, kernels in distance_oracle.admissible_kernels(psi) for _, basis in kernels]
     bases, terms = psi.kernels
     assert (len(full), len(terms)) == PRUNED_KERNELS[family]
     assert bases == tuple(dict.fromkeys(full))  # walls still come from every kernel
@@ -269,7 +270,7 @@ def test_dominated_kernels_are_dropped(family):
 
 @functools.cache
 def _unpruned(family):
-    """psi, and per kernel of `_admissible_kernels` with nothing dropped: the
+    """psi, and per kernel of `distance_oracle.admissible_kernels` with nothing dropped: the
     forms S P_r for the parabolics r between p and q, and the metric
     (S M^-1 S^T)^-1."""
     psi = _family_psi(family)
@@ -277,7 +278,7 @@ def _unpruned(family):
     return psi, [
         ([[coproject(f, r) for f in combo] for r in parabolics_between(p, q)],
          invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
-        for p, q, kernels in RG._admissible_kernels(psi)
+        for p, q, kernels in distance_oracle.admissible_kernels(psi)
         for combo, _ in kernels
     ]
 
@@ -563,7 +564,7 @@ def test_faces_lemma31_census_matches_lattice():
     lem = RG.faces_lemma31(P0, G2, t)
     assert len(lem) == 9  # chains P0 <= P1 <= P2 <= G in rank two
     hull = RG.r_prime(P0, G2, t)
-    lattice = PH.face_lattice(PH.to_hrep(hull))
+    lattice = polytope_oracle.face_lattice(PH.to_hrep(hull))
     assert {frozenset(v) for v in lem.values()} == {frozenset(f) for f in lattice.values()}
 
 
@@ -1056,7 +1057,7 @@ def test_region_inequalities_hold_at_interior_point(ctx, leaf):
     x = vec([sum(y[i] * ctx.basis[i][j] for i in range(len(ctx.basis))) for j in range(2)])
     for iq in ineqs:
         lhs = dot(iq.lhs, x)
-        rhs = iq.rhs_value(ctx.b_form, vec(T), vec(S))
+        rhs = region_oracle.rhs_value(iq, ctx.b_form, T, S)
         assert lhs >= rhs if iq.rel == "ge" else lhs <= rhs
 
 

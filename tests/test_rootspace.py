@@ -89,6 +89,17 @@ def test_weights_closed_under_reflection():
             assert r in ws or all(c == 0 for c in r)
 
 
+@pytest.mark.parametrize("ctype,rank", [(t, n) for t in "ABCD" for n in range(2, 6)])
+def test_adjoint_weights_are_the_roots(ctype, rank):
+    """|adjoint weights| = |Phi| in closed form, and every s_i maps the roots to roots."""
+    datum = RS.build_root_datum(ctype, rank)
+    ws = set(RS.weights_of(datum, "adjoint"))
+    n = rank
+    assert len(ws) == {"A": n * (n + 1), "B": 2 * n * n, "C": 2 * n * n, "D": 2 * n * (n - 1)}[ctype]
+    for i in range(rank):
+        assert {RS.reflect(datum, i, w) for w in ws} == ws
+
+
 def test_weights_of_rejects_nondominant():
     with pytest.raises(ValueError):
         RS.weights_of(A2, (-1, 0))
