@@ -174,10 +174,6 @@ def vertices(h: HPolyhedron) -> VPolytope:
     return VPolytope(tuple(sorted(found)))
 
 
-def contains(h: HPolyhedron, x: Sequence[Fraction]) -> bool:
-    return all(dot(a, x) + c >= 0 for a, c in zip(h.normals, h.offsets))
-
-
 def tight_set(h: HPolyhedron, x: Sequence[Fraction]) -> frozenset[int]:
     return frozenset(i for i, (a, c) in enumerate(zip(h.normals, h.offsets)) if dot(a, x) + c == 0)
 
@@ -224,7 +220,9 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
 
 def to_hrep(v: VPolytope) -> HPolyhedron:
     """Facet enumeration (brute force over vertex subsets); affine hull becomes
-    equality pairs.  For small polytopes only; face queries use `faces`."""
+    equality pairs.  For small polytopes only; face queries use `faces`.  Each
+    facet's chart form is lifted here, to any ambient normal that agrees with it
+    on the affine basis."""
     if not v.vertices:
         raise ValueError("empty polytope has no H-representation")
     dim = v.dim
@@ -236,13 +234,17 @@ def to_hrep(v: VPolytope) -> HPolyhedron:
         c = dot(form, v0)
         pairs.append((form, -c))
         pairs.append((neg(form), c))
-    pairs += [(normal, offset) for normal, offset, _ in _facets(v)]
+    for form, offset, _ in _facets(v):
+        amb = solve_any(basis, form, dim)  # form . coords(y - v0) = amb . (y - v0)
+        pairs.append((amb, offset - dot(amb, v0)))
     return HPolyhedron.from_pairs(pairs, dim)
 
 
 def _facets(v: VPolytope):
     """Facets of conv(v) within its affine hull, once each and in subset order:
-    (normal, offset, points of v on it), normal . y + offset >= 0 on v."""
+    (form, offset, points of v on it) in the chart of `affine_basis` at the first
+    vertex v0: form . coords(y - v0) + offset >= 0 on v, with coords taken in
+    that basis.  Only `to_hrep` reads the forms, and lifts them to ambient normals."""
     basis = v.affine_basis()
     k = len(basis)
     if k == 0:
@@ -263,9 +265,7 @@ def _facets(v: VPolytope):
                 on = frozenset(p for p, x in zip(v.vertices, vals) if x == 0)
                 if on not in seen:
                     seen.add(on)
-                    # lift back to ambient coordinates: form(y) = nrm . coords(y - v0)
-                    amb = _lift_form(scale(-sign, nrm), basis, v.dim)
-                    yield amb, sign * base - dot(amb, v0), on
+                    yield scale(-sign, nrm), sign * base, on
 
 
 def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
@@ -278,15 +278,6 @@ def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
     sets = [on for _, _, on in _facets(v)]
     verts = frozenset(p for p in pts if pts.intersection(*(s for s in sets if p in s)) == {p})
     return [tuple(sorted(f)) for f in _close(verts, [s & verts for s in sets])]
-
-
-def _lift_form(form_in_coords: Vec, basis: Sequence[Vec], dim: int) -> Vec:
-    """Ambient covector agreeing with the coordinate covector on span(basis),
-    zero on the complement of the coordinate chart's dual frame."""
-    # rows: basis vectors; want w with w . b_j = form[j]; any solution works on the span
-    w = solve_any([list(b) for b in basis], list(form_in_coords), dim)
-    assert w is not None
-    return w
 
 
 def min_norm_squared(points: Sequence[Vec], metric: Mat) -> Fraction:

@@ -105,7 +105,8 @@ class PsiSystem:
 
     `weights` keeps the representation's own functionals separate from the
     roots: sign splits and kernel recursions range over weight projections
-    only, while the deduplicated union `functionals` drives the distance d.
+    only.  `functionals` is their deduplicated union with the simple roots;
+    the distance d reads the kernels of Psi at p (`psi_at`) through `kernels`.
     """
 
     datum: RootDatum
@@ -473,9 +474,7 @@ def _validate_region_gamma(p, q, tv, sv, m: VPolytope, samples: int, rng) -> Non
             Fraction(rng.randrange(int(a * 64), int(b * 64) + 1), 64)
             for a, b in zip(lo, hi)
         ]
-        x = zeros(datum.rank)
-        for ui, bv in zip(u, basis):
-            x = add(x, scale(ui, bv))
+        x = mat_vec(transpose(basis), u)
         g1 = gamma(p, q, x, tv)
         g2 = gamma(q, g, sub(x, tv), sv)
         if g1 == BOUNDARY or g2 == BOUNDARY:
@@ -497,9 +496,6 @@ def _sin_half_sq_lower(sin_sq: Fraction) -> Fraction:
     cos_sq = 1 - sin_sq
     if cos_sq < 0:
         raise ValueError("sin^2 exceeds 1")
-    rn, rd = isqrt(cos_sq.numerator), isqrt(cos_sq.denominator)
-    if rn * rn == cos_sq.numerator and rd * rd == cos_sq.denominator:
-        return (1 - Fraction(rn, rd)) / 2
     ub = _sqrt_upper(cos_sq)
     fallback = sin_sq / 4
     if ub >= 1:
@@ -567,8 +563,8 @@ class SymbolicIneq:
     kind: str  # 'delta_p' | 'hat_pq' | 'delta_q' | 'hat_q' | 'weight' | 'cut' | 'face'
 
 
-def _ineq(lhs, rel, kind, b_coeff=Fraction(0), t_form=None, ts_form=None, n=None):
-    n = n if n is not None else len(lhs)
+def _ineq(lhs, rel, kind, b_coeff=Fraction(0), t_form=None, ts_form=None):
+    n = len(lhs)
     return SymbolicIneq(
         vec(lhs),
         rel,
@@ -838,14 +834,14 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
     canonical basis of the unconsumed span.
     """
     n = ctx.datum.rank
-    cert = []  # (form, sgn, delta multiplier)
+    cert = []  # (signed form, delta multiplier)
     for lam in desc.pi:
         lvl = desc.level_of(lam)
         if lvl is not None:
             cert.append((scale(desc.sgn(lam), lam), desc.deltas[lvl]))
     for f in delta_p_at(ctx.psi, desc.p):
         cert.append((f, Fraction(0)))
-    cert.sort(key=lambda fc: (fc[0], fc[1]))
+    cert.sort()
     pi0 = desc.pi_zero
     basis_idx = independent_subset(pi0)
     pi0_basis = [pi0[i] for i in basis_idx]
@@ -859,16 +855,13 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
         b_eq.append(Fraction(0))
     a_eq.append([Fraction(0)] * nb + [mult for _, mult in cert])
     b_eq.append(Fraction(1))
-    objectives = [[Fraction(1 if j == nb + i else 0) for j in range(nv)] for i in range(len(cert))]
-    x = lp.lexmin_point(objectives, nv, a_eq=a_eq, b_eq=b_eq, nonneg=len(cert))
+    x = lp.lexmin_point(identity(nv)[nb:], nv, a_eq=a_eq, b_eq=b_eq, nonneg=len(cert))
     if x is None:
         raise CertificateError(
             "no exact certificate for the next threshold level; "
             "the inputs likely fail the largeness requirement" + _where(desc, t, s)
         )
-    mu = zeros(n)
-    for (f, _), c in zip(cert, x[nb:]):
-        mu = add(mu, scale(c, f))
+    mu = mat_vec(transpose([f for f, _ in cert]), x[nb:])
     d = coords_in_basis(pi0_basis, mu)
     if d is None:
         raise CertificateError("certificate functional escapes the unconsumed span" + _where(desc, t, s))
@@ -1065,23 +1058,19 @@ class RefinementDescriptor:
     pyramid_facets: tuple[Vec, ...]
 
 
-def _ambient_from_quotient(normal: Vec, basis_b: Sequence[Vec]) -> Vec:
-    out = zeros(len(basis_b[0]))
-    for c, b in zip(normal, basis_b):
-        out = add(out, scale(c, b))
-    return out
+def _lambda_b(region: RegionDescriptor, basis_b: Sequence[Vec]) -> Vec:
+    """The cut functional: the sum of the basis_b weights, each signed as in the region."""
+    return mat_vec(transpose(basis_b), [region.sgn(b) for b in basis_b])
 
 
 def refinement_inequalities(
     ctx: DecompositionContext, ref: RefinementDescriptor
 ) -> tuple[SymbolicIneq, ...]:
     rows = list(region_inequalities(ctx.psi, ref.region))
-    lam_b = zeros(ctx.datum.rank)
-    for b in ref.basis_b:
-        lam_b = add(lam_b, scale(ref.region.sgn(b), b))
-    rows.append(_ineq(lam_b, "le", "cut", b_coeff=ref.delta_prime))
+    rows.append(_ineq(_lambda_b(ref.region, ref.basis_b), "le", "cut", b_coeff=ref.delta_prime))
+    to_ambient = transpose(ref.basis_b)
     for s, nrm in zip(ref.signs, ref.problematic):
-        rows.append(_ineq(scale(s, _ambient_from_quotient(nrm, ref.basis_b)), "ge", "face"))
+        rows.append(_ineq(scale(s, mat_vec(to_ambient, nrm)), "ge", "face"))
     return tuple(rows)
 
 
@@ -1109,20 +1098,16 @@ def refine(
     dim_y = len(basis)
     system = compile_system(region_inequalities(ctx.psi, desc), basis, ctx.b_form)
     h = system.at(tv, sv)
-    rows_ub, rhs_ub = h.ub_rows()
     p1_rows = _quotient_rows(basis, p1)
-    if (
-        lp.feasible_point(
-            dim_y, a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows)
-        )
-        is None
-    ):
+    if not _kernel_meets(h, p1_rows):
         raise AssertionError("kernel slice is empty; the region is not a recursion leaf")
+    rows_ub, rhs_ub = h.ub_rows()
+    on_slice = dict(a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
     for lam, row in zip(pi0, _quotient_rows(basis, pi0)):
         if lam in p1:
             continue
-        lo = lp.solve(row, dim_y, a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
-        hi = lp.solve(row, dim_y, minimize=False, a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
+        lo = lp.solve(row, dim_y, **on_slice)
+        hi = lp.solve(row, dim_y, minimize=False, **on_slice)
         if lo.ok and hi.ok and lo.value == 0 and hi.value == 0:
             raise ClosureError(
                 f"weight {_text(lam)} vanishes on the kernel slice but is outside the subset"
@@ -1133,9 +1118,7 @@ def refine(
     m = len(basis_b)
     b_rows = _quotient_rows(basis, basis_b)
     sgn_vec = tuple(Fraction(desc.sgn(b)) for b in basis_b)
-    lam_b_row = zeros(dim_y)
-    for sg, r in zip(sgn_vec, b_rows):
-        lam_b_row = add(lam_b_row, scale(sg, r))
+    (lam_b_row,) = _quotient_rows(basis, [_lambda_b(desc, basis_b)])
 
     b_value = dot(ctx.b_form, tv)
     atlas = _vertex_atlas(system, h, tv, sv)
@@ -1144,9 +1127,9 @@ def refine(
         c_y = dot(lam_b_row, e.point) / b_value
         if c_y < 0:
             raise AssertionError("quotient height is negative at a vertex")
-        comp_t = [sum(lam_b_row[k] * e.t_matrix[k][j] for k in range(dim_y)) for j in range(ctx.datum.rank)]
-        comp_s = [sum(lam_b_row[k] * e.s_matrix[k][j] for k in range(dim_y)) for j in range(ctx.datum.rank)]
-        if vec(comp_t) != scale(c_y, ctx.b_form) or not is_zero(vec(comp_s)):
+        comp_t = mat_vec(transpose(e.t_matrix), lam_b_row)
+        comp_s = mat_vec(transpose(e.s_matrix), lam_b_row)
+        if comp_t != scale(c_y, ctx.b_form) or not is_zero(comp_s):
             raise TransportError(
                 "vertex height is not a fixed multiple of the threshold functional" + _where(desc, tv, sv)
             )
@@ -1160,10 +1143,7 @@ def refine(
     cut_height = delta_prime * b_value
     cut_vp = polyhedra.vertices(h.with_constraints([(neg(lam_b_row), cut_height)]))
 
-    def qmap(y: Vec) -> Vec:
-        return tuple(dot(r, y) for r in b_rows)
-
-    proj_pts = tuple(sorted({qmap(v) for v in cut_vp.vertices}))
+    proj_pts = tuple(sorted({mat_vec(b_rows, v) for v in cut_vp.vertices}))
     ext = polyhedra.extreme_points(proj_pts)
     origin = zeros(m)
     for e in ext:
@@ -1180,26 +1160,13 @@ def refine(
         )
     )
 
-    candidates: list[frozenset] = []
-    for verts in polyhedra.faces(cut_vp):
-        pts = tuple(sorted({qmap(v) for v in verts}))
-        if rank(pts, m) != m - 1:
-            continue
-        p0 = pts[0]
-        diffs = [sub(p, p0) for p in pts[1:]]
-        if rank(list(diffs) + [p0], m) != rank(diffs, m):
-            continue
-        candidates.append(frozenset(verts))
-    maximal = [
-        f for f in candidates if not any(f < g for g in candidates)
-    ]
+    # a face is problematic when its image spans a hyperplane through the origin
     normals = set()
-    for f in maximal:
-        pts = tuple(sorted({qmap(v) for v in f}))
-        ns = nullspace(pts, m)
-        if len(ns) != 1:
-            raise AssertionError("problematic face has no unique hyperplane")
-        normals.add(_canonical_form(ns[0]))
+    for verts in polyhedra.faces(cut_vp):
+        pts = tuple(sorted({mat_vec(b_rows, v) for v in verts}))
+        diffs = [sub(p, pts[0]) for p in pts[1:]]
+        if rank(diffs, m) == m - 1 == rank(pts, m):
+            normals.add(_canonical_form(nullspace(pts, m)[0]))
     problematic = tuple(sorted(normals))
 
     result = tuple(
@@ -1269,14 +1236,8 @@ def slice_exp_integral(
 
 
 def _slice_exponent(ctx: DecompositionContext, sd: SliceData, mu: Vec) -> Vec:
-    basis = ctx.basis
-    out = []
-    for k in sd.kernel_basis:
-        amb = zeros(ctx.datum.rank)
-        for c, bv in zip(k, basis):
-            amb = add(amb, scale(c, bv))
-        out.append(dot(mu, amb))
-    return vec(out)
+    (mu_y,) = _quotient_rows(ctx.basis, [mu])
+    return mat_vec(sd.kernel_basis, mu_y)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Polytope references that the program itself never calls.
 
+`contains` is the membership test of a point in an H-polyhedron,
 `support_value` is the support function max_p direction.p over a vertex list,
 and `mc_integrate_exp` is a Monte Carlo estimate of the integral of e^{mu}
 over a polytope, a second-tier oracle for `polyhedra.integrate_exp_oracle`:
@@ -19,6 +20,10 @@ from typing import Sequence
 
 from weylcone.linalg import Vec, dot
 from weylcone.polyhedra import HPolyhedron, VPolytope, _simplex_det, tight_set, triangulate, vertices
+
+
+def contains(h: HPolyhedron, x: Sequence[Fraction]) -> bool:
+    return all(dot(a, x) + c >= 0 for a, c in zip(h.normals, h.offsets))
 
 
 def support_value(v: VPolytope, direction: Sequence[Fraction]) -> Fraction:

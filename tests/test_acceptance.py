@@ -18,7 +18,7 @@ from weylcone import regions as RG
 from weylcone import rootspace as RS
 from weylcone.linalg import add, coords_in_basis, dot, neg, nullspace, rank, sub, vec
 
-from polytope_oracle import face_lattice
+from polytope_oracle import contains, face_lattice
 
 REL_TOL_INTEGRAL = 1e-9
 FIT_TOL = 1e-6
@@ -251,7 +251,7 @@ def test_c06_region_partition_has_exact_volumes_and_unique_membership():
         return all(dot(a, x) + c > 0 for a, c in zip(h.normals, h.offsets))
 
     def touching(h, x):
-        return PH.contains(h, x) and not strict(h, x)
+        return contains(h, x) and not strict(h, x)
 
     lo = [min(v[i] for v in base.vertices) for i in range(2)]
     hi = [max(v[i] for v in base.vertices) for i in range(2)]

@@ -1,5 +1,6 @@
 """Module boundaries inside the package: no module of `weylcone` reads a
-private (underscore) name of another, by `from .x import _y` or by `x._y`."""
+private (underscore) name of another, by `from .x import _y` or by `x._y`,
+and no module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -50,3 +51,28 @@ def test_no_module_reads_a_private_name_of_another(path):
 def test_the_guard_sees_both_forms():
     src = "from . import lp\nfrom .polyhedra import VPolytope, _facets\nlp._solve(1)\nlp.solve(1)\n"
     assert _private_imports(ast.parse(src)) == ["from polyhedra import _facets", "lp._solve"]
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Every name an import binds that the module never reads; `__future__` is exempt."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_no_module_imports_a_name_it_never_reads(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_unused_import_guard_sees_both_forms():
+    src = (
+        "from __future__ import annotations\nimport json\nimport os.path\n"
+        "from .linalg import add, dot as d, zeros\nd(os.path, zeros)\n"
+    )
+    assert _unused_imports(ast.parse(src)) == ["json", "add"]

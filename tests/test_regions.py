@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import add, dot, invert, mat_mul, mat_vec, neg, scale, transpose, vec
+from weylcone.linalg import add, dot, invert, mat_mul, mat_vec, neg, nullspace, rank, scale, sub, transpose, vec
 from weylcone.rootspace import (
     build_root_datum,
     coproject,
@@ -727,7 +727,7 @@ def test_decompose_membership_unique(ctx, descs):
             1 for h in hs if all(dot(a, x) + c > 0 for a, c in zip(h.normals, h.offsets))
         )
         touching = any(
-            PH.contains(h, x)
+            polytope_oracle.contains(h, x)
             and not all(dot(a, x) + c > 0 for a, c in zip(h.normals, h.offsets))
             for h in hs
         )
@@ -792,7 +792,7 @@ def test_rank_three_decomposition_partitions_the_region(a3_ctx):
     done = 0
     while done < 300:
         x = tuple(a + F(rng.randrange(0, 1025), 1024) * (b - a) for a, b in zip(lo, hi))
-        if not strict(base_h, x) or any(PH.contains(h, x) and not strict(h, x) for h in hs):
+        if not strict(base_h, x) or any(polytope_oracle.contains(h, x) and not strict(h, x) for h in hs):
             continue  # outside, or on a measure-zero shared boundary
         assert sum(1 for h in hs if strict(h, x)) == 1, x
         done += 1
@@ -911,7 +911,7 @@ def test_a3_adjoint_recursion_leaves_transport_refine_and_partition(a3_adjoint_l
     done = 0
     while done < 300:
         x = tuple(a + F(rng.randrange(0, 1025), 1024) * (b - a) for a, b in zip(lo, hi))
-        if not strict(base_h, x) or any(PH.contains(h, x) and not strict(h, x) for h in hs):
+        if not strict(base_h, x) or any(polytope_oracle.contains(h, x) and not strict(h, x) for h in hs):
             continue  # outside, or on a measure-zero shared boundary
         assert sum(1 for h in hs if strict(h, x)) == 1, x
         done += 1
@@ -1220,6 +1220,40 @@ def test_refinement_inequalities_add_cut(ctx, refinement):
         RG.refinement_inequalities(ctx, refinement), ctx.basis, ctx.b_form, T, S
     )
     assert PH.feasible_point(h) is not None
+
+
+def test_problematic_hyperplanes_match_the_face_lattice_oracle(a3_family, a3_adjoint_family):
+    """Every A3 standard and adjoint refinement at P0 <= Q, Q in {0}, {1}, {2}:
+    the problematic hyperplanes are the lead-1 normals of the faces of the cut
+    region (the refinement's rows less its face rows), listed by the oracle,
+    whose images under the basis_b rows span a hyperplane through the origin."""
+    cases = [
+        (a3_family, F(1, 40), A3_T, A3_S),
+        (a3_adjoint_family, RG.suggest_epsilon(a3_adjoint_family), A3_ADJ_T, A3_ADJ_S),
+    ]
+    ms = []
+    for fam, eps, t, s in cases:
+        for outside in ({0}, {1}, {2}):
+            ctx3 = RG.make_context(A3, minimal_parabolic(A3), parabolic(A3, frozenset(outside)), fam.psi, eps, family=fam)
+            for d in RG.decompose(ctx3, t, s):
+                if not d.pi_zero:
+                    continue
+                for ref in RG.refine(ctx3, d, d.pi_zero, t, s):
+                    cut = [iq for iq in RG.refinement_inequalities(ctx3, ref) if iq.kind != "face"]
+                    h = RG.instantiate(cut, ctx3.basis, ctx3.b_form, t, s)
+                    rows = [[dot(b, v) for v in ctx3.basis] for b in ref.basis_b]
+                    m = len(rows)
+                    normals = set()
+                    for verts in polytope_oracle.face_lattice(h).values():
+                        pts = [mat_vec(rows, v) for v in verts]
+                        through_origin = rank(pts, m) == m - 1 == rank([sub(p, pts[0]) for p in pts], m)
+                        if through_origin:
+                            (nrm,) = nullspace(pts, m)
+                            lead = next(c for c in nrm if c != 0)
+                            normals.add(scale(1 / lead, nrm))
+                    assert tuple(sorted(normals)) == ref.problematic
+                    ms.append(m)
+    assert ms.count(2) == 6 and len(ms) == 22
 
 
 # --- slices and fitting -----------------------------------------------------
