@@ -155,8 +155,6 @@ class ToyExperiment:
 
     t_value: float
     branch: str = "plus"
-    tail_bound: float = TAIL_BOUND
-    quad_tol: float = QUAD_TOL
     integral: float = field(default=math.nan)
     quad_error: float = field(default=math.nan)
     profile_value: float = field(default=math.nan)
@@ -166,7 +164,7 @@ class ToyExperiment:
 
 def run_toy(t: float, branch: str = "plus", profile: LimitProfile | None = None) -> ToyExperiment:
     exp = ToyExperiment(t, branch)
-    exp.integral, exp.quad_error = truncated_integral(t, exp.quad_tol)
+    exp.integral, exp.quad_error = truncated_integral(t)
     prof = profile if profile is not None else limit_profile(branch)
     exp.profile_value = prof.at(t)
     exp.residual = abs(exp.integral - exp.profile_value)

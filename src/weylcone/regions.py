@@ -343,8 +343,8 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     test (`_meets_signed_root_cone`) is closed-form for a basis of 1, n - 1 or
     n forms, so ranks 2 and 3 solve no wall LP; other sizes solve one LP each.
     Every surviving cell carries an interior witness with d > 0 (validated): the
-    point of the cell's own strict-interior LP (`_cell_point`) on the
-    dominant-cone rows and then its signed wall rows, one per leaf, since
+    point of `lp.interior_point` on the cell's own strict rows (`_cell_rows`:
+    the dominant-cone rows, then its signed wall rows), one per leaf, since
     `_cells` yields no points.  The walls come from the bases of every
     admissible kernel, dominated ones included (`PsiSystem.kernels`).  A
     non-positive epsilon raises before any work.
@@ -361,7 +361,7 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cells = []
     for signs, _ in _cells(dominant, hyper):
-        w = _cell_point(dominant, hyper, signs)
+        w = lp.interior_point(n, **_cell_rows(dominant, hyper, signs))
         d2 = d_value_squared(w, psi)
         if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
@@ -781,11 +781,6 @@ def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level
     return dict(a_strict=rows, b_strict=rhs + [-s * level for s in signs])
 
 
-def _cell_point(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int]):
-    """The strict-interior LP point of the cell `signs` of `_cells` at level 0, or None if it is empty."""
-    return lp.interior_point(h.dim, **_cell_rows(h, forms, signs))
-
-
 def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
     """Open cells of the arrangement {f.y = level : f in forms} inside h.
 
@@ -795,7 +790,7 @@ def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
     first.  Each child is decided by `lp.strictly_feasible` on its own rows,
     and an empty one prunes its subtree; the root only when there are no
     forms.  The dual gives no point and none is inherited: a caller that needs
-    a leaf's witness solves `_cell_point` for it.
+    a leaf's witness solves `lp.interior_point` on its `_cell_rows`.
     """
 
     def rec(signs):
@@ -872,81 +867,61 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
     return delta / dmax
 
 
-def _descriptors_for_cell(
-    ctx: DecompositionContext, tv: Vec, sv: Vec, base_h: HPolyhedron, signs: Sequence[int]
-) -> list[RegionDescriptor]:
-    """All recursion leaves inside one sign cell."""
-    basis = ctx.basis
-    psi = ctx.psi
-    pi = ctx.pi
-    b_value = dot(ctx.b_form, tv)
-    pi_y = _quotient_rows(basis, pi)
-    out: list[RegionDescriptor] = []
-
-    def recurse(desc: RegionDescriptor):
-        region_h = instantiate(region_inequalities(psi, desc), basis, ctx.b_form, tv, sv)
-        pi0 = desc.pi_zero
-        pi0_y = _quotient_rows(basis, pi0)
-        if _kernel_meets(region_h, pi0_y):
-            out.append(desc)
-            return
-        delta_next = _certificate(ctx, desc, tv, sv)
-        if not 0 < delta_next <= desc.deltas[-1]:
-            raise CertificateError(
-                f"next threshold {delta_next} escapes (0, {desc.deltas[-1]}]" + _where(desc, tv, sv)
-            )
-        signed = [scale(desc.sgn(lam), ly) for lam, ly in zip(pi0, pi0_y)]
-        children = 0
-        for cell, _ in _cells(region_h, signed, delta_next * b_value):
-            lam_next = tuple(f for f, sg in zip(pi0, cell) if sg == 1)
-            if not lam_next:
-                raise CertificateError(
-                    "threshold level with empty split cell; certificate bound failed" + _where(desc, tv, sv)
-                )
-            children += 1
-            recurse(
-                RegionDescriptor(
-                    desc.p,
-                    desc.q,
-                    desc.pi,
-                    desc.pi_plus,
-                    desc.lambdas + (lam_next,),
-                    desc.deltas + (delta_next,),
-                )
-            )
-        if children == 0:
-            raise CertificateError("region produced no children despite nonempty interior" + _where(desc, tv, sv))
-
-    pi_plus = tuple(f for f, sg in zip(pi, signs) if sg == 1)
-    signed = [scale(sg, ly) for sg, ly in zip(signs, pi_y)]
-    # level 0 splits at the full threshold B(T); no certificate is needed
-    cell_region = base_h.with_constraints([(f, Fraction(0)) for f in signed])
-    for cell, _ in _cells(cell_region, signed, b_value):
-        lam0 = tuple(f for f, sg in zip(pi, cell) if sg == 1)
-        recurse(RegionDescriptor(ctx.p, ctx.q, pi, pi_plus, (lam0,), (Fraction(1),)))
-    return out
-
-
 def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDescriptor, ...]:
     """Split the nested-hull region into threshold polytopes (the index set).
 
-    Every leaf's kernel of unconsumed weights meets the leaf region; the
-    interiors partition the region.  Inputs must be well-situated.  The sign
-    cells are decomposed serially and the result order is canonical; `jobs`
-    is accepted and ignored.
+    One recursion, `split`, makes every level.  It cuts a piece along
+    {sgn(lam) lam.y = delta B(T)} for each weight lam the piece has not yet
+    consumed, and a cell's weights above the threshold become its child's
+    next level.  A child whose region meets the kernel of its unconsumed
+    weights is a leaf; any other child certifies a threshold delta' in
+    (0, delta] and is split again.  The roots are the sign cells of the weights in the base
+    region, split at delta = 1.  The interiors of the leaves partition the
+    region.  Inputs must be well-situated.  The run is serial and the result
+    order is canonical; `jobs` is accepted and ignored.
     """
     report = well_situated_report(ctx, t, s)
     if not report.ok:
         raise ValueError("inputs are not well-situated: " + "; ".join(report.failures))
     tv, sv = vec(t), vec(s)
-    if dot(ctx.b_form, tv) <= 0:
+    b_value = dot(ctx.b_form, tv)
+    if b_value <= 0:
         raise AssertionError("threshold functional is nonpositive at T")
-    basis = ctx.basis
-    base_h = instantiate(
-        base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv
-    )
-    pi_y = _quotient_rows(basis, ctx.pi)
-    out = [d for signs, _ in _cells(base_h, pi_y) for d in _descriptors_for_cell(ctx, tv, sv, base_h, signs)]
+    basis, pi = ctx.basis, ctx.pi
+    base_h = instantiate(base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv)
+    pi_y = _quotient_rows(basis, pi)
+    form_y = dict(zip(pi, pi_y))  # each weight's row in subspace coordinates
+    out: list[RegionDescriptor] = []
+
+    def split(desc: RegionDescriptor, region_h: HPolyhedron, delta: Fraction):
+        pi0 = desc.pi_zero
+        signed = [scale(desc.sgn(lam), form_y[lam]) for lam in pi0]
+        children = 0
+        for cell, _ in _cells(region_h, signed, delta * b_value):
+            lam_next = tuple(f for f, sg in zip(pi0, cell) if sg == 1)
+            if desc.lambdas and not lam_next:
+                raise CertificateError(
+                    "threshold level with empty split cell; certificate bound failed" + _where(desc, tv, sv)
+                )
+            children += 1
+            child = RegionDescriptor(
+                desc.p, desc.q, desc.pi, desc.pi_plus, desc.lambdas + (lam_next,), desc.deltas + (delta,)
+            )
+            child_h = instantiate(region_inequalities(ctx.psi, child), basis, ctx.b_form, tv, sv)
+            if _kernel_meets(child_h, [form_y[f] for f in child.pi_zero]):
+                out.append(child)
+                continue
+            delta_next = _certificate(ctx, child, tv, sv)
+            if not 0 < delta_next <= delta:
+                raise CertificateError(f"next threshold {delta_next} escapes (0, {delta}]" + _where(child, tv, sv))
+            split(child, child_h, delta_next)
+        if children == 0:
+            raise CertificateError("region produced no children despite nonempty interior" + _where(desc, tv, sv))
+
+    for signs, _ in _cells(base_h, pi_y):
+        pi_plus = tuple(f for f, sg in zip(pi, signs) if sg == 1)
+        sign_cell = base_h.with_constraints([(scale(sg, ly), Fraction(0)) for sg, ly in zip(signs, pi_y)])
+        split(RegionDescriptor(ctx.p, ctx.q, pi, pi_plus, (), ()), sign_cell, Fraction(1))
     out.sort(key=lambda d: (d.pi_plus, d.lambdas))
     return tuple(out)
 

@@ -37,11 +37,6 @@ class Polynomial:
     def constant(nvars: int, c) -> "Polynomial":
         return Polynomial.make(nvars, {(0,) * nvars: Fraction(c)})
 
-    @staticmethod
-    def coordinate(nvars: int, i: int) -> "Polynomial":
-        m = tuple(1 if j == i else 0 for j in range(nvars))
-        return Polynomial.make(nvars, {m: Fraction(1)})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

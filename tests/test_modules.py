@@ -1,13 +1,15 @@
 """Module boundaries inside the package: no module of `weylcone` reads a
 private (underscore) name of another, by `from .x import _y` or by `x._y`,
-and no module imports a name it never reads."""
+no module imports a name it never reads, and nothing it defines goes unread."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "weylcone").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "weylcone").glob("*.py"))
+READERS = sorted(p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py"))
 
 
 def _is_private(name: str) -> bool:
@@ -76,3 +78,54 @@ def test_the_unused_import_guard_sees_both_forms():
         "from .linalg import add, dot as d, zeros\nd(os.path, zeros)\n"
     )
     assert _unused_imports(ast.parse(src)) == ["json", "add"]
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Top-level functions and classes, and the non-dunder methods of those classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            found += [
+                f"{node.name}.{m.name}"
+                for m in node.body
+                if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef)) and not m.name.endswith("__")
+            ]
+    return found
+
+
+def _read_names(trees) -> set[str]:
+    """Every name read as a Name, as an attribute, or bound by an import."""
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+                read.add(n.attr)
+            elif isinstance(n, ast.alias):
+                read.add(n.name)
+    return read
+
+
+def _dead_names(defining: ast.Module, read: set[str]) -> list[str]:
+    return [name for name in _definitions(defining) if name.rpartition(".")[2] not in read]
+
+
+def test_every_function_class_and_method_of_the_package_is_read_somewhere():
+    """Name-based: a definition counts as read when its bare name is read
+    anywhere in `src/`, `tests/` or `perfbench/`, so a dead name that shares
+    its spelling with another reader (a method `at` beside a live `at`) hides."""
+    read = _read_names(ast.parse(p.read_text()) for p in READERS)
+    dead = [f"{p.stem}.{name}" for p in SOURCES for name in _dead_names(ast.parse(p.read_text()), read)]
+    assert dead == []
+
+
+def test_the_dead_name_guard_sees_functions_classes_and_methods():
+    src = (
+        "class Box:\n    def __init__(self): pass\n    def used(self): pass\n    def unused(self): pass\n"
+        "def called(): pass\ndef orphan(): pass\nclass Lonely: pass\n"
+    )
+    reader = "from .x import called\nBox().used()\n"
+    assert _dead_names(ast.parse(src), _read_names([ast.parse(reader)])) == ["Box.unused", "orphan", "Lonely"]

@@ -688,6 +688,27 @@ def test_certificate_error_names_the_region_and_parameters(ctx, monkeypatch):
     assert msg.endswith("T=(8, 8) S=(1/2, 1/2)]")
 
 
+@pytest.mark.parametrize(
+    "certificate, start",
+    [
+        (F(2), "next threshold 2 escapes (0, 1]"),
+        (F(1, 10**9), "threshold level with empty split cell"),
+    ],
+    ids=["escapes", "empty-cell"],
+)
+def test_decompose_guards_name_the_region_that_failed(ctx, monkeypatch, certificate, start):
+    """A threshold above its parent's, or a split cell with no weight above
+    the threshold, raises and names the level-0 region it came from."""
+    monkeypatch.setattr(RG, "_kernel_meets", lambda region_h, forms_y: False)  # force a certificate
+    monkeypatch.setattr(RG, "_certificate", lambda ctx, desc, t, s: certificate)
+    with pytest.raises(RG.CertificateError) as err:
+        RG.decompose(ctx, T, S)
+    msg = str(err.value)
+    assert msg.startswith(start)
+    assert "lambdas=(((-2, 1), (-1, -1), (-1, 2), (1, -2), (1, 1), (2, -1))) deltas=(1)" in msg
+    assert msg.endswith("T=(8, 8) S=(1/2, 1/2)]")
+
+
 def test_transport_error_names_the_region_and_parameters(ctx, leaf):
     with pytest.raises(RG.TransportError) as err:
         RG.region_vertices_affine(ctx, leaf, T, S, check=[((F(8), F(30)), S)])
