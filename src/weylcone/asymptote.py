@@ -18,20 +18,21 @@ from scipy.integrate import quad
 
 TAIL_BOUND = 1e-14
 QUAD_TOL = 1e-12
+SIGN_SAMPLES = (-2.0, -3.0, -4.0)
 _X_LIMIT = 10.0
 
 
-def theta_1d(x: float, tail_bound: float = TAIL_BOUND) -> float:
+def theta_1d(x: float) -> float:
     """The Gaussian lattice sum sum_n exp(-pi e^{2x} n^2).
 
     For negative x the direct series needs ~e^{-x} terms, so it is evaluated
     through the transform identity theta(x) = e^{-x} theta(-x) instead; the
     Gaussian is its own transform, so no second series is involved.  The tail
-    is truncated only once a geometric bound drops below `tail_bound`."""
+    is truncated only once a geometric bound drops below TAIL_BOUND."""
     if abs(x) > _X_LIMIT:
         raise ValueError(f"|x| must be at most {_X_LIMIT}")
     if x < 0:
-        return math.exp(-x) * theta_1d(-x, tail_bound)
+        return math.exp(-x) * theta_1d(-x)
     r2 = math.exp(2 * x)
     total = 1.0
     n = 1
@@ -40,38 +41,36 @@ def theta_1d(x: float, tail_bound: float = TAIL_BOUND) -> float:
         total += term
         # terms shrink faster than the ratio exp(-pi r2 (2n+1)); bound the tail
         ratio = math.exp(-math.pi * r2 * (2 * n + 1))
-        if term * ratio / (1 - ratio) < tail_bound:
+        if term * ratio / (1 - ratio) < TAIL_BOUND:
             return total
         n += 1
 
 
-def truncated_integral(t: float, tol: float = QUAD_TOL) -> tuple[float, float]:
+def truncated_integral(t: float) -> tuple[float, float]:
     """Signed integral of theta_1d over [0, t] with its error estimate."""
     if abs(t) > _X_LIMIT:
         raise ValueError(f"|T| must be at most {_X_LIMIT}")
     if t == 0:
         return 0.0, 0.0
-    value, err = quad(theta_1d, 0.0, t, epsabs=tol, limit=200)
+    value, err = quad(theta_1d, 0.0, t, epsabs=QUAD_TOL, limit=200)
     return value, err
 
 
-def c_plus(tol: float = QUAD_TOL) -> float:
+def c_plus() -> float:
     """The positive-branch constant: integral of theta - 1 over [0, inf).
 
     The integrand is below 2 exp(-pi e^{2x}), so the tail past the domain
     limit is far under double precision and the integral stops there."""
-    value, _ = quad(lambda x: theta_1d(x) - 1.0, 0.0, _X_LIMIT, epsabs=tol, limit=200)
+    value, _ = quad(lambda x: theta_1d(x) - 1.0, 0.0, _X_LIMIT, epsabs=QUAD_TOL, limit=200)
     return value
 
 
-def c_minus(tol: float = QUAD_TOL) -> float:
+def c_minus() -> float:
     """The negative-branch constant: integral of e^x (theta(x) - 1) over [0, inf).
 
     Truncated at the domain limit like c_plus; the e^x factor is no match
     for the double-exponential decay of the summand."""
-    value, _ = quad(
-        lambda x: math.exp(x) * (theta_1d(x) - 1.0), 0.0, _X_LIMIT, epsabs=tol, limit=200
-    )
+    value, _ = quad(lambda x: math.exp(x) * (theta_1d(x) - 1.0), 0.0, _X_LIMIT, epsabs=QUAD_TOL, limit=200)
     return value
 
 
@@ -105,23 +104,23 @@ def limit_profile(branch: str) -> LimitProfile:
     raise ValueError("branch must be 'plus' or 'minus'")
 
 
-def sign_convention_report(samples: tuple[float, ...] = (-2.0, -3.0, -4.0)) -> dict:
+def sign_convention_report() -> dict:
     """Decide the orientation of the negative-branch formula empirically.
 
-    Evaluates the truncated integral at the samples and compares it against
+    Evaluates the truncated integral at SIGN_SAMPLES and compares it against
     both orientations of (e^{-T} - 1) + C_minus; returns the residuals and
     the matching orientation."""
     cm = c_minus()
     plus_res = []
     minus_res = []
-    for t in samples:
+    for t in SIGN_SAMPLES:
         it, _ = truncated_integral(t)
         printed = (math.exp(-t) - 1.0) + cm
         plus_res.append(abs(it - printed))
         minus_res.append(abs(it + printed))
     orientation = 1 if max(plus_res) <= max(minus_res) else -1
     return {
-        "samples": samples,
+        "samples": SIGN_SAMPLES,
         "printed_residuals": tuple(plus_res),
         "negated_residuals": tuple(minus_res),
         "orientation": orientation,

@@ -1215,6 +1215,9 @@ def _slice_exponent(ctx: DecompositionContext, sd: SliceData, mu: Vec) -> Vec:
     return mat_vec(sd.kernel_basis, mu_y)
 
 
+FIT_STEP = Fraction(1, 16)
+
+
 @dataclass(frozen=True)
 class FitReport:
     model: TFiniteFunction
@@ -1234,17 +1237,17 @@ def fit_slice_model(
     s0,
     ds,
     grid: int = 5,
-    step: Fraction = Fraction(1, 16),
 ) -> FitReport:
     """Sample the slice integral on a parameter box and fit its closed form.
 
     The box is (X, T, S) = (x0, t0, s0) + (a dx, b dt, c ds) over a cubic
-    grid.  Slice vertices are clustered by tight set (the labels must not
-    change across the box), each cluster is verified to move affinely in
-    (a, b, c), and the integral values are fitted against the exponentials of
-    the cluster heights.  Returns the model with its maximum residual."""
+    grid: a, b and c run over the first `grid` multiples of FIT_STEP.  Slice
+    vertices are clustered by tight set (the labels must not change across
+    the box), each cluster is verified to move affinely in (a, b, c), and the
+    integral values are fitted against the exponentials of the cluster
+    heights.  Returns the model with its maximum residual."""
     mu_v = vec(mu)
-    params = [i * step for i in range(grid)]
+    params = [i * FIT_STEP for i in range(grid)]
     x0v, dxv = vec(x0), vec(dx)
     t0v, dtv = vec(t0), vec(dt)
     s0v, dsv = vec(s0), vec(ds)
@@ -1283,9 +1286,9 @@ def fit_slice_model(
     exponents = set()
     for key, table in labels.items():
         u000 = table[(Fraction(0), Fraction(0), Fraction(0))]
-        ga = scale(1 / step, sub(table[(step, Fraction(0), Fraction(0))], u000))
-        gb = scale(1 / step, sub(table[(Fraction(0), step, Fraction(0))], u000))
-        gc = scale(1 / step, sub(table[(Fraction(0), Fraction(0), step)], u000))
+        ga = scale(1 / FIT_STEP, sub(table[(FIT_STEP, Fraction(0), Fraction(0))], u000))
+        gb = scale(1 / FIT_STEP, sub(table[(Fraction(0), FIT_STEP, Fraction(0))], u000))
+        gc = scale(1 / FIT_STEP, sub(table[(Fraction(0), Fraction(0), FIT_STEP)], u000))
         for (a, b, c), v in table.items():
             pred = add(add(add(u000, scale(a, ga)), scale(b, gb)), scale(c, gc))
             if pred != v:
@@ -1309,8 +1312,10 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
 
     For every span class of the functional system at the pair, bounding all
     its members by the threshold inside the region must be feasible exactly
-    when the class kernel meets the hull of the T-projections.  Returns the
-    descriptions of any classes where the two sides disagree."""
+    when the class kernel meets the hull of the T-projections, that is when
+    the origin lies in the hull of the points (lambda(v))_{lambda in class}
+    over its vertices v.  Returns the descriptions of any classes where the
+    two sides disagree."""
     tv, sv = vec(t), vec(s)
     basis = ctx.basis
     dim_y = len(basis)
@@ -1330,13 +1335,7 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
             a_ub.append(neg(row))
             b_ub.append(b_value)
         thick = lp.feasible_point(dim_y, a_ub=a_ub, b_ub=b_ub) is not None
-        nv = len(hull)
-        a_eq = [[Fraction(1)] * nv]
-        b_eq = [Fraction(1)]
-        for lam in combo:
-            a_eq.append([dot(lam, v) for v in hull])
-            b_eq.append(Fraction(0))
-        bary = lp.feasible_point(nv, a_eq=a_eq, b_eq=b_eq, nonneg=nv) is not None
+        bary = polyhedra.in_hull([tuple(dot(lam, v) for lam in combo) for v in hull], zeros(len(combo)))
         if thick != bary:
             violations.append(
                 f"span class {combo}: thickened={thick} kernel-hull={bary}"

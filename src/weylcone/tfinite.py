@@ -4,34 +4,106 @@ A function here is a finite sum  sum_lambda p_lambda(x) e^{lambda(x)}  with
 rational linear exponents lambda and rational-coefficient polynomials p_lambda.
 The representation (exponent -> polynomial, zero polynomials dropped) is the
 canonical form: distinct canonical forms are distinct functions, so algebraic
-identities can be asserted by structural equality.
+identities can be asserted by structural equality.  A polynomial is the same
+kind of sum one level down (monomial -> coefficient), and both share one
+canonical form, one arithmetic (`_Sum`) and one monomial evaluator.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import product
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import Vec, vec, zeros
 
 Monomial = tuple[int, ...]
 
 
+def _canonical(pairs: Iterable[tuple], is_zero: Callable) -> dict:
+    """The canonical form of a sum of (key, value) pairs: equal keys merged,
+    zero values dropped, keys sorted."""
+    out: dict = {}
+    for k, v in pairs:
+        out[k] = out[k] + v if k in out else v
+    return {k: out[k] for k in sorted(out) if not is_zero(out[k])}
+
+
+def _eval_monomials(coeffs: Mapping[Monomial, Fraction], x: Sequence, num: Callable):
+    """sum_m num(c_m) prod_i x_i^{m_i}, multiplied left to right in the number
+    type of `num` (Fraction, float or an mpmath mpf); `x` is already of it."""
+    total = num(0)
+    for m, c in coeffs.items():
+        term = num(c)
+        for e, v in zip(m, x):
+            term *= v**e
+        total += term
+    return total
+
+
+class _Sum:
+    """The arithmetic of a canonical sum: a frozen dataclass (nvars, map) whose
+    map takes key tuples to values.  The product adds keys entrywise and
+    multiplies values.  A subclass names the map's field (`_field`), the zero
+    test of its values (`_is_zero`), its arity error and its `constant`."""
+
+    _field: str
+    _is_zero: Callable
+    _mismatch: str
+
+    @classmethod
+    def _of(cls, nvars: int, pairs: Iterable[tuple]):
+        return cls(nvars, _canonical(pairs, cls._is_zero))
+
+    def _items(self):
+        return getattr(self, self._field).items()
+
+    def __add__(self, other):
+        self._check(other)
+        return self._of(self.nvars, [*self._items(), *other._items()])
+
+    def __neg__(self):
+        return self._of(self.nvars, ((k, -v) for k, v in self._items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        self._check(other)
+        return self._of(
+            self.nvars,
+            ((tuple(map(operator.add, k1, k2)), v1 * v2) for k1, v1 in self._items() for k2, v2 in other._items()),
+        )
+
+    def scale(self, c):
+        return self * self.constant(self.nvars, c)
+
+    def __hash__(self):  # agrees with the generated __eq__, which compares the maps as dicts
+        return hash((self.nvars, frozenset(self._items())))
+
+    def _check(self, other):
+        if self.nvars != other.nvars:
+            raise ValueError(self._mismatch)
+
+
 @dataclass(frozen=True)
-class Polynomial:
+class Polynomial(_Sum):
     """Multivariate polynomial: map from exponent tuples to rational coefficients."""
 
     nvars: int
     coeffs: Mapping[Monomial, Fraction]
 
+    _field, _is_zero, _mismatch = "coeffs", operator.not_, "polynomial arity mismatch"
+    __hash__ = _Sum.__hash__  # a frozen dataclass would otherwise hash the dict
+
     @staticmethod
     def make(nvars: int, coeffs: Mapping[Monomial, object]) -> "Polynomial":
-        clean = {tuple(m): Fraction(c) for m, c in coeffs.items() if Fraction(c) != 0}
-        return Polynomial(nvars, _frozen(clean))
+        return Polynomial._of(nvars, ((tuple(m), Fraction(c)) for m, c in coeffs.items()))
 
     @staticmethod
     def constant(nvars: int, c) -> "Polynomial":
@@ -44,100 +116,42 @@ class Polynomial:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(m) for m in self.coeffs), default=-1)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial.make(self.nvars, out)
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial.make(self.nvars, {m: -c for m, c in self.coeffs.items()})
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        self._check(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return Polynomial.make(self.nvars, out)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        return Polynomial.make(self.nvars, {m: c * v for m, v in self.coeffs.items()})
-
     def eval(self, x: Sequence) -> Fraction:
-        xv = [Fraction(v) for v in x]
-        total = Fraction(0)
-        for m, c in self.coeffs.items():
-            term = c
-            for e, v in zip(m, xv):
-                term *= v**e
-            total += term
-        return total
+        return _eval_monomials(self.coeffs, [Fraction(v) for v in x], Fraction)
 
     def eval_float(self, x: Sequence[float]) -> float:
-        total = 0.0
-        for m, c in self.coeffs.items():
-            term = float(c)
-            for e, v in zip(m, x):
-                term *= float(v) ** e
-            total += term
-        return total
+        return _eval_monomials(self.coeffs, [float(v) for v in x], float)
 
     def shift(self, base: Sequence) -> "Polynomial":
         """p(base + y) as a polynomial in y, exactly."""
-        bv = [Fraction(v) for v in base]
-        result = Polynomial.make(self.nvars, {})
+        n = self.nvars
+        result = Polynomial.make(n, {})
         for m, c in self.coeffs.items():
-            term = Polynomial.constant(self.nvars, c)
+            term = Polynomial.constant(n, c)
             for i, e in enumerate(m):
-                factor = Polynomial.make(
-                    self.nvars,
-                    {
-                        (0,) * self.nvars: bv[i],
-                        tuple(1 if j == i else 0 for j in range(self.nvars)): Fraction(1),
-                    },
-                )
+                factor = Polynomial.make(n, {(0,) * n: base[i], tuple(int(j == i) for j in range(n)): 1})
                 for _ in range(e):
                     term = term * factor
             result = result + term
         return result
 
-    def __hash__(self):  # agrees with the generated __eq__, which compares coeffs as dicts
-        return hash((self.nvars, frozenset(self.coeffs.items())))
-
-    def _check(self, other: "Polynomial"):
-        if self.nvars != other.nvars:
-            raise ValueError("polynomial arity mismatch")
-
-
-def _frozen(d: dict):
-    return dict(sorted(d.items()))
-
 
 @dataclass(frozen=True)
-class TFiniteFunction:
+class TFiniteFunction(_Sum):
     """Canonical finite sum of p_lambda(x) e^{lambda(x)} terms."""
 
     nvars: int
     terms: Mapping[Vec, Polynomial]
 
+    _field, _is_zero, _mismatch = "terms", staticmethod(Polynomial.is_zero), "argument-space dimension mismatch"
+    __hash__ = _Sum.__hash__
+
     @staticmethod
     def make(nvars: int, terms: Mapping[Sequence, Polynomial]) -> "TFiniteFunction":
-        clean = {}
-        for lam, p in terms.items():
-            lv = vec(lam)
-            if len(lv) != nvars or p.nvars != nvars:
-                raise ValueError("arity mismatch between exponent and polynomial")
-            if not p.is_zero():
-                clean[lv] = clean.get(lv, Polynomial.make(nvars, {})) + p
-        clean = {lam: p for lam, p in clean.items() if not p.is_zero()}
-        return TFiniteFunction(nvars, _frozen(clean))
+        pairs = [(vec(lam), p) for lam, p in terms.items()]
+        if any(len(lv) != nvars or p.nvars != nvars for lv, p in pairs):
+            raise ValueError("arity mismatch between exponent and polynomial")
+        return TFiniteFunction._of(nvars, pairs)
 
     @staticmethod
     def zero(nvars: int) -> "TFiniteFunction":
@@ -150,37 +164,7 @@ class TFiniteFunction:
     @staticmethod
     def exponential(lam: Sequence, poly: Polynomial | None = None) -> "TFiniteFunction":
         lv = vec(lam)
-        n = len(lv)
-        return TFiniteFunction.make(n, {lv: poly if poly is not None else Polynomial.constant(n, 1)})
-
-    def __add__(self, other: "TFiniteFunction") -> "TFiniteFunction":
-        self._check(other)
-        out: dict[Vec, Polynomial] = dict(self.terms)
-        for lam, p in other.terms.items():
-            out[lam] = out.get(lam, Polynomial.make(self.nvars, {})) + p
-        return TFiniteFunction.make(self.nvars, out)
-
-    def __neg__(self) -> "TFiniteFunction":
-        return TFiniteFunction.make(self.nvars, {l: -p for l, p in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "TFiniteFunction") -> "TFiniteFunction":
-        self._check(other)
-        out: dict[Vec, Polynomial] = {}
-        for l1, p1 in self.terms.items():
-            for l2, p2 in other.terms.items():
-                lam = tuple(a + b for a, b in zip(l1, l2))
-                prod = p1 * p2
-                if lam in out:
-                    out[lam] = out[lam] + prod
-                else:
-                    out[lam] = prod
-        return TFiniteFunction.make(self.nvars, out)
-
-    def scale(self, c) -> "TFiniteFunction":
-        return TFiniteFunction.make(self.nvars, {l: p.scale(c) for l, p in self.terms.items()})
+        return TFiniteFunction.make(len(lv), {lv: poly if poly is not None else Polynomial.constant(len(lv), 1)})
 
     def eval(self, x: Sequence) -> float:
         """Float evaluation; extended precision once any |lambda(x)| exceeds 700."""
@@ -189,7 +173,7 @@ class TFiniteFunction:
         if any(abs(e) > 700 for e in exponents):
             return self._eval_mp(x)
         total = 0.0
-        for (lam, p), e in zip(self.terms.items(), exponents):
+        for p, e in zip(self.terms.values(), exponents):
             total += p.eval_float(xf) * math.exp(e)
         return total
 
@@ -197,17 +181,12 @@ class TFiniteFunction:
         import mpmath
 
         with mpmath.workdps(50):
+            mpf = lambda c: mpmath.mpf(float(c))
+            xf = [mpf(v) for v in x]
             total = mpmath.mpf(0)
-            xf = [mpmath.mpf(float(v)) for v in x]
             for lam, p in self.terms.items():
-                e = mpmath.fsum(mpmath.mpf(float(c)) * v for c, v in zip(lam, xf))
-                pe = mpmath.mpf(0)
-                for m, c in p.coeffs.items():
-                    term = mpmath.mpf(float(c))
-                    for k, v in zip(m, xf):
-                        term *= v**k
-                    pe += term
-                total += pe * mpmath.exp(e)
+                e = mpmath.fsum(mpf(c) * v for c, v in zip(lam, xf))
+                total += _eval_monomials(p.coeffs, xf, mpf) * mpmath.exp(e)
             try:
                 return float(total)
             except OverflowError:
@@ -216,28 +195,13 @@ class TFiniteFunction:
     def constant_term(self, base: Sequence | None = None) -> Fraction:
         """Coefficient of the zero-exponent, degree-zero term after recentering
         the argument at `base` (default: the origin)."""
-        zero = zeros(self.nvars)
-        p0 = self.terms.get(zero)
+        p0 = self.terms.get(zeros(self.nvars))
         if p0 is None:
             return Fraction(0)
-        if base is None:
-            base = zero
-        return p0.eval(base)
+        return p0.eval(zeros(self.nvars) if base is None else base)
 
     def exponent_degree_bound(self) -> dict[Vec, int]:
         return {lam: p.degree() for lam, p in self.terms.items()}
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("argument-space dimension mismatch")
-
-    def __eq__(self, other):
-        if not isinstance(other, TFiniteFunction):
-            return NotImplemented
-        return self.nvars == other.nvars and dict(self.terms) == dict(other.terms)
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
 
 
 def fit_tfinite(
@@ -287,34 +251,16 @@ def fit_tfinite(
     else:
         coef, *_ = np.linalg.lstsq(a, b, rcond=None)
     terms: dict[Vec, Polynomial] = {}
-    idx = 0
-    for lam in lam_list:
-        pc: dict[Monomial, Fraction] = {}
-        for m in monos:
-            c = float(coef[idx])
-            idx += 1
-            if abs(c) > 1e-12:
-                pc[m] = Fraction(c)
-        poly = Polynomial.make(nvars, pc)
-        if not poly.is_zero():
-            terms[lam] = terms.get(lam, Polynomial.make(nvars, {})) + poly
+    for lam, row in zip(lam_list, coef.reshape(len(lam_list), len(monos))):
+        poly = Polynomial.make(nvars, {m: float(c) for m, c in zip(monos, row) if abs(c) > 1e-12})
+        terms[lam] = terms[lam] + poly if lam in terms else poly
     f = TFiniteFunction.make(nvars, terms)
     residual = max(abs(f.eval(x) - float(y)) for x, y in samples)
     return f, residual
 
 
 def _monomials(nvars: int, max_degree: int) -> list[Monomial]:
-    out: list[Monomial] = []
-
-    def rec(prefix, remaining, budget):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for d in range(budget + 1):
-            rec(prefix + [d], remaining - 1, budget - d)
-
-    rec([], nvars, max_degree)
-    return sorted(out)
+    return [m for m in product(range(max_degree + 1), repeat=nvars) if sum(m) <= max_degree]
 
 
 # --- serialization ----------------------------------------------------------

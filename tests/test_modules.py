@@ -1,6 +1,7 @@
 """Module boundaries inside the package: no module of `weylcone` reads a
 private (underscore) name of another, by `from .x import _y` or by `x._y`,
-no module imports a name it never reads, and nothing it defines goes unread."""
+no module imports a name it never reads, nothing it defines goes unread,
+and every defaulted parameter is passed by some call."""
 
 import ast
 from pathlib import Path
@@ -129,3 +130,81 @@ def test_the_dead_name_guard_sees_functions_classes_and_methods():
     )
     reader = "from .x import called\nBox().used()\n"
     assert _dead_names(ast.parse(src), _read_names([ast.parse(reader)])) == ["Box.unused", "orphan", "Lonely"]
+
+
+def _defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(name called, parameter, position) for every parameter with a default of
+    a top-level function or of a method (an `__init__` is called by its class's
+    name); the position counts the arguments a call passes, so it skips a
+    method's self or cls, and is None for keyword-only ones."""
+    found = []
+    functions = [(n, None) for n in tree.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        functions += [(m, cls) for m in cls.body if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn, cls in functions:
+        name = cls.name if cls and fn.name == "__init__" else fn.name
+        bound = cls is not None and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+        params = [*fn.args.posonlyargs, *fn.args.args][int(bound) :]
+        defaulted = params[len(params) - len(fn.args.defaults) :]
+        found += [(name, a.arg, params.index(a)) for a in defaulted]
+        found += [(name, a.arg, None) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return found
+
+
+def _calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call by the bare name it calls, leaving out a function's calls to itself."""
+    calls: dict[str, list[ast.Call]] = {}
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None and name not in enclosing:
+                calls.setdefault(name, []).append(node)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for tree in trees:
+        visit(tree, frozenset())
+    return calls
+
+
+def _passes(call: ast.Call, param: str, position: int | None) -> bool:
+    if any(k.arg in (param, None) for k in call.keywords):  # by keyword, or **kwargs
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def _unset_options(defining: ast.Module, calls: dict[str, list[ast.Call]]) -> list[str]:
+    return [
+        f"{fn}({param})"
+        for fn, param, position in _defaulted_parameters(defining)
+        if not any(_passes(c, param, position) for c in calls.get(fn, ()))
+    ]
+
+
+def test_every_option_of_the_package_is_set_by_some_call():
+    """A defaulted parameter that no call in `src/`, `tests/` or `perfbench/`
+    passes is a constant spelled as an option.  Name-based like the dead-name
+    guard: a call counts for every definition of the name it calls."""
+    calls = _calls(ast.parse(p.read_text()) for p in READERS)
+    unset = [f"{p.stem}.{name}" for p in SOURCES for name in _unset_options(ast.parse(p.read_text()), calls)]
+    assert unset == []
+
+
+def test_the_option_guard_sees_keywords_positions_stars_and_self_calls():
+    src = (
+        "def f(a, k=1, j=2): pass\n"
+        "def rec(n, bound=0):\n    return rec(n - 1, bound)\n"
+        "def g(*, flag=False): pass\n"
+        "def h(a, b=0): pass\n"
+        "class Box:\n    def __init__(self, a, b=0, c=1): pass\n    def m(self, a, size=3): pass\n"
+        "    @staticmethod\n    def s(a, size=3): pass\n"
+    )
+    reader = "f(0, j=5)\nh(*args)\ng(**opts)\nBox(1, 2).m(1, 2)\nBox.s(1)\n"
+    calls = _calls([ast.parse(src), ast.parse(reader)])
+    assert _unset_options(ast.parse(src), calls) == ["f(k)", "rec(bound)", "Box(c)", "s(size)"]

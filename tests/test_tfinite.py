@@ -164,3 +164,39 @@ def test_polynomial_and_tfinite_hash_agree_with_equality():
     f = TFiniteFunction.exponential((1, 0), p)
     g = TFiniteFunction(2, {(F(1), F(0)): q})
     assert f == g and hash(f) == hash(g) and {f: 1}[g] == 1
+
+
+def _is_canonical(f):
+    """Exponents sorted, no zero polynomial, each polynomial's monomials sorted with no zero coefficient."""
+    polys = list(f.terms.values())
+    return (
+        list(f.terms) == sorted(f.terms)
+        and not any(p.is_zero() for p in polys)
+        and all(list(p.coeffs) == sorted(p.coeffs) and all(p.coeffs.values()) for p in polys)
+    )
+
+
+@given(poly_strategy(), poly_strategy(), poly_strategy(), small)
+def test_tfinite_scale_and_minus_agree_with_the_product_by_a_constant(p, q, r, c):
+    f = TFiniteFunction.make(2, {(F(1), F(0)): p, (F(0), F(0)): q})
+    g = TFiniteFunction.make(2, {(F(0), F(-1, 2)): r, (F(0), F(0)): p})
+    const = TFiniteFunction.constant
+    assert f.scale(c) == f * const(2, c) == const(2, c) * f
+    assert -f == f * const(2, -1) == f.scale(-1)
+    assert f - g == f + g * const(2, -1)
+    assert f.scale(0) == f - f == TFiniteFunction.zero(2)
+    for h in (f.scale(c), -f, f - g):
+        assert _is_canonical(h)
+    x = (0.37, -0.81)
+    fx, gx = f.eval(x), g.eval(x)
+    assert f.scale(c).eval(x) == pytest.approx(float(c) * fx, rel=1e-12, abs=1e-12)
+    assert (-f).eval(x) == pytest.approx(-fx, rel=1e-12, abs=1e-12)
+    assert (f - g).eval(x) == pytest.approx(fx - gx, rel=1e-12, abs=1e-12)
+
+
+def test_tfinite_eval_takes_the_extended_precision_path_past_exponent_700():
+    f = TFiniteFunction.exponential((F(1), F(0))) - TFiniteFunction.exponential((F(0), F(1)))
+    with pytest.raises(OverflowError):
+        math.exp(800.0)  # what the float path would compute for each term at (800, 800)
+    assert f.eval((800, 800)) == 0.0
+    assert f.eval((F(1, 2), F(1, 4))) == math.exp(0.5) - math.exp(0.25)
