@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import asymptote, chambers, polyhedra, regions, rootspace
 from . import tfinite as tfin
-from .linalg import vec
+from .linalg import exact_json, vec
 
 _DOMAIN_ERRORS = (
     ValueError,
@@ -111,12 +111,8 @@ def _datum(args) -> rootspace.RootDatum:
 
 
 def _emit(obj) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1))
+    sys.stdout.write(json.dumps(exact_json(obj), sort_keys=True, separators=(",", ": "), indent=1))
     sys.stdout.write("\n")
-
-
-def _form(v) -> list[str]:
-    return [str(c) for c in v]
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +166,7 @@ def _cmd_bv(args) -> int:
     else:
         es = chambers.bv_integral(cd, assignment.members, x, mu)
         out["kind"] = "exp_sum"
-        out["result"] = {
-            "terms": [
-                {"coeff": str(c), "exponent": str(e)} for c, e in es.terms
-            ]
-        }
+        out["result"] = {"terms": [{"coeff": c, "exponent": e} for c, e in es.terms]}
         out["float_value"] = float(es.eval())
     _emit(out)
     return 0
@@ -185,18 +177,13 @@ def _cmd_cones(args) -> int:
     psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep, datum.rank)))
     eps = _parse_eps(args.eps) if args.eps else None
     family = regions.pi_cones(psi, eps)
-    _emit(
-        {
-            "walls": [_form(h) for h in family.hyperplanes],
-            "cells": [
-                {"signs": list(c.signs), "witness": _form(c.witness)}
-                for c in family.cones
-            ],
-            "epsilon": str(family.epsilon) if family.epsilon is not None else None,
-            "suggested_epsilon": str(regions.suggest_epsilon(family)),
-            "exact": True,
-        }
-    )
+    _emit({
+        "walls": family.hyperplanes,
+        "cells": [{"signs": c.signs, "witness": c.witness} for c in family.cones],
+        "epsilon": family.epsilon,
+        "suggested_epsilon": regions.suggest_epsilon(family),
+        "exact": True,
+    })
     return 0
 
 
@@ -263,11 +250,7 @@ def _cmd_regions_slice(args) -> int:
         )
     ref = refs[args.ref_index]
     sd = regions.slice_polytope(ctx, ref, x, t, s)
-    out = {
-        "vertices": [_form(v) for v in sd.polytope.vertices],
-        "kernel_basis": [_form(k) for k in sd.kernel_basis],
-        "exact": True,
-    }
+    out = {"vertices": sd.polytope.vertices, "kernel_basis": sd.kernel_basis, "exact": True}
     if mu is not None:
         out["integral"] = regions.slice_exp_integral(ctx, ref, x, t, s, mu)
         out["integral_kind"] = "float"

@@ -9,6 +9,7 @@ rows, scaled by `integer_rows`: one fraction-free Gauss-Jordan (`_reduce`,
 Edmonds 1967) whose steps `eliminate` keeps divided by their gcd, as the `lp`
 simplex pivots, serves `rref`, `integer_solve` and `invert` (one elimination
 of [a | I]); `det` is Bareiss's exact-division elimination (1968).
+`exact_json` is the one JSON form of exact data: each Fraction as its "p/q" text.
 """
 
 from __future__ import annotations
@@ -273,3 +274,15 @@ def independent_subset(rows: Sequence[Vec]) -> tuple[int, ...]:
 
     These are the pivot columns of the rows taken as columns: one elimination."""
     return rref(transpose(rows), len(rows))[1]
+
+
+def exact_json(obj):
+    """`obj` ready for `json.dumps`: every Fraction as str(Fraction), every tuple
+    as a list, dicts and lists walked entry by entry, all else as it is."""
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, (tuple, list)):
+        return [exact_json(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: exact_json(v) for k, v in obj.items()}
+    return obj

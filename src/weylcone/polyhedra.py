@@ -27,6 +27,7 @@ from .linalg import (
     coords_in_basis,
     det,
     dot,
+    exact_json,
     identity,
     independent_subset,
     integer_rows,
@@ -417,15 +418,8 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
 
 
 def h_to_json(h: HPolyhedron) -> str:
-    return json.dumps(
-        {
-            "H": [
-                {"normal": [str(x) for x in a], "offset": str(c)}
-                for a, c in zip(h.normals, h.offsets)
-            ],
-            "dim": h.dim,
-        }
-    )
+    rows = [{"normal": a, "offset": c} for a, c in zip(h.normals, h.offsets)]
+    return json.dumps(exact_json({"H": rows, "dim": h.dim}))
 
 
 def h_from_json(text: str) -> HPolyhedron:
@@ -435,7 +429,7 @@ def h_from_json(text: str) -> HPolyhedron:
 
 
 def v_to_json(v: VPolytope) -> str:
-    return json.dumps({"V": [[str(x) for x in p] for p in v.vertices]})
+    return json.dumps(exact_json({"V": v.vertices}))
 
 
 def v_from_json(text: str) -> VPolytope:

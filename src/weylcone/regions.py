@@ -22,10 +22,10 @@ deterministic.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import isqrt
 from operator import mul
 from typing import Iterable, Sequence
@@ -37,6 +37,7 @@ from .linalg import (
     add,
     coords_in_basis,
     dot,
+    exact_json,
     identity,
     independent_subset,
     integer_rows,
@@ -53,6 +54,7 @@ from .linalg import (
     span_key,
     sub,
     transpose,
+    unit,
     vec,
     zeros,
 )
@@ -856,11 +858,8 @@ def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: V
             "no exact certificate for the next threshold level; "
             "the inputs likely fail the largeness requirement" + _where(desc, t, s)
         )
-    mu = mat_vec(transpose([f for f, _ in cert]), x[nb:])
-    d = coords_in_basis(pi0_basis, mu)
-    if d is None:
-        raise CertificateError("certificate functional escapes the unconsumed span" + _where(desc, t, s))
-    dmax = max(abs(c) for c in d)
+    # the equality rows make x[:nb] the coordinates of the functional in pi0_basis
+    dmax = max(abs(c) for c in x[:nb])
     if dmax == 0:
         raise CertificateError("certificate functional is zero" + _where(desc, t, s))
     delta = Fraction(1, len(desc.pi))
@@ -1252,54 +1251,38 @@ def fit_slice_model(
     t0v, dtv = vec(t0), vec(dt)
     s0v, dsv = vec(s0), vec(ds)
     labels: dict[frozenset, dict[tuple, Vec]] = {}
-    values: dict[tuple, float] = {}
+    values: dict[tuple, float] = {}  # in sorted order: product() runs over the sorted params
     mu_u = None
-    dim_u = None
     frame = _slice_frame(ctx, ref)
-    for a in params:
-        for b in params:
-            for c in params:
-                xx = add(x0v, scale(a, dxv))
-                tt = add(t0v, scale(b, dtv))
-                ss = add(s0v, scale(c, dsv))
-                sd = _slice_at(ctx, frame, xx, tt, ss)
-                if mu_u is None:
-                    mu_u = _slice_exponent(ctx, sd, mu_v)
-                    dim_u = len(sd.kernel_basis)
-                here = {}
-                for v in sd.polytope.vertices:
-                    here[polyhedra.tight_set(sd.h, v)] = v
-                if len(here) != len(sd.polytope.vertices):
-                    raise TransportError("two slice vertices share a tight set" + _where(ref.region, tt, ss))
-                if not labels:
-                    for key in here:
-                        labels[key] = {}
-                elif set(here) != set(labels):
-                    raise TransportError(
-                        "slice tight-set labels vary across the sample box" + _where(ref.region, tt, ss)
-                    )
-                for key, v in here.items():
-                    labels[key][(a, b, c)] = v
-                values[(a, b, c)] = polyhedra.integrate_exp_oracle(
-                    sd.polytope, mu_u
-                )
+    for abc in product(params, repeat=3):
+        a, b, c = abc
+        xx, tt, ss = add(x0v, scale(a, dxv)), add(t0v, scale(b, dtv)), add(s0v, scale(c, dsv))
+        sd = _slice_at(ctx, frame, xx, tt, ss)
+        if mu_u is None:
+            mu_u = _slice_exponent(ctx, sd, mu_v)
+        here = {polyhedra.tight_set(sd.h, v): v for v in sd.polytope.vertices}
+        if len(here) != len(sd.polytope.vertices):
+            raise TransportError("two slice vertices share a tight set" + _where(ref.region, tt, ss))
+        if labels and set(here) != set(labels):
+            raise TransportError("slice tight-set labels vary across the sample box" + _where(ref.region, tt, ss))
+        for key, v in here.items():
+            labels.setdefault(key, {})[abc] = v
+        values[abc] = polyhedra.integrate_exp_oracle(sd.polytope, mu_u)
     exponents = set()
-    for key, table in labels.items():
-        u000 = table[(Fraction(0), Fraction(0), Fraction(0))]
-        ga = scale(1 / FIT_STEP, sub(table[(FIT_STEP, Fraction(0), Fraction(0))], u000))
-        gb = scale(1 / FIT_STEP, sub(table[(Fraction(0), FIT_STEP, Fraction(0))], u000))
-        gc = scale(1 / FIT_STEP, sub(table[(Fraction(0), Fraction(0), FIT_STEP)], u000))
-        for (a, b, c), v in table.items():
-            pred = add(add(add(u000, scale(a, ga)), scale(b, gb)), scale(c, gc))
+    for table in labels.values():
+        u000 = table[zeros(3)]
+        grads = [scale(1 / FIT_STEP, sub(table[scale(FIT_STEP, unit(3, i))], u000)) for i in range(3)]
+        for abc, v in table.items():
+            pred = u000
+            for k, g in zip(abc, grads):
+                pred = add(pred, scale(k, g))
             if pred != v:
                 where = _where(ref.region, t0v, s0v, dT=dtv, dS=dsv)
                 raise TransportError("slice vertex motion is not affine in the box" + where)
-        exponents.add((dot(mu_u, ga), dot(mu_u, gb), dot(mu_u, gc)))
+        exponents.add(tuple(dot(mu_u, g) for g in grads))
     exp_list = tuple(sorted(exponents))
-    samples = [
-        ((float(a), float(b), float(c)), val) for (a, b, c), val in sorted(values.items())
-    ]
-    model, residual = fit_tfinite(samples, exp_list, max_degree=dim_u)
+    samples = [(tuple(map(float, abc)), val) for abc, val in values.items()]
+    model, residual = fit_tfinite(samples, exp_list, max_degree=len(mu_u))
     return FitReport(model, residual, exp_list, len(labels))
 
 
@@ -1343,57 +1326,40 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
     return tuple(violations)
 
 
-def _form_json(f: Vec) -> list[str]:
-    return [str(c) for c in f]
-
-
-def _ineq_json(iq: SymbolicIneq) -> dict:
-    return {
-        "lhs": _form_json(iq.lhs),
-        "rel": iq.rel,
-        "b_coeff": str(iq.b_coeff),
-        "t_form": _form_json(iq.t_form),
-        "ts_form": _form_json(iq.ts_form),
-        "kind": iq.kind,
-    }
-
-
 def region_to_json(psi: PsiSystem, desc: RegionDescriptor) -> dict:
     index = {f: i for i, f in enumerate(desc.pi)}
-    return {
+    return exact_json({
         "p": sorted(desc.p.outside),
         "q": sorted(desc.q.outside),
-        "pi": [_form_json(f) for f in desc.pi],
+        "pi": desc.pi,
         "pi_plus": [index[f] for f in desc.pi_plus],
         "lambdas": [[index[f] for f in level] for level in desc.lambdas],
-        "deltas": [str(d) for d in desc.deltas],
-        "ineqs": [_ineq_json(iq) for iq in region_inequalities(psi, desc)],
-    }
+        "deltas": desc.deltas,
+        "ineqs": [asdict(iq) for iq in region_inequalities(psi, desc)],
+    })
 
 
-def decomposition_to_json(
-    ctx: DecompositionContext, descs: Sequence[RegionDescriptor]
-) -> dict:
-    return {
+def decomposition_to_json(ctx: DecompositionContext, descs: Sequence[RegionDescriptor]) -> dict:
+    return exact_json({
         "p": sorted(ctx.p.outside),
         "q": sorted(ctx.q.outside),
-        "epsilon": str(ctx.epsilon),
-        "kappa_sq": str(ctx.kappa_sq),
-        "b_functional": _form_json(ctx.b_form),
-        "largeness_sq": str(ctx.largeness_sq),
+        "epsilon": ctx.epsilon,
+        "kappa_sq": ctx.kappa_sq,
+        "b_functional": ctx.b_form,
+        "largeness_sq": ctx.largeness_sq,
         "regions": [region_to_json(ctx.psi, d) for d in descs],
-    }
+    })
 
 
 def refinement_to_json(ctx: DecompositionContext, ref: RefinementDescriptor) -> dict:
     index = {f: i for i, f in enumerate(ref.region.pi)}
-    return {
+    return exact_json({
         "region": region_to_json(ctx.psi, ref.region),
         "pi_one": [index[f] for f in ref.pi_one],
         "basis": [index[f] for f in ref.basis_b],
-        "delta_prime": str(ref.delta_prime),
-        "problematic": [_form_json(f) for f in ref.problematic],
-        "signs": list(ref.signs),
-        "pyramid_facets": [_form_json(f) for f in ref.pyramid_facets],
-        "ineqs": [_ineq_json(iq) for iq in refinement_inequalities(ctx, ref)],
-    }
+        "delta_prime": ref.delta_prime,
+        "problematic": ref.problematic,
+        "signs": ref.signs,
+        "pyramid_facets": ref.pyramid_facets,
+        "ineqs": [asdict(iq) for iq in refinement_inequalities(ctx, ref)],
+    })

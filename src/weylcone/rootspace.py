@@ -32,6 +32,7 @@ from .linalg import (
     Vec,
     add,
     dot,
+    exact_json,
     identity,
     integer_rows,
     invert,
@@ -423,10 +424,10 @@ def datum_to_json(datum: RootDatum, weights: WeightSet | None = None) -> str:
     out = {
         "type": datum.ctype,
         "rank": datum.rank,
-        "simple_roots": [[str(c) for c in r] for r in datum.simple_roots],
-        "fundamental_weights": [[str(c) for c in r] for r in datum.fundamental_weights],
-        "inner_product": [[str(c) for c in r] for r in datum.inner],
+        "simple_roots": datum.simple_roots,
+        "fundamental_weights": datum.fundamental_weights,
+        "inner_product": datum.inner,
     }
     if weights is not None:
-        out["weights"] = [[str(c) for c in w] for w in sorted(weights.weights)]
-    return json.dumps(out)
+        out["weights"] = sorted(weights.weights)
+    return json.dumps(exact_json(out))

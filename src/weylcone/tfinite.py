@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import Vec, vec, zeros
+from .linalg import Vec, exact_json, vec, zeros
 
 Monomial = tuple[int, ...]
 
@@ -171,16 +171,20 @@ class TFiniteFunction(_Sum):
         xf = [float(v) for v in x]
         exponents = [sum(float(c) * v for c, v in zip(lam, xf)) for lam in self.terms]
         if any(abs(e) > 700 for e in exponents):
-            return self._eval_mp(x)
+            return self._eval_mp(x, max(exponents) - min(exponents))
         total = 0.0
         for p, e in zip(self.terms.values(), exponents):
             total += p.eval_float(xf) * math.exp(e)
         return total
 
-    def _eval_mp(self, x: Sequence) -> float:
+    def _eval_mp(self, x: Sequence, spread: float) -> float:
+        """The sum at 50 digits plus the decimal digits of e^spread, so that a term
+        e^spread times smaller than the largest still counts after a cancellation
+        (no extra digits for a spread of inf or nan, from a float overflow in x)."""
         import mpmath
 
-        with mpmath.workdps(50):
+        digits = 50 + math.ceil(spread / math.log(10)) if spread < math.inf else 50
+        with mpmath.workdps(digits):
             mpf = lambda c: mpmath.mpf(float(c))
             xf = [mpf(v) for v in x]
             total = mpmath.mpf(0)
@@ -267,21 +271,11 @@ def _monomials(nvars: int, max_degree: int) -> list[Monomial]:
 
 
 def to_json(f: TFiniteFunction) -> str:
-    return json.dumps(
-        {
-            "nvars": f.nvars,
-            "terms": [
-                {
-                    "exponent": [str(c) for c in lam],
-                    "poly": [
-                        {"monomial": list(m), "coeff": str(c)}
-                        for m, c in sorted(p.coeffs.items())
-                    ],
-                }
-                for lam, p in sorted(f.terms.items())
-            ],
-        }
-    )
+    terms = [
+        {"exponent": lam, "poly": [{"monomial": m, "coeff": c} for m, c in p.coeffs.items()]}
+        for lam, p in f.terms.items()
+    ]
+    return json.dumps(exact_json({"nvars": f.nvars, "terms": terms}))
 
 
 def from_json(text: str) -> TFiniteFunction:

@@ -1,6 +1,10 @@
 """End-to-end command-line checks (in-process, plus one console-script run)."""
 
+import contextlib
+import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -483,3 +487,69 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["rank"] == 1
+
+
+def cli_transcript(tmp_path) -> str:
+    """Exit code and stdout of a fixed bundle of commands, one block per command.
+
+    The bundle leaves out the commands whose output holds SciPy floats (`slice --mu`,
+    `oracle integrate`, `asymptote toy`). Each block starts with the command line,
+    input files named relative to `tmp_path`.
+    """
+    axis = lambda i, s: tuple(F(s) if j == i else F(0) for j in range(3))
+    inputs = {
+        "square.json": SQUARE_H,
+        "cube.json": PH.HPolyhedron.from_pairs(
+            [(axis(i, 1), F(0)) for i in range(3)] + [(axis(i, -1), F(1)) for i in range(3)], 3
+        ),
+        "ray.json": PH.HPolyhedron.from_pairs([((F(1),), F(0))], 1),
+    }
+    for name, h in inputs.items():
+        (tmp_path / name).write_text(PH.h_to_json(h), encoding="utf-8")
+    dec = DECOMPOSE_ARGS[2:]
+    a3 = ["--type", "A", "--rank", "3", "--rep", "standard", "--P", "a3", "--Q", "a1,a3",
+          "--eps", "27255491/1073741824", "--T", "99,77,44", "--S", "3/5,7/15,4/15"]
+    square = ["bv", "--normals", "1,0;0,1;-1,0;0,-1", "--x", "0,0,2,3"]
+    commands = [
+        ["rootdatum", "--type", "A", "--rank", "2", "--rep", "adjoint"],
+        ["rootdatum", "--type", "B", "--rank", "3", "--rep", "standard"],
+        ["rootdatum", "--type", "C", "--rank", "3", "--rep", "adjoint"],
+        ["rootdatum", "--type", "D", "--rank", "4"],
+        ["gamma", "--type", "A", "--rank", "1", "--P", "", "--Q", "a1", "--X", "1/2", "--T", "2"],
+        ["bv", "--normals", "1;-1", "--x", "0,1", "--mu", "2"],
+        ["bv", "--normals", "1;-1", "--x", "0,1", "--mu", "0", "--limit"],
+        square + ["--mu", "1,2"],
+        square + ["--mu", "0,0"],
+        square + ["--mu", "1,2", "--limit"],
+        square + ["--mu", "0,0", "--limit"],
+        ["cones", "--type", "A", "--rank", "2", "--rep", "standard", "--eps", "1/10"],
+        ["cones", "--type", "A", "--rank", "2", "--rep", "adjoint"],
+        ["cones", "--type", "A", "--rank", "3", "--rep", "adjoint"],
+        ["cones", "--type", "B", "--rank", "3", "--rep", "standard"],
+        DECOMPOSE_ARGS,
+        DECOMPOSE_ARGS + ["--jobs", "2"],
+        ["regions", "refine", *dec, "--region-index", "1", "--pi-one", "2,3"],
+        ["regions", "refine", *dec, "--region-index", "1", "--pi-one", "2"],
+        ["regions", "refine", *a3, "--region-index", "3", "--pi-one", "0"],
+        ["regions", "slice", *dec, "--region-index", "1", "--pi-one", "2,3", "--X", "97/12,197/48"],
+        ["oracle", "vertices", "--in", str(tmp_path / "square.json")],
+        ["oracle", "vertices", "--in", str(tmp_path / "cube.json")],
+        ["oracle", "vertices", "--in", str(tmp_path / "cube.json"), "--format", "off"],
+        ["oracle", "vertices", "--in", str(tmp_path / "ray.json")],
+        ["bv", "--normals", "1;-1", "--x", "0,1/0", "--mu", "2"],
+        ["regions", "decompose", *dec, "--jobs", "0"],
+    ]
+    blocks = []
+    for argv in commands:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+        line = shlex.join(a.replace(f"{tmp_path}{os.sep}", "") for a in argv)
+        blocks.append(f"$ weylcone {line}\nexit {code}\n{out.getvalue()}")
+    return "".join(blocks)
+
+
+def test_cli_bundle_stdout_and_exit_codes_are_pinned(tmp_path):
+    # the file is cli_transcript's text at 526ef63, before linalg.exact_json became the one
+    # JSON writer; regenerate it only for an intended change of output
+    assert cli_transcript(tmp_path).encode() == (DATA / "cli_golden.txt").read_bytes()

@@ -200,3 +200,10 @@ def test_tfinite_eval_takes_the_extended_precision_path_past_exponent_700():
         math.exp(800.0)  # what the float path would compute for each term at (800, 800)
     assert f.eval((800, 800)) == 0.0
     assert f.eval((F(1, 2), F(1, 4))) == math.exp(0.5) - math.exp(0.25)
+
+
+def test_tfinite_eval_keeps_a_small_term_beside_cancelling_large_ones():
+    # e^x - e^y + e^(x-y) at (800, 800) is 1: the 1 has to survive beside e^800 ~ 10^347
+    exp = TFiniteFunction.exponential
+    f = exp((F(1), F(0))) - exp((F(0), F(1))) + exp((F(1), F(-1)))
+    assert f.eval((800, 800)) == 1.0
