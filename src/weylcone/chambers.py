@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, product
-from math import factorial, prod
+from itertools import accumulate, combinations, product
+from math import prod
 from typing import Mapping, Sequence
 
 from . import polyhedra
@@ -313,13 +313,17 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
 
 def _exp_series(form: Vec, order: int) -> list[dict]:
     """(-B)^r / r! for r = 0..order, B = form . theta, as monomial -> coefficient:
-    the multinomial sum over B's support of prod_i (-b_i)^{a_i} / a_i!."""
-    support = [i for i, c in enumerate(form) if c != 0]
-    series = []
-    for r in range(order + 1):
-        coeffs = {}
-        for pick in combinations_with_replacement(support, r):
-            mono = tuple(map(pick.count, range(len(form))))
-            coeffs[mono] = prod((-form[i]) ** e / factorial(e) for i, e in enumerate(mono) if e)
-        series.append(coeffs)
+    the multinomial sum over B's support of prod_i (-b_i)^{a_i} / a_i!.  A degree-r
+    monomial grows from a degree r - 1 one at that one's last variable or a later
+    one: its coefficient is an entry of that variable's table (-b_i)^e / e! times
+    the coefficient grown from, less its last variable's factor if it grew there."""
+    tables = [(i, list(accumulate(range(1, order + 1), lambda t, e: t * -c / e, initial=1))) for i, c in enumerate(form) if c]
+    zero = (0,) * len(form)
+    series, level = [{zero: 1}], [(zero, 0, 1, 1)]  # (monomial, its last table, coefficient less that factor, coefficient)
+    for _ in range(order):
+        level = [(mono[:i] + (mono[i] + 1,) + mono[i + 1 :], k, base, base * table[mono[i] + 1])
+                 for mono, last, rest, coeff in level
+                 for k, (i, table) in enumerate(tables[last:], last)
+                 for base in [rest if k == last else coeff]]
+        series.append({mono: coeff for mono, _, _, coeff in level})
     return series

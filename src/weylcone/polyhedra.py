@@ -5,7 +5,8 @@ V-representation: tuple of extreme points.  All combinatorial questions (vertex
 identity, faces) and least norms over a point hull (`min_norm_squared`, P. Wolfe's
 minimum-norm point on the Gram matrix alone, `min_norm_gram`) are decided exactly
 over Q; floats appear only in the integration oracle at the very end.  Face
-queries on a V-polytope go through `faces`, straight from its points.
+queries on a V-polytope go through `faces`, from the row incidences that
+`vertices(h)` records, else from its points; each polytope is triangulated once.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import mul
 from typing import Sequence
@@ -87,13 +89,16 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolytope:
     vertices: tuple[Vec, ...]
+    # from `vertices(h)`: per kept row of h, the indices of the vertices where it
+    # is tight; None for a bare point set.  Not part of equality, hash or repr.
+    incidences: tuple[frozenset[int], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.vertices[0]) if self.vertices else 0
 
-    def affine_basis(self) -> tuple[Vec, ...]:
-        """Basis of the direction space of the affine hull."""
+    @cached_property
+    def _basis(self) -> tuple[Vec, ...]:
         if len(self.vertices) <= 1:
             return ()
         v0 = self.vertices[0]
@@ -101,8 +106,17 @@ class VPolytope:
         idx = independent_subset(diffs)
         return tuple(diffs[i] for i in idx)
 
+    def affine_basis(self) -> tuple[Vec, ...]:
+        """Basis of the direction space of the affine hull."""
+        return self._basis
+
     def affine_dim(self) -> int:
-        return len(self.affine_basis()) if self.vertices else -1
+        return len(self._basis) if self.vertices else -1
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[tuple[Vec, ...], Fraction], ...]:
+        """(simplex, |det|) for `triangulate`'s simplices, made once; full dimension only."""
+        return tuple((s, _simplex_det(s)) for s in triangulate(self))
 
 
 def feasible_point(h: HPolyhedron) -> Vec | None:
@@ -159,7 +173,7 @@ def vertices(h: HPolyhedron) -> VPolytope:
             key, off = tuple(x // g for x in r[:dim]), Fraction(r[dim], g)
             least[key] = min(off, least.get(key, off))
     rows = [(*(x * c.denominator for x in a), c.numerator) for a, c in least.items()]
-    seen, found = set(), []
+    seen, found = set(), {}  # vertex -> the kept rows tight at it
     for subset in combinations([(*r[:dim], -r[dim]) for r in rows], dim):
         sol = integer_solve(subset, dim)
         if sol is None or sol in seen:
@@ -167,12 +181,14 @@ def vertices(h: HPolyhedron) -> VPolytope:
         seen.add(sol)
         nums, den = sol
         if all(sum(map(mul, r, nums)) + r[dim] * den >= 0 for r in rows):
-            found.append(tuple(Fraction(x, den) for x in nums))
+            tight = {i for i, r in enumerate(rows) if sum(map(mul, r, nums)) + r[dim] * den == 0}
+            found[tuple(Fraction(x, den) for x in nums)] = tight
     if not found and (seen or feasible_point(h) is None):
         return VPolytope(())
     if not found or not _positively_dependent([r[:dim] for r in rows]):
         raise UnboundedError(recession_direction(h))
-    return VPolytope(tuple(sorted(found)))
+    verts, tights = zip(*sorted(found.items()))
+    return VPolytope(verts, tuple(frozenset(j for j, t in enumerate(tights) if i in t) for i in range(len(rows))))
 
 
 def tight_set(h: HPolyhedron, x: Sequence[Fraction]) -> frozenset[int]:
@@ -269,6 +285,19 @@ def _facets(v: VPolytope):
                     yield scale(-sign, nrm), sign * base, on
 
 
+def _row_facets(v: VPolytope) -> list[frozenset]:
+    """The point sets of `_facets(v)`, in its order, from v's row incidences: the
+    tight sets of affine dimension k - 1 (a facet is one, Ziegler 1995, 2.1), sorted
+    by their vertex index lists.  `_facets` yields a facet first at its least
+    affinely independent k-subset, its greedy one, and that order is the same:
+    where two facets' lists first differ, the smaller index lies off the other
+    facet's affine hull, so its own facet's greedy subset takes it there while
+    the other's takes a larger index."""
+    pts, k = v.vertices, v.affine_dim()
+    tights = sorted(sorted(t) for t in set(v.incidences) if t)
+    return [frozenset(pts[j] for j in t) for t in tights if rank([sub(pts[j], pts[t[0]]) for j in t[1:]]) == k - 1]
+
+
 def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
     """Vertex sets of all nonempty faces of conv(v), conv(v) included: the
     facets' point sets closed under intersection (a face is an intersection of
@@ -276,7 +305,7 @@ def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
     pts = frozenset(v.vertices)
     if not pts:
         return []
-    sets = [on for _, _, on in _facets(v)]
+    sets = [on for _, _, on in _facets(v)] if v.incidences is None else _row_facets(v)
     verts = frozenset(p for p in pts if pts.intersection(*(s for s in sets if p in s)) == {p})
     return [tuple(sorted(f)) for f in _close(verts, [s & verts for s in sets])]
 
@@ -364,7 +393,7 @@ def volume(poly: VPolytope) -> Fraction:
     d = poly.dim
     if poly.affine_dim() < d:
         return Fraction(0)
-    return sum(map(_simplex_det, triangulate(poly)), Fraction(0)) / math.factorial(d)
+    return sum((det_ for _, det_ in poly.simplices), Fraction(0)) / math.factorial(d)
 
 
 def _simplex_det(simplex: Sequence[Vec]) -> Fraction:
@@ -408,9 +437,9 @@ def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:
         return 0.0
     mu_q = [Fraction(c) for c in mu]
     total = 0.0
-    for simplex in triangulate(poly):
+    for simplex, det_ in poly.simplices:
         ys = [float(dot(mu_q, p)) for p in simplex]
-        total += float(_simplex_det(simplex)) * _exp_divided_difference(ys)
+        total += float(det_) * _exp_divided_difference(ys)
     return total
 
 

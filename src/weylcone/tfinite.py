@@ -178,23 +178,28 @@ class TFiniteFunction(_Sum):
         return total
 
     def _eval_mp(self, x: Sequence, spread: float) -> float:
-        """The sum at 50 digits plus the decimal digits of e^spread, so that a term
-        e^spread times smaller than the largest still counts after a cancellation
+        """The sum at 50 digits.  Only if it lost more than 25 of them to cancellation
+        against its largest term is it redone with the decimal digits of e^spread
+        added, so that a term e^spread times smaller than the largest still counts
         (no extra digits for a spread of inf or nan, from a float overflow in x)."""
         import mpmath
 
-        digits = 50 + math.ceil(spread / math.log(10)) if spread < math.inf else 50
-        with mpmath.workdps(digits):
-            mpf = lambda c: mpmath.mpf(float(c))
-            xf = [mpf(v) for v in x]
-            total = mpmath.mpf(0)
-            for lam, p in self.terms.items():
-                e = mpmath.fsum(mpf(c) * v for c, v in zip(lam, xf))
-                total += _eval_monomials(p.coeffs, xf, mpf) * mpmath.exp(e)
-            try:
-                return float(total)
-            except OverflowError:
-                return math.inf if total > 0 else -math.inf
+        def total_at(digits):
+            with mpmath.workdps(digits):
+                mpf = lambda c: mpmath.mpf(float(c))
+                xf = [mpf(v) for v in x]
+                exps = [mpmath.exp(mpmath.fsum(mpf(c) * v for c, v in zip(lam, xf))) for lam in self.terms]
+                terms = [_eval_monomials(p.coeffs, xf, mpf) * e for p, e in zip(self.terms.values(), exps)]
+                return sum(terms, mpmath.mpf(0)), max(map(abs, terms))
+
+        extra = math.ceil(spread / math.log(10)) if spread < math.inf else 0
+        total, largest = total_at(50)
+        if extra and abs(total) * mpmath.mpf(10) ** 25 < largest:
+            total, _ = total_at(50 + extra)
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
 
     def constant_term(self, base: Sequence | None = None) -> Fraction:
         """Coefficient of the zero-exponent, degree-zero term after recentering

@@ -9,8 +9,11 @@ by uniform barycentric coordinates, so it shares no divided differences with
 the formula it checks.  `face_lattice` is the face lattice of an
 H-polyhedron, read from the tight constraints of its vertices; on
 `polyhedra.to_hrep(v)` it is the oracle of `polyhedra.faces(v)`, which works
-from the points alone, and it closes the constraints' vertex sets under
-intersection with its own loop.
+from the points alone for a bare point set, and it closes the constraints' vertex sets under
+intersection with its own loop.  `assert_rows_match_points` checks a polytope
+made by `polyhedra.vertices(h)`, whose faces come from its row incidences,
+against the bare point set of its vertices, whose faces come from the brute
+force `polyhedra._facets`.
 """
 
 import math
@@ -19,7 +22,20 @@ from itertools import accumulate
 from typing import Sequence
 
 from weylcone.linalg import Vec, dot
-from weylcone.polyhedra import HPolyhedron, VPolytope, _simplex_det, tight_set, triangulate, vertices
+from weylcone.polyhedra import (
+    HPolyhedron,
+    VPolytope,
+    _facets,
+    _row_facets,
+    _simplex_det,
+    faces,
+    integrate_exp_oracle,
+    tight_set,
+    triangulate,
+    v_to_json,
+    vertices,
+    volume,
+)
 
 
 def contains(h: HPolyhedron, x: Sequence[Fraction]) -> bool:
@@ -86,3 +102,20 @@ def face_lattice(h: HPolyhedron) -> dict[frozenset[int], tuple[Vec, ...]]:
         found |= more
         grew = bool(more)
     return {frozenset.intersection(*(vtight[v] for v in f)): tuple(sorted(f)) for f in found}
+
+
+def assert_rows_match_points(vp: VPolytope) -> None:
+    """`vp`, from `vertices(h)`, against `VPolytope(vp.vertices)`: the two are equal,
+    hash and print alike, and give identical facets, faces (order included),
+    simplices, volumes and exp integrals, the floats compared with ==."""
+    bare = VPolytope(vp.vertices)
+    assert bare.incidences is None and (vp.incidences is not None or not vp.vertices)
+    assert vp == bare and hash(vp) == hash(bare) and repr(vp) == repr(bare) and v_to_json(vp) == v_to_json(bare)
+    if vp.vertices:
+        assert _row_facets(vp) == [on for _, _, on in _facets(bare)]
+    assert faces(vp) == faces(bare)
+    assert triangulate(vp) == triangulate(bare)
+    assert volume(vp) == volume(bare)
+    if vp.vertices and vp.affine_dim() == vp.dim:  # else both warn and give 0.0
+        mu = tuple(Fraction(j + 1, 3) for j in range(vp.dim))
+        assert integrate_exp_oracle(vp, mu) == integrate_exp_oracle(bare, mu)

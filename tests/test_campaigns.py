@@ -542,3 +542,19 @@ def test_a4_adjoint_leaf_volumes_sum_to_the_base_region():
         base = RG.instantiate(RG.base_inequalities(ctx.psi, ctx.p, ctx.q), ctx.basis, ctx.b_form, t, s)
         assert total == PH.volume(PH.vertices(base)) == want, (outside, total)
         print(f"\nA4 adjoint P0 <= Q{{{outside}}}: {len(descs)} leaves, volumes sum to {total}")
+
+
+def test_a4_adjoint_leaf_faces_from_rows_match_the_point_sets():
+    a4 = build_root_datum("A", 4)
+    fam = RG.pi_cones(RG.psi_pi(a4, weights_of(a4, "adjoint")))
+    eps = RG.suggest_epsilon(fam)
+    t, s = A4_ADJ_T, A4_ADJ_S
+    count = 0
+    for outside in A4_ADJ_VOLUMES:
+        ctx = RG.make_context(a4, minimal_parabolic(a4), parabolic(a4, frozenset({outside})), fam.psi, eps, family=fam)
+        for d in RG.decompose(ctx, t, s):
+            vp = PH.vertices(RG.instantiate(RG.region_inequalities(ctx.psi, d), ctx.basis, ctx.b_form, t, s))
+            assert PH.faces(vp) == PH.faces(PH.VPolytope(vp.vertices)), (outside, d)
+            count += 1
+    assert count == 65
+    print(f"\nA4 adjoint P0 <= Q{{0}}, Q{{1}}: faces of all {count} leaves match the brute force")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import chamber_oracle
 import vertex_oracle
+from polytope_oracle import assert_rows_match_points
 from weylcone import chambers as CH
 from weylcone import polyhedra as PH
 from weylcone.linalg import neg, vec
@@ -302,3 +303,12 @@ def test_limit_matches_the_polynomial_reference(seed, d, kind):
         mu = _killing_covector(rng, rng.choice(duals))
     got = _limit_or_error(CH.bv_limit_tfinite, cd, asg.members, mu)
     assert got == _limit_or_error(chamber_oracle.limit_tfinite, cd, asg.members, mu)
+
+
+def test_chamber_instances_take_faces_from_their_rows():
+    rng = random.Random(31)
+    for d in (1, 2, 3, 4):
+        for _ in range(6 if d < 4 else 3):
+            pp = rand_bounded_instance(rng, d, d + 3)
+            x = tuple(F(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(pp.n_constraints))
+            assert_rows_match_points(PH.vertices(pp.instance(x)))

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weylcone import polyhedra as PH
@@ -15,7 +15,7 @@ from weylcone.linalg import dot, neg, sub, vec
 
 import vertex_oracle
 from distance_oracle import squared_distance
-from polytope_oracle import contains, face_lattice, mc_integrate_exp, support_value
+from polytope_oracle import assert_rows_match_points, contains, face_lattice, mc_integrate_exp, support_value
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -650,3 +650,31 @@ def test_hpolyhedron_rejects_rows_of_the_wrong_length():
     ):
         with pytest.raises(ValueError):
             PH.HPolyhedron(normals, offsets, dim)
+
+
+@settings(max_examples=60)
+@given(parallel_h_polyhedra())
+def test_faces_from_row_incidences_match_the_point_set(h):
+    try:
+        vp = PH.vertices(h)
+    except PH.UnboundedError:
+        return
+    # the brute force tries C(n, k) vertex subsets: keep its cost in hand
+    assume(math.comb(len(vp.vertices), max(vp.affine_dim(), 0)) <= 2000)
+    assert_rows_match_points(vp)
+
+
+def test_a_polytope_from_its_rows_lists_its_faces_once(monkeypatch):
+    calls = []
+    for name in ("faces", "_facets"):
+        real = getattr(PH, name)
+        monkeypatch.setattr(PH, name, lambda v, name=name, real=real: calls.append(name) or real(v))
+    mu = (F(1), F(2), F(3))
+    cube = PH.vertices(cube_h(3))
+    assert PH.volume(cube) == 1
+    want = PH.integrate_exp_oracle(cube, mu)
+    assert calls == ["faces"]  # one triangulation for both, from the rows
+    calls.clear()
+    bare = PH.VPolytope(cube.vertices)
+    assert PH.volume(bare) == 1 and PH.integrate_exp_oracle(bare, mu) == want
+    assert calls == ["faces", "_facets"]  # a bare point set takes the brute force, once

@@ -862,6 +862,16 @@ def test_a3_adjoint_recursion_reaches_a_second_threshold(a3_adjoint_family, monk
     assert total == PH.volume(RG.r_region(ctx3.p, ctx3.q, A3_ADJ_T, A3_ADJ_S)) == F(7811731, 147456)
 
 
+def test_a3_leaves_take_faces_from_their_rows(a3_ctx, a3_adjoint_leaves):
+    ctx3, descs3 = a3_adjoint_leaves
+    cases = [(a3_ctx, RG.decompose(a3_ctx, A3_T, A3_S), A3_T, A3_S), (ctx3, descs3, A3_ADJ_T, A3_ADJ_S)]
+    for c, descs, t, s in cases:
+        hs = [RG.instantiate(RG.base_inequalities(c.psi, c.p, c.q), c.basis, c.b_form, t, s)]
+        hs += [RG.instantiate(RG.region_inequalities(c.psi, d), c.basis, c.b_form, t, s) for d in descs]
+        for h in hs:
+            polytope_oracle.assert_rows_match_points(PH.vertices(h))
+
+
 # The recursion at rank 4: P0 <= Q in A4 adjoint at the family's suggested
 # epsilon, with T and S as perfbench's rank-4 inputs place them.
 A4 = build_root_datum("A", 4)

@@ -207,3 +207,20 @@ def test_tfinite_eval_keeps_a_small_term_beside_cancelling_large_ones():
     exp = TFiniteFunction.exponential
     f = exp((F(1), F(0))) - exp((F(0), F(1))) + exp((F(1), F(-1)))
     assert f.eval((800, 800)) == 1.0
+
+
+def test_tfinite_eval_adds_digits_only_after_a_cancellation(monkeypatch):
+    import mpmath
+
+    exp = TFiniteFunction.exponential
+    calm = exp((F(1), F(-1))) + exp((F(-1), F(0)))  # e^(x-y) + e^(-x): spread 1e5 at (1e5, 1e5), no cancellation
+    with mpmath.workdps(50 + math.ceil(1e5 / math.log(10))):
+        want = float(1 + mpmath.exp(-100000))
+    digits, workdps = [], mpmath.workdps
+    monkeypatch.setattr(mpmath, "workdps", lambda n: digits.append(n) or workdps(n))
+    assert calm.eval((1e5, 1e5)) == want == 1.0
+    assert digits == [50]
+    digits.clear()
+    cancelling = exp((F(1), F(0))) - exp((F(0), F(1))) + exp((F(1), F(-1)))
+    assert cancelling.eval((800, 800)) == 1.0
+    assert digits == [50, 50 + math.ceil(800 / math.log(10))]
