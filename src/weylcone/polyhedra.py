@@ -5,8 +5,8 @@ V-representation: tuple of extreme points.  All combinatorial questions (vertex
 identity, faces) and least norms over a point hull (`min_norm_squared`, P. Wolfe's
 minimum-norm point on the Gram matrix alone, `min_norm_gram`) are decided exactly
 over Q; floats appear only in the integration oracle at the very end.  Face
-queries on a V-polytope go through `faces`, from the row incidences that
-`vertices(h)` records, else from its points; each polytope is triangulated once.
+queries on a V-polytope go through `faces`, from the tight rows per vertex that
+`vertices(h)` alone decides, else from its points; each polytope is triangulated once.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolytope:
     vertices: tuple[Vec, ...]
-    # from `vertices(h)`: per kept row of h, the indices of the vertices where it
-    # is tight; None for a bare point set.  Not part of equality, hash or repr.
+    # from `vertices(h)`: per vertex, the indices of the rows of h tight there, as
+    # `tight_set(h, v)`; None for a bare point set.  Not part of equality, hash or repr.
     incidences: tuple[frozenset[int], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -162,18 +162,20 @@ def vertices(h: HPolyhedron) -> VPolytope:
     Of the rows (a, c) along one primitive normal a/gcd(a) only the tightest,
     the least c/gcd(a), is kept: it implies the others, as zero normals hold.
     A new `integer_solve` solution nums / den of a dim-subset of the kept rows
-    is a vertex iff a.nums + c*den >= 0 on each.  A nonempty pointed set has a
+    is a vertex iff a.nums + c*den >= 0 on each; its incidence is the set of h's
+    own rows, by index, with a.nums + c*den == 0.  A nonempty pointed set has a
     vertex, so only rank < dim with no vertex runs the feasibility LP.  A vertex
     is a nonsingular dim-subset, so rank = dim is proved and only the Stiemke LP
     decides boundedness; `recession_direction` runs on the full h only to raise.
     """
     dim, least = h.dim, {}  # primitive normal -> least c / gcd(a)
-    for r in (integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)):
+    own = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
+    for r in own:
         if g := math.gcd(*r[:dim]):
             key, off = tuple(x // g for x in r[:dim]), Fraction(r[dim], g)
             least[key] = min(off, least.get(key, off))
     rows = [(*(x * c.denominator for x in a), c.numerator) for a, c in least.items()]
-    seen, found = set(), {}  # vertex -> the kept rows tight at it
+    seen, found = set(), {}  # vertex -> the rows of h tight at it
     for subset in combinations([(*r[:dim], -r[dim]) for r in rows], dim):
         sol = integer_solve(subset, dim)
         if sol is None or sol in seen:
@@ -181,17 +183,17 @@ def vertices(h: HPolyhedron) -> VPolytope:
         seen.add(sol)
         nums, den = sol
         if all(sum(map(mul, r, nums)) + r[dim] * den >= 0 for r in rows):
-            tight = {i for i, r in enumerate(rows) if sum(map(mul, r, nums)) + r[dim] * den == 0}
+            tight = frozenset(i for i, r in enumerate(own) if sum(map(mul, r, nums)) + r[dim] * den == 0)
             found[tuple(Fraction(x, den) for x in nums)] = tight
     if not found and (seen or feasible_point(h) is None):
-        return VPolytope(())
+        return VPolytope((), ())
     if not found or not _positively_dependent([r[:dim] for r in rows]):
         raise UnboundedError(recession_direction(h))
-    verts, tights = zip(*sorted(found.items()))
-    return VPolytope(verts, tuple(frozenset(j for j, t in enumerate(tights) if i in t) for i in range(len(rows))))
+    return VPolytope(*zip(*sorted(found.items())))
 
 
 def tight_set(h: HPolyhedron, x: Sequence[Fraction]) -> frozenset[int]:
+    """Rows of h tight at x, by index: the reference for `vertices(h).incidences`."""
     return frozenset(i for i, (a, c) in enumerate(zip(h.normals, h.offsets)) if dot(a, x) + c == 0)
 
 
@@ -286,15 +288,20 @@ def _facets(v: VPolytope):
 
 
 def _row_facets(v: VPolytope) -> list[frozenset]:
-    """The point sets of `_facets(v)`, in its order, from v's row incidences: the
-    tight sets of affine dimension k - 1 (a facet is one, Ziegler 1995, 2.1), sorted
-    by their vertex index lists.  `_facets` yields a facet first at its least
-    affinely independent k-subset, its greedy one, and that order is the same:
-    where two facets' lists first differ, the smaller index lies off the other
-    facet's affine hull, so its own facet's greedy subset takes it there while
-    the other's takes a larger index."""
-    pts, k = v.vertices, v.affine_dim()
-    tights = sorted(sorted(t) for t in set(v.incidences) if t)
+    """The point sets of `_facets(v)`, in its order, from v's incidences (per vertex,
+    the rows of h tight there): each row's vertex list, kept where its affine
+    dimension is k - 1 (a facet is the tight set of a row, Ziegler 1995, 2.1), once
+    each and sorted.  A looser parallel row is tight nowhere, a zero row with
+    offset 0 everywhere (dimension k), and duplicate rows give one list.
+    `_facets` yields a facet first at its least affinely independent k-subset,
+    its greedy one, and that order is the same: where two facets' lists first
+    differ, the smaller index lies off the other facet's affine hull, so its own
+    facet's greedy subset takes it there while the other's takes a larger index."""
+    pts, k, on = v.vertices, v.affine_dim(), {}
+    for j, t in enumerate(v.incidences):
+        for i in t:
+            on.setdefault(i, []).append(j)
+    tights = sorted(set(map(tuple, on.values())))
     return [frozenset(pts[j] for j in t) for t in tights if rank([sub(pts[j], pts[t[0]]) for j in t[1:]]) == k - 1]
 
 

@@ -130,7 +130,6 @@ class PsiSystem:
         intervals: dict[tuple, list] = {}
         for key, p, q, _, _ in found:
             intervals.setdefault(key, []).append((p.outside, q.outside))
-        m_inv = invert(self.datum.inner)
         terms = []
         for key, p, q, combo, _ in found:
             pq = (p.outside, q.outside)
@@ -138,7 +137,7 @@ class PsiSystem:
                 continue  # dominated
             k = len(combo)
             rows, c = integer_rows([coproject(f, r) for r in parabolics_between(p, q) for f in combo])
-            metric, g = integer_rows(invert(mat_mul(mat_mul(combo, m_inv), transpose(combo))))
+            metric, g = integer_rows(invert(mat_mul(mat_mul(combo, self.datum.inv_inner), transpose(combo))))
             maps = tuple(dict.fromkeys(rows[i : i + k] for i in range(0, len(rows), k)))
             terms.append((_gram_rows(maps, metric), c * c * g))
         return tuple(dict.fromkeys(b for *_, b in found)), tuple(terms)
@@ -347,18 +346,16 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     Every surviving cell carries an interior witness with d > 0 (validated): the
     point of `lp.interior_point` on the cell's own strict rows (`_cell_rows`:
     the dominant-cone rows, then its signed wall rows), one per leaf, since
-    `_cells` yields no points.  The walls come from the bases of every
-    admissible kernel, dominated ones included (`PsiSystem.kernels`).  A
-    non-positive epsilon raises before any work.
+    `_cells` yields no points.  The walls are the rows of the bases of every
+    admissible kernel, dominated ones included (`PsiSystem.kernels`): RREF rows,
+    already led by 1.  A non-positive epsilon raises before any work.
     """
     if epsilon is not None and Fraction(epsilon) <= 0:
         raise ValueError("epsilon must be positive")
     datum = psi.datum
     n = datum.rank
     root_coords = invert(transpose(datum.simple_roots))
-    walls = {
-        _canonical_form(mu) for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b, root_coords) for mu in b
-    }
+    walls = {mu for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b, root_coords) for mu in b}
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cells = []
@@ -955,11 +952,11 @@ def region_vertices_affine(
 ) -> tuple[VertexEntry, ...]:
     """Vertices of the instantiated region together with their affine laws.
 
-    Each vertex is resolved from the lexicographically first independent
-    subset of its tight inequalities; the optional check samples re-verify
-    the full tight sets, region membership, and vertex-set bijection at other
-    parameter values, raising TransportError on any drift.  The region's
-    system is compiled once for all of them."""
+    Each vertex is resolved from the lexicographically first independent subset
+    of its tight inequalities, read from `polyhedra.vertices` (`incidences`);
+    the optional check samples re-verify the full tight sets, region membership,
+    and vertex-set bijection at other parameter values, raising TransportError
+    on any drift.  The region's system is compiled once for all of them."""
     tv, sv = vec(t), vec(s)
     system = compile_system(region_inequalities(ctx.psi, desc), ctx.basis, ctx.b_form)
     entries = _vertex_atlas(system, system.at(tv, sv), tv, sv)
@@ -970,10 +967,10 @@ def region_vertices_affine(
 
 
 def _vertex_atlas(system: ParametricSystem, h: HPolyhedron, tv: Vec, sv: Vec) -> tuple[VertexEntry, ...]:
-    """The sorted atlas entries of h = system.at(tv, sv)."""
+    """The sorted atlas entries of h = system.at(tv, sv), tight rows from `polyhedra.vertices(h)`."""
     entries = []
-    for v in polyhedra.vertices(h).vertices:
-        tight = polyhedra.tight_set(h, v)
+    vp = polyhedra.vertices(h)
+    for v, tight in zip(vp.vertices, vp.incidences):
         order = sorted(tight)
         chosen_local = independent_subset([h.normals[i] for i in order])
         solve_rows = tuple(order[i] for i in chosen_local)
@@ -1241,10 +1238,11 @@ def fit_slice_model(
 
     The box is (X, T, S) = (x0, t0, s0) + (a dx, b dt, c ds) over a cubic
     grid: a, b and c run over the first `grid` multiples of FIT_STEP.  Slice
-    vertices are clustered by tight set (the labels must not change across
-    the box), each cluster is verified to move affinely in (a, b, c), and the
-    integral values are fitted against the exponentials of the cluster
-    heights.  Returns the model with its maximum residual."""
+    vertices are clustered by the tight sets that `polyhedra.vertices` records
+    (the labels must not change across the box), each cluster is verified to
+    move affinely in (a, b, c), and the integral values are fitted against the
+    exponentials of the cluster heights.  Returns the model with its maximum
+    residual."""
     mu_v = vec(mu)
     params = [i * FIT_STEP for i in range(grid)]
     x0v, dxv = vec(x0), vec(dx)
@@ -1260,7 +1258,7 @@ def fit_slice_model(
         sd = _slice_at(ctx, frame, xx, tt, ss)
         if mu_u is None:
             mu_u = _slice_exponent(ctx, sd, mu_v)
-        here = {polyhedra.tight_set(sd.h, v): v for v in sd.polytope.vertices}
+        here = dict(zip(sd.polytope.incidences, sd.polytope.vertices))
         if len(here) != len(sd.polytope.vertices):
             raise TransportError("two slice vertices share a tight set" + _where(ref.region, tt, ss))
         if labels and set(here) != set(labels):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 import json
 from operator import mul
@@ -117,9 +117,9 @@ class RootDatum:
             tuple(self.cartan[j][i] / self.sym[j] for j in range(n)) for i in range(n)
         )
 
-    @property
+    @cached_property
     def inv_inner(self) -> Mat:
-        return _inv_inner(self)
+        return invert(self.inner)
 
     def norm2(self, x: Vec) -> Fraction:
         return dot(x, mat_vec(self.inner, x))
@@ -127,11 +127,6 @@ class RootDatum:
     def form_norm2(self, lam: Vec) -> Fraction:
         """Squared dual norm of a linear form."""
         return dot(lam, mat_vec(self.inv_inner, lam))
-
-
-@lru_cache(maxsize=None)
-def _inv_inner(datum: RootDatum) -> Mat:
-    return invert(datum.inner)
 
 
 def build_root_datum(ctype: str, rank: int) -> RootDatum:

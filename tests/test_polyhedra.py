@@ -664,6 +664,24 @@ def test_faces_from_row_incidences_match_the_point_set(h):
     assert_rows_match_points(vp)
 
 
+@settings(max_examples=150)
+@given(parallel_h_polyhedra())
+def test_vertices_record_the_tight_rows_of_h_at_each_vertex(h):
+    try:
+        vp = PH.vertices(h)
+    except PH.UnboundedError:
+        return
+    assert len(vp.incidences) == len(vp.vertices)  # () for an empty polytope
+    for v, tight in zip(vp.vertices, vp.incidences):
+        assert tight == PH.tight_set(h, v)
+
+
+def test_an_empty_polytope_from_rows_has_no_incidences():
+    for pairs, dim in (VERTEX_CASES["empty, full rank"], VERTEX_CASES["empty, rank-deficient"]):
+        vp = PH.vertices(PH.HPolyhedron.from_pairs(pairs, dim))
+        assert vp.vertices == () and vp.incidences == ()
+
+
 def test_a_polytope_from_its_rows_lists_its_faces_once(monkeypatch):
     calls = []
     for name in ("faces", "_facets"):

@@ -1214,6 +1214,20 @@ def test_vertex_atlas_tight_sets_solve(ctx, leaf):
         assert PH.tight_set(h, entry.point) == entry.tight
 
 
+def test_atlas_and_fit_read_the_tight_sets_of_vertices(ctx, leaf, refinement, monkeypatch):
+    t2, s2 = (F(33, 4), F(8)), (F(31, 64), F(1, 2))
+    want = RG.region_vertices_affine(ctx, leaf, T, S)
+
+    def refuse(h, x):
+        raise AssertionError("tight set recomputed outside polyhedra.vertices")
+
+    monkeypatch.setattr(PH, "tight_set", refuse)
+    assert RG.region_vertices_affine(ctx, leaf, T, S, check=[(t2, s2)]) == want
+    dx = tuple(F(1, 32) * c for c in RG.slice_polytope(ctx, refinement, X0, T, S).kernel_basis[0])
+    report = RG.fit_slice_model(ctx, refinement, MU, X0, dx, T, (F(1, 4), F(0)), S, (F(-1, 64), F(0)), grid=5)
+    assert report.vertex_labels == len(RG.slice_polytope(ctx, refinement, X0, T, S).polytope.vertices)
+
+
 # --- refinement -------------------------------------------------------------
 
 
