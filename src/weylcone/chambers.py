@@ -6,8 +6,13 @@ for which s_sigma(x) lands inside P(x) form the closed cone C(sigma); maximal
 common refinements of these cones are the chambers.  On a chamber, the
 exponential integral over P(x) is the finite vertex sum (per-sigma closed
 form), and its degenerate-direction limit is computed symbolically as an exact
-polynomial-times-exponential function of the offset parameters.  Vertex maps
-and parameter forms are computed from the dual basis on the complement.
+polynomial-times-exponential function of the offset parameters.
+
+Each basis keeps its dual vectors as int numerators over one positive
+denominator, from one fraction-free elimination (`linalg.integer_inverse`;
+Bareiss 1968).  Offsets, frequencies and offset maps are scaled to ints once
+per call, so vertex maps, slack signs, parameter forms and the limit's series
+run on int dots, and a `Fraction` is built only where a value is returned.
 """
 
 from __future__ import annotations
@@ -15,21 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations, product
-from math import prod
+from itertools import combinations, count, product
+from math import factorial, gcd, lcm, prod
+from operator import mul
 from typing import Mapping, Sequence
 
 from . import polyhedra
 from .linalg import (
     Mat,
     Vec,
-    det,
     dot,
     identity,
-    invert,
+    integer_det,
+    integer_inverse,
+    integer_rows,
     is_zero,
     rank,
-    transpose,
     vec,
     zeros,
 )
@@ -97,12 +103,27 @@ class ParametricPolyhedron:
 
 @dataclass(frozen=True)
 class SigmaData:
-    """A sigma whose complementary normals form a basis.  Vertex maps and
-    parameter forms are computed from the dual basis on the complement."""
+    """A sigma whose complementary normals form a basis, with the dual basis
+    u_k = dual_nums[k] / dual_den (k in complement order) as int numerators over
+    one denominator dual_den > 0, the least: gcd(dual_den, *numerators) == 1.
+    Vertex maps and parameter forms are computed on the numerators."""
 
     complement: tuple[int, ...]
-    dual_basis: tuple[Vec, ...]  # u_{i,sigma} for i in complement order
-    box_volume: Fraction
+    dual_nums: tuple[tuple[int, ...], ...]
+    dual_den: int
+
+    @cached_property
+    def dual_basis(self) -> tuple[Vec, ...]:
+        """u_{i,sigma} for i in complement order, as Fractions."""
+        return tuple(tuple(Fraction(x, self.dual_den) for x in u) for u in self.dual_nums)
+
+    @cached_property
+    def box_volume(self) -> Fraction:
+        """|det| of the dual basis: 1 / |det| of the complement's normals."""
+        return Fraction(abs(integer_det(self.dual_nums)), self.dual_den ** len(self.dual_nums))
+
+    def __repr__(self) -> str:  # the exact values, not their int form
+        return f"SigmaData(complement={self.complement}, dual_basis={self.dual_basis}, box_volume={self.box_volume!r})"
 
 
 @dataclass(frozen=True)
@@ -121,20 +142,26 @@ def enumerate_bases(pp: ParametricPolyhedron) -> ChamberData:
     n, d = pp.n_constraints, pp.dim
     out = {}
     for comp in combinations(range(n), d):
-        rows = [pp.normals[i] for i in comp]
-        det_rows = det(rows)
-        if det_rows == 0:
-            continue
-        dual = transpose(invert(rows))  # the inverse's columns are the dual basis
-        sigma = frozenset(range(n)) - frozenset(comp)
-        out[sigma] = SigmaData(comp, dual, abs(Fraction(1) / det_rows))
+        inv = integer_inverse([pp.normals[i] for i in comp])
+        if inv is not None:  # the inverse's columns are the dual basis
+            out[frozenset(range(n)) - frozenset(comp)] = SigmaData(comp, tuple(zip(*inv[0])), inv[1])
     return ChamberData(pp, out)
+
+
+def _scaled(v: Sequence, n: int, name: str, per: str) -> tuple[tuple[int, ...], int]:
+    """(nums, den) with v = nums / den, den the least, once v is checked to have n entries."""
+    v = vec(v)
+    if len(v) != n:
+        raise ValueError(f"{name} has length {len(v)}, expected one entry per {per} ({n})")
+    (nums,), den = integer_rows([v])
+    return nums, den
 
 
 def vertex_map(data: SigmaData, x: Sequence) -> Vec:
     """s_sigma(x) = -sum_k x_{complement[k]} u_k."""
-    xs = [x[c] for c in data.complement]
-    return tuple(-dot(xs, col) for col in zip(*data.dual_basis))
+    (xs,), x_den = integer_rows([[x[c] for c in data.complement]])
+    den = x_den * data.dual_den
+    return tuple(Fraction(-sum(map(mul, xs, col)), den) for col in zip(*data.dual_nums))
 
 
 @dataclass(frozen=True)
@@ -151,15 +178,18 @@ def chamber_of(cd: ChamberData, x: Sequence) -> ChamberAssignment:
     perturbation of x can strictly enlarge the member set.  The normals span,
     so a nonempty P(x) has a vertex s_sigma(x): it is empty iff Sigma_x is.
     """
-    xv = vec(x)
     pp = cd.pp
-    if len(xv) != pp.n_constraints:
-        raise ValueError(f"x has length {len(xv)}, expected one entry per constraint ({pp.n_constraints})")
+    xs, _ = _scaled(x, pp.n_constraints, "x", "constraint")
+    normals, n_den = integer_rows(pp.normals)
     members = set()
     decided = True
     for sigma, data in cd.sigmas.items():
-        v = vertex_map(data, xv)
-        slacks = [dot(pp.normals[j], v) + xv[j] for j in sorted(sigma)]
+        # slack j of s_sigma(x) = -v / (x_den dual_den) with v = sum_k xs[c_k] nums_k,
+        # times n_den x_den dual_den > 0
+        xc = [xs[c] for c in data.complement]
+        v = [sum(map(mul, xc, col)) for col in zip(*data.dual_nums)]
+        scale = n_den * data.dual_den
+        slacks = [scale * xs[j] - sum(map(mul, normals[j], v)) for j in sigma]
         if any(s < 0 for s in slacks):
             continue
         members.add(sigma)
@@ -198,51 +228,41 @@ def bv_integral(cd: ChamberData, chamber: frozenset[frozenset[int]], x: Sequence
     Requires mu generic on the chamber: mu(u_{i,sigma}) != 0 for every member
     sigma and dual vector.  The result is an exact coefficient/exponent sum.
     """
-    xv = vec(x)
-    if len(xv) != cd.pp.n_constraints:
-        raise ValueError(f"x has length {len(xv)}, expected one entry per constraint ({cd.pp.n_constraints})")
-    muv = vec(mu)
+    xs, x_den = _scaled(x, cd.pp.n_constraints, "x", "constraint")
+    mus, mu_den = _scaled(mu, cd.pp.dim, "mu", "dimension")
     terms: dict[Fraction, Fraction] = {}
     for sigma in chamber:
         data = cd.sigmas[sigma]
-        denom = Fraction(1)
-        for u in data.dual_basis:
-            val = dot(muv, u)
-            if val == 0:
-                raise ValueError(
-                    "mu is not generic for this chamber (mu vanishes on a dual vector); "
-                    "use bv_limit_tfinite"
-                )
-            denom *= val
-        exponent = -dot(muv, vertex_map(data, xv))
-        coeff = data.box_volume / denom
-        terms[exponent] = terms.get(exponent, Fraction(0)) + coeff
+        vals = [sum(map(mul, mus, u)) for u in data.dual_nums]  # mu(u_k) = vals[k] / scale
+        if not all(vals):
+            raise ValueError(
+                "mu is not generic for this chamber (mu vanishes on a dual vector); "
+                "use bv_limit_tfinite"
+            )
+        scale = mu_den * data.dual_den
+        # -mu(s_sigma(x)) = sum_k x_{c_k} mu(u_k); the box volume over prod_k mu(u_k)
+        exponent = Fraction(sum(xs[c] * v for c, v in zip(data.complement, vals)), x_den * scale)
+        vol = data.box_volume
+        coeff = Fraction(vol.numerator * scale ** len(vals), vol.denominator * prod(vals))
+        terms[exponent] = terms.get(exponent, 0) + coeff
     clean = tuple(sorted((c, e) for e, c in terms.items() if c != 0))
     return ExpSum(clean)
 
 
-def _mu0_candidates(d: int):
-    """Deterministic lexicographic sequence of integer covectors."""
-    k = 1
-    while True:
+def _first_mu0(d: int, degenerate: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The first integer covector nonzero on every vector of `degenerate`, in the
+    fixed lexicographic sequence of {-k..k}^d with max |c_i| = k, k = 1, 2, ..."""
+    for k in count(1):
         for cand in product(range(-k, k + 1), repeat=d):
-            if any(cand) and max(abs(c) for c in cand) == k:
-                yield vec(cand)
-        k += 1
+            if max(map(abs, cand)) == k and all(sum(map(mul, cand, u)) for u in degenerate):
+                return cand
 
 
 def choose_mu0(cd: ChamberData, chamber, mu: Sequence) -> Vec:
     """First covector in the fixed sequence with mu0(u) != 0 wherever mu(u) = 0."""
-    muv = vec(mu)
-    degenerate = []
-    for sigma in chamber:
-        for u in cd.sigmas[sigma].dual_basis:
-            if dot(muv, u) == 0:
-                degenerate.append(u)
-    for cand in _mu0_candidates(cd.pp.dim):
-        if all(dot(cand, u) != 0 for u in degenerate):
-            return cand
-    raise AssertionError("unreachable: candidate sequence is infinite")
+    mus, _ = _scaled(mu, cd.pp.dim, "mu", "dimension")
+    duals = (u for sigma in chamber for u in cd.sigmas[sigma].dual_nums)
+    return vec(_first_mu0(cd.pp.dim, [u for u in duals if not sum(map(mul, mus, u))]))
 
 
 def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
@@ -254,52 +274,75 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
     by the exact exponent form, negative powers of t must cancel within each
     group (checked; failure raises PoleCancellationError), and the t^0
     coefficient is assembled.  Requires a linear offset map (no constant part).
+
+    Everything runs on ints: mu(u), mu0(u), both parameter forms and the
+    series.  Each member's contribution to a t-power is a rational scalar
+    times an int series term; per exponent group and t-power the scalars
+    share one denominator, their lcm, the int numerators accumulate over it,
+    and each output monomial is one `Fraction`.
     """
     pp = cd.pp
+    m, d = pp.n_params, pp.dim
+    mus, mu_den = _scaled(mu, d, "mu", "dimension")
     if not cd.bounded:
         raise ValueError("polyhedron is unbounded on its chambers; limit formula needs boundedness")
     if not is_zero(pp.offset_const):
         raise ValueError("symbolic limit requires a linear offset map (zero constant part)")
-    muv = vec(mu)
-    mu0 = choose_mu0(cd, chamber, muv)
-    m = pp.n_params
-    d = pp.dim
+    om, om_den = integer_rows(pp.offset_matrix)
+    members = [(data, [sum(map(mul, mus, u)) for u in data.dual_nums]) for data in (cd.sigmas[s] for s in chamber)]
+    mu0 = _first_mu0(d, [u for data, vals in members for u, v in zip(data.dual_nums, vals) if not v])
 
     # with x(theta) = OM theta, s_sigma = -sum_k x_{c_k} u_k makes the exponent -mu(s_sigma)
-    # = sum_k mu(u_k) OM[c_k] and mu0(s_sigma) = -sum_k mu0(u_k) OM[c_k] covectors on theta
-    groups: dict[Vec, list] = {}
-    for sigma in chamber:
-        data = cd.sigmas[sigma]
-        vals = [dot(muv, u) for u in data.dual_basis]
-        ws = [dot(mu0, u) for u in data.dual_basis]
-        cols = tuple(zip(*(pp.offset_matrix[c] for c in data.complement)))
-        a_form = tuple(dot(vals, col) for col in cols)
-        b_form = tuple(-dot(ws, col) for col in cols)
-        groups.setdefault(a_form, []).append((data.box_volume, vals, ws, b_form))
+    # = sum_k mu(u_k) OM[c_k] and mu0(s_sigma) = -sum_k mu0(u_k) OM[c_k] covectors on theta;
+    # mu(u_k) = vals[k] / (mu_den dual_den) and mu0(u_k) = ws[k] / dual_den
+    groups: dict[tuple, list] = {}  # (a-form numerators, denominator), lowest terms -> members
+    for data, vals in members:
+        ws = [sum(map(mul, mu0, u)) for u in data.dual_nums]
+        cols = tuple(zip(*(om[c] for c in data.complement)))
+        a_num = [sum(map(mul, vals, col)) for col in cols]
+        a_den = mu_den * data.dual_den * om_den
+        g = gcd(a_den, *a_num)
+        b_form = [-sum(map(mul, ws, col)) for col in cols]  # over b_den = dual_den om_den
+        groups.setdefault((tuple(a // g for a in a_num), a_den // g), []).append((data, vals, ws, b_form))
 
     terms: dict[Vec, Polynomial] = {}
-    for a_form, members in groups.items():
-        by_power: dict[int, dict] = {}  # t-power -> monomial -> coefficient
-        for vol, vals, ws, b_form in members:
+    for (a_num, a_den), group in groups.items():
+        a_form = tuple(Fraction(a, a_den) for a in a_num)
+        by_power: dict[int, list] = {}  # t-power -> (scalar numerator, its denominator, int series term)
+        for data, vals, ws, b_form in group:
             msig = vals.count(0)
-            # sum_j g_j t^j = vol / prod(v, or w where v = 0) * prod_{v != 0} 1/(1 + t w/v), to t^msig
-            g = [vol / prod(w if v == 0 else v for v, w in zip(vals, ws))] + [Fraction(0)] * msig
-            for c in (-w / v for v, w in zip(vals, ws) if v != 0):
+            nonzero = [v for v in vals if v]
+            p = prod(nonzero)
+            # sum_j g_j t^j = vol / prod(mu(u), or mu0(u) where mu(u) = 0) * prod_{mu(u) != 0} 1/(1 + t c)
+            # with c = mu0(u)/mu(u) = -e/p for an int e: g_j = g_0 h_j / p^j, h_j the complete sums of the e
+            vol = data.box_volume
+            g0_num = vol.numerator * mu_den ** len(nonzero) * data.dual_den ** len(vals)
+            g0_den = vol.denominator * p * prod(w for v, w in zip(vals, ws) if not v)
+            h = [1] + [0] * msig
+            for e in (-w * mu_den * (p // v) for v, w in zip(vals, ws) if v):
                 for j in range(1, msig + 1):
-                    g[j] += c * g[j - 1]
+                    h[j] += e * h[j - 1]
             e_series = _exp_series(b_form, msig)
-            # collect t^{j + r - msig} for j + r <= msig
-            for j, gj in enumerate(g):
+            b_den = data.dual_den * om_den
+            # t^{j + r - msig} for j + r <= msig takes g_j (-B)^r / r! = g_0 h_j / (p^j r! b_den^r) e_series[r]
+            for j, hj in enumerate(h):
+                if not hj:
+                    continue
                 for r in range(msig + 1 - j):
-                    acc = by_power.setdefault(j + r - msig, {})
-                    for mono, c in e_series[r].items():
-                        acc[mono] = acc.get(mono, 0) + gj * c
-        for power in sorted(by_power):
-            if power < 0 and any(by_power[power].values()):
+                    scalar = (g0_num * hj, g0_den * p**j * factorial(r) * b_den**r)
+                    by_power.setdefault(j + r - msig, []).append((*scalar, e_series[r]))
+        for power in sorted(by_power):  # 0 is last: h_0 = 1
+            den = lcm(*(q for _, q, _ in by_power[power]))
+            acc: dict[tuple, int] = {}
+            for num, q, series in by_power[power]:
+                s = num * (den // q)
+                for mono, c in series.items():
+                    acc[mono] = acc.get(mono, 0) + s * c
+            if power < 0 and any(acc.values()):
                 raise PoleCancellationError(
                     f"negative power t^{power} failed to cancel in exponent group {a_form}"
                 )
-        p0 = Polynomial.make(m, by_power.get(0, {}))
+        p0 = Polynomial.make(m, {mono: Fraction(c, den) for mono, c in acc.items() if c})
         if not p0.is_zero():
             terms[a_form] = p0
 
@@ -311,19 +354,19 @@ def bv_limit_tfinite(cd: ChamberData, chamber, mu: Sequence) -> TFiniteFunction:
     return f
 
 
-def _exp_series(form: Vec, order: int) -> list[dict]:
-    """(-B)^r / r! for r = 0..order, B = form . theta, as monomial -> coefficient:
-    the multinomial sum over B's support of prod_i (-b_i)^{a_i} / a_i!.  A degree-r
-    monomial grows from a degree r - 1 one at that one's last variable or a later
-    one: its coefficient is an entry of that variable's table (-b_i)^e / e! times
-    the coefficient grown from, less its last variable's factor if it grew there."""
-    tables = [(i, list(accumulate(range(1, order + 1), lambda t, e: t * -c / e, initial=1))) for i, c in enumerate(form) if c]
+def _exp_series(form: Sequence[int], order: int) -> list[dict]:
+    """(-B)^r for r = 0..order, B = form . theta with int coefficients b_i, as
+    monomial -> int: the multinomial sum over B's support of r!/prod_i a_i! *
+    prod_i (-b_i)^{a_i}.  With B = b_form / b_den, (-B)^r / r! is term r over
+    r! b_den^r, so each scalar of a t-power carries that denominator.  A
+    degree-r monomial grows from a degree r - 1 one at that one's last variable
+    or a later one, i, by the exact int step coeff * (-b_i) * r // (a_i + 1)."""
+    steps = [(i, -c) for i, c in enumerate(form) if c]
     zero = (0,) * len(form)
-    series, level = [{zero: 1}], [(zero, 0, 1, 1)]  # (monomial, its last table, coefficient less that factor, coefficient)
-    for _ in range(order):
-        level = [(mono[:i] + (mono[i] + 1,) + mono[i + 1 :], k, base, base * table[mono[i] + 1])
-                 for mono, last, rest, coeff in level
-                 for k, (i, table) in enumerate(tables[last:], last)
-                 for base in [rest if k == last else coeff]]
-        series.append({mono: coeff for mono, _, _, coeff in level})
+    series, level = [{zero: 1}], [(zero, 0, 1)]  # (monomial, its last step, coefficient)
+    for r in range(1, order + 1):
+        level = [(mono[:i] + (mono[i] + 1,) + mono[i + 1 :], k, coeff * c * r // (mono[i] + 1))
+                 for mono, last, coeff in level
+                 for k, (i, c) in enumerate(steps[last:], last)]
+        series.append({mono: coeff for mono, _, coeff in level})
     return series

@@ -7,8 +7,9 @@ accumulate integer numerators over one running denominator (`dot`, and
 through it `mat_vec`, `mat_mul` and `gram`).  Every elimination runs on int
 rows, scaled by `integer_rows`: one fraction-free Gauss-Jordan (`_reduce`,
 Edmonds 1967) whose steps `eliminate` keeps divided by their gcd, as the `lp`
-simplex pivots, serves `rref`, `integer_solve` and `invert` (one elimination
-of [a | I]); `det` is Bareiss's exact-division elimination (1968).
+simplex pivots, serves `rref`, `integer_solve` and `integer_inverse` (one
+elimination of [a | I]), whose Fraction view is `invert`; `integer_det` is
+Bareiss's exact-division elimination (1968), and `det` its Fraction view.
 `exact_json` is the one JSON form of exact data: each Fraction as its "p/q" text.
 """
 
@@ -211,32 +212,53 @@ def solve_any(a: Sequence[Sequence[Fraction]], b: Sequence[Fraction], width: int
 
 
 def det(a: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Bareiss's exact-division elimination on the int rows d·a: det a = det(d·a) / d^n."""
+    """det a = det(d·a) / d^n on the int rows d·a of `integer_rows`."""
     rows, d = integer_rows(mat(a))
+    return Fraction(integer_det(rows), d ** len(rows))
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Bareiss's exact-division elimination on square int rows."""
     work = list(rows)
     n, sign, prev = len(work), 1, 1
     for c in range(n):
         p = next((i for i in range(c, n) if work[i][c]), None)
         if p is None:
-            return Fraction(0)
+            return 0
         if p != c:
             work[c], work[p] = work[p], work[c]
             sign = -sign
         prow = work[c]
-        # each entry is a (c+1)-minor of d·a, so the division by the last pivot is exact
+        # each entry is a (c+1)-minor, so the division by the last pivot is exact
         work[c + 1 :] = [[(prow[c] * x - row[c] * y) // prev for x, y in zip(row, prow)] for row in work[c + 1 :]]
         prev = prow[c]
-    return Fraction(sign * prev, d**n)
+    return sign * prev
+
+
+def integer_inverse(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+    """a⁻¹ = nums / den for the square rows a, or None if a is singular.
+
+    One `_reduce` of the int rows of [a | d·I], d the scale of `integer_rows`:
+    row i ends as (row[i]·eᵢ | row[i]·(a⁻¹)ᵢ).  den > 0 and gcd(den, *nums) == 1,
+    so den is the least common denominator of a⁻¹ and (nums, den) is unique."""
+    n = len(rows)
+    ints, d = integer_rows(rows)
+    red, pivots = _reduce([(*row, *(d * (i == j) for j in range(n))) for i, row in enumerate(ints)], n)
+    if len(pivots) < n:
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(red)))
+    nums = [[x * (den // row[i]) for x in row[n:]] for i, row in enumerate(red)]
+    g = gcd(den, *(x for row in nums for x in row))
+    return tuple(tuple(x // g for x in row) for row in nums), den // g
 
 
 def invert(a: Sequence[Sequence[Fraction]]) -> Mat:
-    """a⁻¹ by one `_reduce` of the int rows of [a | I]: row i ends as (row[i]·eᵢ | row[i]·(a⁻¹)ᵢ)."""
-    n = len(a)
-    rows, d = integer_rows(mat(a))
-    red, pivots = _reduce([(*row, *(d * (i == j) for j in range(n))) for i, row in enumerate(rows)], n)
-    if len(pivots) < n:
+    """a⁻¹ as the Fraction view of `integer_inverse`."""
+    inv = integer_inverse(mat(a))
+    if inv is None:
         raise ValueError("singular system")
-    return tuple(tuple(Fraction(x, row[i]) for x in row[n:]) for i, row in enumerate(red))
+    nums, den = inv
+    return tuple(tuple(Fraction(x, den) for x in row) for row in nums)
 
 
 def gram(basis: Sequence[Vec], inner: Mat) -> Mat:

@@ -40,6 +40,7 @@ from .linalg import (
     exact_json,
     identity,
     independent_subset,
+    integer_inverse,
     integer_rows,
     invert,
     is_zero,
@@ -137,7 +138,7 @@ class PsiSystem:
                 continue  # dominated
             k = len(combo)
             rows, c = integer_rows([coproject(f, r) for r in parabolics_between(p, q) for f in combo])
-            metric, g = integer_rows(invert(mat_mul(mat_mul(combo, self.datum.inv_inner), transpose(combo))))
+            metric, g = integer_inverse(mat_mul(mat_mul(combo, self.datum.inv_inner), transpose(combo)))
             maps = tuple(dict.fromkeys(rows[i : i + k] for i in range(0, len(rows), k)))
             terms.append((_gram_rows(maps, metric), c * c * g))
         return tuple(dict.fromkeys(b for *_, b in found)), tuple(terms)

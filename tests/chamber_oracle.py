@@ -3,18 +3,20 @@
 `limit_tfinite` expands the perturbation mu + t*mu0 the long way: it builds
 each sigma's d x N vertex matrix from the dual basis on the complement, takes
 the d x m parameter map `vertex_matrix . offset_matrix`, and runs both series
-in `Polynomial` algebra.  `chambers.bv_limit_tfinite` reads the complement
-rows directly and runs the series on plain dicts, so the tests use this module
-as its independent oracle: equal canonical forms, or the same error with the
-same message.
+in `Polynomial` algebra, all on `Fraction`s.  `chambers.bv_limit_tfinite`
+reads the complement rows directly and runs the series on int numerators, so
+the tests use this module as its independent oracle: equal canonical forms, or
+the same error with the same message.  `choose_mu0` is its own `Fraction`
+search over the same lexicographic sequence of covectors.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, product
 
-from weylcone.chambers import PoleCancellationError, choose_mu0, is_bounded
+from weylcone.chambers import PoleCancellationError, is_bounded
 from weylcone.linalg import is_zero, neg, transpose, vec, zeros
 from weylcone.tfinite import Polynomial, TFiniteFunction
 
@@ -28,6 +30,19 @@ def vertex_matrix(data, n):
     for c, u in zip(data.complement, data.dual_basis):
         cols[c] = neg(u)
     return transpose(cols)
+
+
+def choose_mu0(cd, chamber, mu):
+    """The first c, over the shells max |c_i| = k (k = 1, 2, ...) each in the
+    lexicographic order of {-k..k}^d, with c(u) != 0 on every dual vector u of
+    the chamber where mu(u) = 0."""
+    muv = vec(mu)
+    degenerate = [u for s in chamber for u in cd.sigmas[s].dual_basis if fraction_dot(muv, u) == 0]
+    for k in count(1):
+        for cand in product(range(-k, k + 1), repeat=cd.pp.dim):
+            c = vec(cand)
+            if max(abs(x) for x in c) == k and all(fraction_dot(c, u) != 0 for u in degenerate):
+                return c
 
 
 def limit_tfinite(cd, chamber, mu) -> TFiniteFunction:

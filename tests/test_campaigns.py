@@ -15,12 +15,14 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection
 
+from weylcone import chambers as CH
 from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
 from weylcone.linalg import det, dot, invert, mat_vec, rref, transpose
 from weylcone.rootspace import build_root_datum, minimal_parabolic, parabolic, weights_of
 
+import chamber_oracle
 import distance_oracle
 import region_oracle
 
@@ -558,3 +560,63 @@ def test_a4_adjoint_leaf_faces_from_rows_match_the_point_sets():
             count += 1
     assert count == 65
     print(f"\nA4 adjoint P0 <= Q{{0}}, Q{{1}}: faces of all {count} leaves match the brute force")
+
+
+def _chamber_case(rng, d):
+    """A bounded parametric polyhedron in Q^d (integer normals, or entries of
+    denominators 2-7), with the identity or a random N x m offset map, and a
+    chamber: the one at x(theta) for a random theta if P(x(theta)) is nonempty,
+    else at a random positive x.  Returns (data, chamber, dual vectors)."""
+    fractional = rng.random() < 0.5
+
+    def entry(lo, hi):
+        return F(rng.randrange(lo, hi), rng.randrange(2, 8) if fractional else 1)
+
+    n = rng.randrange(d + 1, d + 4)
+    while True:
+        normals = tuple(tuple(entry(-3, 4) for _ in range(d)) for _ in range(n))
+        try:
+            base = CH.ParametricPolyhedron.make(normals, d)
+        except ValueError:
+            continue
+        if CH.is_bounded(base):
+            break
+    m = rng.randrange(1, n + 2)
+    om = None if rng.random() < 0.3 else [tuple(entry(-2, 3) for _ in range(m)) for _ in range(n)]
+    pp = CH.ParametricPolyhedron.make(normals, d, offset_matrix=om)
+    cd = CH.enumerate_bases(pp)
+    try:
+        asg = CH.chamber_of(cd, pp.offsets([entry(-4, 5) for _ in range(pp.n_params)]))
+    except ValueError:
+        asg = CH.chamber_of(cd, tuple(F(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(n)))
+    duals = [u for s in sorted(asg.members, key=sorted) for u in cd.sigmas[s].dual_basis]
+    return cd, asg.members, duals
+
+
+def _outcome(limit, cd, chamber, mu):
+    try:
+        return limit(cd, chamber, mu)
+    except (ValueError, AssertionError) as exc:  # PoleCancellationError is an AssertionError
+        return type(exc), str(exc)
+
+
+def test_chamber_limit_matches_the_polynomial_oracle():
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for case in range(2000):
+        d = 1 + case % 4
+        cd, chamber, duals = _chamber_case(rng, d)
+        kind = ("zero", "random", "kills")[case // 4 % 3]
+        if kind == "zero":
+            mu = (F(0),) * d
+        elif kind == "random":
+            mu = tuple(F(rng.randrange(-3, 4), rng.randrange(1, 8)) for _ in range(d))
+        else:  # free entries off i, and the one at i that makes mu(u) = 0
+            u = rng.choice(duals)
+            i = next(i for i, a in enumerate(u) if a)
+            mu = [F(rng.randrange(-3, 4), rng.randrange(1, 8)) for _ in range(d)]
+            mu[i] = -sum((c * a for j, (c, a) in enumerate(zip(mu, u)) if j != i), F(0)) / u[i]
+        got = _outcome(CH.bv_limit_tfinite, cd, chamber, mu)
+        assert got == _outcome(chamber_oracle.limit_tfinite, cd, chamber, mu), (cd.pp, sorted(map(sorted, chamber)), mu)
+        kinds[(d, kind, "error" if isinstance(got, tuple) else "form")] += 1
+    print(f"\nbv_limit_tfinite vs the polynomial oracle: 2000 chambers, {dict(sorted(kinds.items()))}")

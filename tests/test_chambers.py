@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -312,3 +313,146 @@ def test_chamber_instances_take_faces_from_their_rows():
             pp = rand_bounded_instance(rng, d, d + 3)
             x = tuple(F(rng.randrange(1, 9), rng.randrange(1, 4)) for _ in range(pp.n_constraints))
             assert_rows_match_points(PH.vertices(pp.instance(x)))
+
+
+def _frac(rng):
+    """A rational with denominator 2-7 (before reduction)."""
+    return F(rng.randrange(-6, 7), rng.randrange(2, 8))
+
+
+def rand_fractional_instance(rng, d, ncap):
+    """Like `rand_bounded_instance`, with normal entries of denominators 2-7."""
+    n = rng.randrange(d + 1, ncap + 1)
+    while True:
+        normals = tuple(tuple(_frac(rng) for _ in range(d)) for _ in range(n))
+        try:
+            pp = CH.ParametricPolyhedron.make(normals, d)
+        except ValueError:
+            continue
+        if CH.is_bounded(pp):
+            return pp
+
+
+@given(seed=st.integers(0, 2**32), d=st.integers(1, 4))
+def test_dual_numerators_over_their_denominator_are_the_inverse_columns(seed, d):
+    rng = random.Random(seed)
+    pp = rand_fractional_instance(rng, d, d + 3)
+    n = pp.n_constraints
+    cd = CH.enumerate_bases(pp)
+    bases = []
+    for comp in combinations(range(n), d):
+        rows = [pp.normals[i] for i in comp]
+        if vertex_oracle.fraction_det(rows) == 0:
+            continue
+        sigma = frozenset(range(n)) - frozenset(comp)
+        bases.append(sigma)
+        data = cd.sigmas[sigma]
+        assert data.complement == comp and data.dual_den > 0
+        assert math.gcd(data.dual_den, *(x for u in data.dual_nums for x in u)) == 1
+        want = tuple(zip(*vertex_oracle.fraction_invert(rows)))  # the inverse's columns
+        assert tuple(tuple(F(x, data.dual_den) for x in u) for u in data.dual_nums) == want
+        assert data.dual_basis == want
+        assert data.box_volume == 1 / abs(vertex_oracle.fraction_det(rows))
+    assert list(cd.sigmas) == bases
+
+
+def _slack_reference(pp, x):
+    """(members, maximal) from `Fraction` vertices and slacks, one basis at a time."""
+    n, d = pp.n_constraints, pp.dim
+    members, maximal = set(), True
+    for comp in combinations(range(n), d):
+        try:
+            v = vertex_oracle.fraction_solve([pp.normals[i] for i in comp], [-x[i] for i in comp])
+        except ValueError:
+            continue
+        slacks = [vertex_oracle.fraction_dot(pp.normals[j], v) + x[j] for j in range(n) if j not in comp]
+        if all(s >= 0 for s in slacks):
+            members.add(frozenset(range(n)) - frozenset(comp))
+            maximal = maximal and all(s > 0 for s in slacks)
+    return frozenset(members), maximal
+
+
+@given(seed=st.integers(0, 2**32), d=st.integers(1, 4), on_wall=st.booleans())
+def test_chamber_of_matches_the_fraction_slacks_on_and_off_the_walls(seed, d, on_wall):
+    # x puts a rational point v0 in P(x) at random positive slacks; on a wall,
+    # d + 1 of them are 0, so a vertex candidate sits exactly on a non-defining row
+    rng = random.Random(seed)
+    pp = rand_fractional_instance(rng, d, d + 3)
+    n = pp.n_constraints
+    v0 = [_frac(rng) for _ in range(d)]
+    tight = set(rng.sample(range(n), d + 1)) if on_wall else set()
+    slack = [F(0) if j in tight else F(rng.randrange(1, 9), rng.randrange(1, 8)) for j in range(n)]
+    x = tuple(s - vertex_oracle.fraction_dot(a, v0) for a, s in zip(pp.normals, slack))
+    asg = CH.chamber_of(CH.enumerate_bases(pp), x)
+    assert (asg.members, asg.maximal) == _slack_reference(pp, x)
+    if len(vertex_oracle.fraction_rref([pp.normals[j] for j in tight], d)[1]) == d:
+        assert not asg.maximal
+
+
+def _fractional_mu(rng, kind, duals, d):
+    """mu = 0, a random covector, or one killing a random dual vector, with denominators 2-7."""
+    if kind == "zero":
+        return (F(0),) * d
+    if kind == "random":
+        return tuple(_frac(rng) for _ in range(d))
+    u = rng.choice(duals)
+    i = next(i for i, a in enumerate(u) if a)
+    while True:  # free entries off i, and the one at i that makes mu(u) = 0
+        mu = [_frac(rng) for _ in range(d)]
+        mu[i] = -sum((c * a for j, (c, a) in enumerate(zip(mu, u)) if j != i), F(0)) / u[i]
+        if any(mu) or d == 1:
+            return tuple(mu)
+
+
+@given(seed=st.integers(0, 2**32), d=st.integers(1, 4), kind=st.sampled_from(["zero", "random", "kills"]))
+def test_choose_mu0_matches_the_fraction_search(seed, d, kind):
+    # integer normals give dual vectors that the first candidates vanish on
+    rng = random.Random(seed)
+    pp = rng.choice([rand_bounded_instance, rand_fractional_instance])(rng, d, d + 3)
+    cd = CH.enumerate_bases(pp)
+    asg = CH.chamber_of(cd, tuple(F(rng.randrange(1, 9), rng.randrange(1, 8)) for _ in range(pp.n_constraints)))
+    duals = [u for s in sorted(asg.members, key=sorted) for u in cd.sigmas[s].dual_basis]
+    mu = _fractional_mu(rng, kind, duals, d)
+    assert CH.choose_mu0(cd, asg.members, mu) == chamber_oracle.choose_mu0(cd, asg.members, mu)
+
+
+@given(
+    seed=st.integers(0, 2**32),
+    d=st.integers(1, 3),
+    kind=st.sampled_from(["zero", "random", "kills"]),
+)
+def test_limit_matches_the_polynomial_reference_on_fractional_data(seed, d, kind):
+    # normals, offset-map entries and mu with denominators 2-7, which the int
+    # path clears; the chamber is found as in the integer-data test
+    rng = random.Random(seed)
+    base = rand_fractional_instance(rng, d, 6)
+    n = base.n_constraints
+    m = rng.randrange(1, n + 2)
+    om = [tuple(_frac(rng) for _ in range(m)) for _ in range(n)]
+    pp = CH.ParametricPolyhedron.make(base.normals, d, offset_matrix=om)
+    cd = CH.enumerate_bases(pp)
+    try:
+        asg = CH.chamber_of(cd, pp.offsets([_frac(rng) for _ in range(m)]))
+    except ValueError:
+        asg = CH.chamber_of(cd, tuple(F(rng.randrange(1, 9), rng.randrange(1, 8)) for _ in range(n)))
+    duals = [u for s in sorted(asg.members, key=sorted) for u in cd.sigmas[s].dual_basis]
+    mu = _fractional_mu(rng, kind, duals, d)
+    got = _limit_or_error(CH.bv_limit_tfinite, cd, asg.members, mu)
+    assert got == _limit_or_error(chamber_oracle.limit_tfinite, cd, asg.members, mu)
+
+
+def test_mu_of_wrong_length_is_rejected_before_any_other_work():
+    cd = chamber_data(SQUARE)
+    x = (F(0), F(0), F(2), F(3))
+    asg = CH.chamber_of(cd, x)
+    for mu in ((F(1),), (F(1), F(2), F(3))):
+        message = f"^mu has length {len(mu)}, expected one entry per dimension \\(2\\)$"
+        with pytest.raises(ValueError, match=message):
+            CH.bv_integral(cd, asg.members, x, mu)
+        with pytest.raises(ValueError, match=message):
+            CH.bv_limit_tfinite(cd, asg.members, mu)
+    # the unbounded ray's limit reports the length before its boundedness
+    ray = CH.enumerate_bases(CH.ParametricPolyhedron.make([(1, 0), (0, 1), (1, 1)], 2))
+    members = CH.chamber_of(ray, (F(1), F(1), F(1))).members
+    with pytest.raises(ValueError, match="^mu has length 3, expected one entry per dimension"):
+        CH.bv_limit_tfinite(ray, members, (F(1), F(2), F(0)))

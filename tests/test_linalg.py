@@ -15,6 +15,8 @@ from weylcone.linalg import (
     gram,
     identity,
     independent_subset,
+    integer_det,
+    integer_inverse,
     integer_rows,
     integer_solve,
     invert,
@@ -359,3 +361,30 @@ def test_invert_matches_the_fraction_reference(rows):
             invert(rows)
         return
     assert invert(rows) == expected
+
+
+@given(square_matrices())
+def test_integer_inverse_is_the_least_denominator_form_of_the_inverse(rows):
+    ints = integer_rows(rows)[0]
+    try:
+        expected = fraction_invert(rows)
+    except ValueError:
+        assert integer_inverse(rows) is None and integer_inverse(ints) is None
+        assert integer_det(ints) == 0
+        return
+    nums, den = integer_inverse(rows)
+    assert den > 0 and gcd(den, *(x for row in nums for x in row)) == 1
+    assert (nums, den) == integer_rows(expected) == integer_rows(invert(rows))
+    # the int rows' own inverse, checked in ints: ints . nums = den I
+    nums, den = integer_inverse(ints)
+    assert (nums, den) == integer_rows(invert(ints))
+    assert all(sum(x * y for x, y in zip(row, col)) == den * (i == j)
+               for i, row in enumerate(ints) for j, col in enumerate(zip(*nums)))
+    assert integer_det(ints) == fraction_det(ints) != 0
+
+
+def test_integer_inverse_of_singular_rows_is_none():
+    assert integer_inverse([(1, 2), (2, 4)]) is None
+    assert integer_inverse([(F(1, 2), F(1, 3)), (F(3, 2), F(1))]) is None
+    assert integer_inverse([(0, 0, 0), (1, 2, 3), (4, 5, 6)]) is None
+    assert integer_inverse([(2, 0), (0, 4)]) == (((2, 0), (0, 1)), 4)
