@@ -79,9 +79,15 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(d * rows, d) for the least d that makes every entry an integer."""
-    d = lcm(*(x.denominator for row in rows for x in row))
-    return tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in rows), d
+    """(d * rows, d) for the least d that makes every entry an integer.
+
+    Each entry's denominator (a Python-level property of Fraction) is read once."""
+    dens = [x.denominator for row in rows for x in row]
+    d = lcm(*dens)
+    if d == 1:
+        return tuple(tuple(x.numerator for x in row) for row in rows), 1
+    scales = iter([d // q for q in dens])
+    return tuple(tuple(x.numerator * next(scales) for x in row) for row in rows), d
 
 
 def is_zero(v: Sequence[Fraction]) -> bool:

@@ -37,6 +37,7 @@ from .linalg import (
     add,
     coords_in_basis,
     dot,
+    eliminate,
     exact_json,
     identity,
     independent_subset,
@@ -119,14 +120,16 @@ class PsiSystem:
     @cached_property
     def kernels(self) -> tuple[tuple, tuple]:
         """(bases, terms) from one pass over the admissible kernels, built once per
-        system on first use.  bases: the distinct bases of every admissible kernel
-        (`pi_cones` takes its walls from them).  terms: (gram, denom) per kernel
-        (p, q, S) that no kernel with span S and a wider interval [p', q']
-        dominates: ker S depends only on span S and conv{P_r x} grows with the
-        interval, so a dominated term is never the least.  With G = S M^-1 S^T
-        (M = datum.inner) and P_r the projections to the parabolics r between p
-        and q, gram holds the Gram rows (`_gram_rows`) of the distinct integer
-        matrices c S P_r in the integer metric g G^-1, and denom = c^2 g."""
+        system on first use, from one flat enumeration of the span classes per
+        p (`_keyed_kernels`).  bases: the distinct bases of every admissible
+        kernel (`pi_cones` takes its walls from them).  terms: (gram, denom)
+        per kernel (p, q, S) that no kernel with span S and a wider interval
+        [p', q'] dominates: ker S depends only on span S and conv{P_r x} grows
+        with the interval, so a dominated term is never the least.  With
+        G = S M^-1 S^T (M = datum.inner) and P_r the projections to the
+        parabolics r between p and q, gram holds the Gram rows (`_gram_rows`)
+        of the distinct integer matrices c S P_r in the integer metric g G^-1,
+        and denom = c^2 g."""
         found = [(key, p, q, combo, basis) for p, q, ks in _keyed_kernels(self) for key, combo, basis in ks]
         intervals: dict[tuple, list] = {}
         for key, p, q, _, _ in found:
@@ -189,13 +192,45 @@ def psi_at(psi: PsiSystem, p: ParabolicSubset) -> tuple[Vec, ...]:
 
 
 def _span_classes(funcs: Sequence[Vec], n: int) -> dict:
-    """Independent subsets of `funcs` up to span equality: span_key -> subset."""
+    """Independent subsets of `funcs` up to span equality: span_key -> subset.
+
+    The classes are the flats of the functionals' linear matroid (Oxley,
+    *Matroid Theory*), enumerated rank by rank on the functionals scaled to int
+    rows.  Each flat F carries its annihilator, int vectors that every member
+    of F vanishes on.  Cutting it against the least functional j left outside F
+    (one fraction-free `eliminate` step) gives the annihilator of the cover
+    cl(F ∪ {j}), whose other members are the functionals left with an int dot
+    of 0 on every cut vector; removing them and repeating yields every cover of
+    F.  A class's subset is its flat's greedy basis in index order, the first
+    independent subset in `combinations` order with that span.  The flats of a
+    rank are visited in the order of their subsets, so a cover is first reached
+    from the least flat it covers, whose subset plus j is the cover's greedy
+    basis, and covers are first reached in the order of their subsets too.
+    One `span_key` per class; a zero functional belongs to no class."""
+    rows = [integer_rows([f])[0][0] for f in funcs]
+    live = [j for j, row in enumerate(rows) if any(row)]
     out = {}
-    for size in range(1, n + 1):
-        for combo in combinations(funcs, size):
-            key = span_key(combo, n)
-            if len(key) == size:
-                out.setdefault(key, combo)
+    # per flat of the current rank: (greedy basis, annihilator rows, member bitmask)
+    level = [((), [tuple(int(i == j) for j in range(n)) for i in range(n)], 0)]
+    for _ in range(n):
+        covers: dict[int, tuple] = {}
+        for basis, ann, members in level:
+            rest = [j for j in live if not members >> j & 1]
+            while rest:
+                j = rest[0]
+                cut = [(*a, sum(map(mul, a, rows[j]))) for a in ann]
+                p = next(i for i, a in enumerate(cut) if a[n])
+                cut = [eliminate(a, cut[p], n)[:n] if a[n] else a[:n] for i, a in enumerate(cut) if i != p]
+                flat = members
+                for m in rest:
+                    if all(sum(map(mul, a, rows[m])) == 0 for a in cut):
+                        flat |= 1 << m
+                covers.setdefault(flat, ((*basis, j), cut, flat))
+                rest = [m for m in rest if not flat >> m & 1]
+        level = list(covers.values())
+        for basis, _, _ in level:
+            combo = tuple(funcs[i] for i in basis)
+            out[span_key(combo, n)] = combo
     return out
 
 
@@ -230,7 +265,7 @@ def _keyed_kernels(psi: PsiSystem):
     subset per span class of the system at p, key is that class's span key,
     and basis (nonempty) spans its intersection with the forms vanishing on
     the Levi of q.  Span classes depend only on p, so each p's classes are
-    built once per call."""
+    built once per call, by one flat enumeration (`_span_classes`)."""
     n = psi.datum.rank
     classes: dict[frozenset[int], tuple] = {}
     for p, q in _proper_pairs(psi.datum):
@@ -346,10 +381,11 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     n forms, so ranks 2 and 3 solve no wall LP; other sizes solve one LP each.
     Every surviving cell carries an interior witness with d > 0 (validated): the
     point of `lp.interior_point` on the cell's own strict rows (`_cell_rows`:
-    the dominant-cone rows, then its signed wall rows), one per leaf, since
-    `_cells` yields no points.  The walls are the rows of the bases of every
-    admissible kernel, dominated ones included (`PsiSystem.kernels`): RREF rows,
-    already led by 1.  A non-positive epsilon raises before any work.
+    the dominant-cone rows, then its signed wall rows, each built once per
+    call), one per leaf, since `_cells` yields no points.  The walls are the
+    rows of the bases of every admissible kernel, dominated ones included
+    (`PsiSystem.kernels`): RREF rows, already led by 1.  A non-positive
+    epsilon raises before any work.
     """
     if epsilon is not None and Fraction(epsilon) <= 0:
         raise ValueError("epsilon must be positive")
@@ -359,9 +395,10 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     walls = {mu for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b, root_coords) for mu in b}
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
+    cell = _cell_rows(dominant, hyper)
     cells = []
     for signs, _ in _cells(dominant, hyper):
-        w = lp.interior_point(n, **_cell_rows(dominant, hyper, signs))
+        w = lp.interior_point(n, **cell(signs))
         d2 = d_value_squared(w, psi)
         if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
@@ -774,11 +811,18 @@ def well_situated_report(ctx: DecompositionContext, t, s) -> WellSituatedReport:
 # the recursion
 
 
-def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], signs: Sequence[int], level=Fraction(0)):
-    """The strict rows of the cell `signs` of `_cells`: h's, then s_i (f_i.y - level) > 0."""
+def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
+    """signs -> the strict rows of the cell `signs` of `_cells`: h's, then
+    s_i (f_i.y - level) > 0 as -s_i f_i.y < -s_i level.  Each form's two signed
+    rows and their level terms are built once, here, and every cell reads them."""
     rows, rhs = h.ub_rows()
-    rows += [neg(scale(s, f)) for s, f in zip(signs, forms)]
-    return dict(a_strict=rows, b_strict=rhs + [-s * level for s in signs])
+    signed = [{s: (neg(scale(s, f)), -s * level) for s in (1, -1)} for f in forms]
+
+    def cell(signs: Sequence[int]) -> dict:
+        picked = [signed[i][s] for i, s in enumerate(signs)]
+        return dict(a_strict=rows + [a for a, _ in picked], b_strict=rhs + [b for _, b in picked])
+
+    return cell
 
 
 def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
@@ -792,16 +836,17 @@ def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
     forms.  The dual gives no point and none is inherited: a caller that needs
     a leaf's witness solves `lp.interior_point` on its `_cell_rows`.
     """
+    cell = _cell_rows(h, forms, level)
 
     def rec(signs):
         if len(signs) == len(forms):
             yield signs, None
             return
         for s in (1, -1):
-            if lp.strictly_feasible(h.dim, **_cell_rows(h, forms, signs + (s,), level)):
+            if lp.strictly_feasible(h.dim, **cell(signs + (s,))):
                 yield from rec(signs + (s,))
 
-    if forms or lp.strictly_feasible(h.dim, **_cell_rows(h, forms, (), level)):
+    if forms or lp.strictly_feasible(h.dim, **cell(())):
         yield from rec(())
 
 

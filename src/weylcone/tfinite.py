@@ -17,6 +17,7 @@ import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -27,11 +28,14 @@ Monomial = tuple[int, ...]
 
 def _canonical(pairs: Iterable[tuple], is_zero: Callable) -> dict:
     """The canonical form of a sum of (key, value) pairs: equal keys merged,
-    zero values dropped, keys sorted."""
-    out: dict = {}
+    zero values dropped, keys sorted.  Each key is hashed once per insert, and
+    the merged items are sorted by key rather than looked up again; a key's
+    values are added in the order they came."""
+    groups: dict = {}
     for k, v in pairs:
-        out[k] = out[k] + v if k in out else v
-    return {k: out[k] for k in sorted(out) if not is_zero(out[k])}
+        groups.setdefault(k, []).append(v)
+    merged = ((k, reduce(operator.add, vs)) for k, vs in sorted(groups.items(), key=operator.itemgetter(0)))
+    return {k: v for k, v in merged if not is_zero(v)}
 
 
 def _eval_monomials(coeffs: Mapping[Monomial, Fraction], x: Sequence, num: Callable):
@@ -103,7 +107,7 @@ class Polynomial(_Sum):
 
     @staticmethod
     def make(nvars: int, coeffs: Mapping[Monomial, object]) -> "Polynomial":
-        return Polynomial._of(nvars, ((tuple(m), Fraction(c)) for m, c in coeffs.items()))
+        return Polynomial._of(nvars, zip(map(tuple, coeffs), vec(coeffs.values())))
 
     @staticmethod
     def constant(nvars: int, c) -> "Polynomial":

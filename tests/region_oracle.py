@@ -14,6 +14,10 @@ forms that `regions._meets_signed_root_cone` uses at k = 1, n - 1 and n.
 read straight from the definition.  `kappa_oracle` is `regions.kappa` as a
 plain loop over every combination of functionals, which tests its rank and
 computes the kernel of every prefix again; `kappa` walks each prefix once.
+`span_classes_oracle` is `regions._span_classes` as the plain loop over every
+subset of up to n functionals, one `span_key` each, keeping the first
+independent subset per span; `_span_classes` enumerates the flats instead.
+`systems_at_every_p` gives it its inputs.
 """
 
 from fractions import Fraction
@@ -21,7 +25,8 @@ from itertools import combinations
 
 from weylcone import lp
 from weylcone import regions as RG
-from weylcone.linalg import dot, nullspace, project_onto_span, rank, sub
+from weylcone.linalg import dot, nullspace, project_onto_span, rank, span_key, sub
+from weylcone.rootspace import parabolic
 
 
 def _dot(u, v):
@@ -110,3 +115,22 @@ def kappa_oracle(datum, functionals) -> Fraction:
                 rows.append(lam)
             best = max(best, c2)
     return best
+
+
+def span_classes_oracle(funcs, n) -> dict:
+    """Independent subsets of `funcs` up to span equality: span_key -> subset."""
+    out = {}
+    for size in range(1, n + 1):
+        for combo in combinations(funcs, size):
+            key = span_key(combo, n)
+            if len(key) == size:
+                out.setdefault(key, combo)
+    return out
+
+
+def systems_at_every_p(psi):
+    """`regions.psi_at` at every parabolic p of the datum, p = G (an empty system) too."""
+    n = psi.datum.rank
+    for k in range(n + 1):
+        for outside in combinations(range(n), k):
+            yield RG.psi_at(psi, parabolic(psi.datum, frozenset(outside)))

@@ -5,6 +5,8 @@ floating-point library, SymPy's exact matrices or a plain `Fraction` oracle,
 on thousands of random instances and prints how many it checked.
 """
 
+import hashlib
+import json
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -19,7 +21,7 @@ from weylcone import chambers as CH
 from weylcone import lp
 from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import det, dot, invert, mat_vec, rref, transpose
+from weylcone.linalg import det, dot, exact_json, invert, mat_vec, rref, transpose
 from weylcone.rootspace import build_root_datum, minimal_parabolic, parabolic, weights_of
 
 import chamber_oracle
@@ -519,6 +521,48 @@ def test_wall_test_matches_the_lp_oracle_at_rank_four():
                 assert got == region_oracle.meets_signed_root_cone_lp(datum, b), (ctype, rep, b)
                 bases += 1
     print(f"\nwall test vs the LP oracle: {bases} kernel bases over 12 rank-4 families")
+
+
+# --- span classes and cone families at rank 4 --------------------------------
+
+
+def test_span_classes_match_the_subset_oracle_at_rank_four():
+    """`_span_classes` against `region_oracle.span_classes_oracle` (same keys,
+    subsets and order) on the system at every p of B4, C4 and D4 adjoint and
+    A4 and B4 sym2; the oracle takes about 12 s."""
+    classes = 0
+    for family in ("B4/adjoint", "C4/adjoint", "D4/adjoint", "A4/sym2", "B4/sym2"):
+        datum = build_root_datum(family[0], 4)
+        psi = RG.psi_pi(datum, weights_of(datum, family[3:]))
+        for funcs in region_oracle.systems_at_every_p(psi):
+            got = list(RG._span_classes(funcs, 4).items())
+            assert got == list(region_oracle.span_classes_oracle(funcs, 4).items()), family
+            classes += len(got)
+    print(f"\nspan classes vs the subset oracle: {classes} classes over 5 rank-4 families")
+
+
+# walls, cells, and the digests (`_digest`) of the hyperplanes and of each
+# cell's (signs, witness, d2) of `pi_cones`, recorded while the span classes
+# were still found by the subset loop of `region_oracle.span_classes_oracle`
+RANK4_CONE_FAMILIES = {
+    "B4/adjoint": (7, 15, "a03d451329306888", "604660c22ae6fc82"),
+    "C4/adjoint": (7, 15, "238a27dbc41c17c8", "8b6f03cca2202d7e"),
+    "D4/adjoint": (3, 6, "225af197f74d655d", "798290203ae79b8f"),
+    "B4/sym2": (7, 15, "a03d451329306888", "604660c22ae6fc82"),
+}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(exact_json(obj)).encode()).hexdigest()[:16]
+
+
+def test_rank_four_cone_families_are_pinned():
+    for family, pinned in RANK4_CONE_FAMILIES.items():
+        datum = build_root_datum(family[0], 4)
+        fam = RG.pi_cones(RG.psi_pi(datum, weights_of(datum, family[3:])))
+        cells = [(c.signs, c.witness, c.d2) for c in fam.cones]
+        assert (len(fam.hyperplanes), len(fam.cones), _digest(fam.hyperplanes), _digest(cells)) == pinned, family
+    print(f"\npi_cones pinned on {len(RANK4_CONE_FAMILIES)} rank-4 families")
 
 
 # --- the A4 adjoint leaves tile their base region ---------------------------

@@ -237,6 +237,37 @@ def test_span_classes_built_once_per_p(monkeypatch):
     assert len(calls) == 7  # one per nonempty p.outside, not one per proper pair (19)
 
 
+def _span_classes_agree(funcs, n):
+    got = list(RG._span_classes(funcs, n).items())
+    assert got == list(region_oracle.span_classes_oracle(funcs, n).items())
+    return len(got)
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["A2/adjoint", "A2/standard", "A2/sym2", "B2/adjoint", "B2/sym2", "C2/adjoint", "D2/adjoint",
+     "A3/standard", "A3/adjoint", "B3/standard", "B3/adjoint", "C3/adjoint", "C3/sym2",
+     "A4/standard", "A4/adjoint"],
+)
+def test_span_classes_match_the_subset_oracle(family):
+    psi = _family_psi(family)
+    for funcs in region_oracle.systems_at_every_p(psi):
+        _span_classes_agree(funcs, psi.datum.rank)
+
+
+def test_span_classes_of_parallel_and_zero_functionals_match_the_subset_oracle():
+    # unsorted, led by a zero functional, with f and 2f, a multiple by 1/2 and
+    # dependent triples: each class keeps its first independent subset
+    f, g, h = vec((1, -1, 0)), vec((0, 2, 1)), vec((F(1, 3), 0, 1))
+    funcs = [vec((0, 0, 0)), scale(2, f), g, f, add(f, g), scale(F(1, 2), g), h, sub(h, f), vec((0, 0, 5))]
+    assert _span_classes_agree(funcs, 3) == 18  # 6 lines, 11 planes, the space
+    assert list(RG._span_classes(funcs, 3).values())[:3] == [(funcs[1],), (funcs[2],), (funcs[4],)]
+    # n = 1: every nonzero functional spans the line, and the first one keeps it
+    line = [vec((F(-2, 3),)), vec((0,)), vec((5,))]
+    assert _span_classes_agree(line, 1) == 1
+    assert RG._span_classes(line, 1) == {(vec((1,)),): (line[0],)}
+
+
 # (before, after): admissible kernels, and those that no kernel with the same
 # span and a wider parabolic interval dominates
 PRUNED_KERNELS = {
