@@ -218,6 +218,8 @@ def _pick_region(ctx, t, s, args):
         indices = [int(part) for part in args.pi_one.split(",") if part.strip()]
     except ValueError as exc:
         raise ArgumentDataError(f"bad weight index list {args.pi_one!r}: {exc}") from exc
+    if not indices:
+        raise ArgumentDataError(f"--pi-one must name at least one weight, got {args.pi_one!r}")
     descs = regions.decompose(ctx, t, s)
     if not 0 <= args.region_index < len(descs):
         raise ArgumentDataError(

@@ -239,9 +239,10 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
 
 def to_hrep(v: VPolytope) -> HPolyhedron:
     """Facet enumeration (brute force over vertex subsets); affine hull becomes
-    equality pairs.  For small polytopes only; face queries use `faces`.  Each
-    facet's chart form is lifted here, to any ambient normal that agrees with it
-    on the affine basis."""
+    equality pairs.  For small polytopes only: the package calls it nowhere;
+    it is the input of the tests' face-lattice oracle and of acceptance
+    criterion c04, and face queries use `faces`.  Each facet's chart form is
+    lifted here, to any ambient normal that agrees with it on the affine basis."""
     if not v.vertices:
         raise ValueError("empty polytope has no H-representation")
     dim = v.dim
@@ -469,8 +470,11 @@ def v_to_json(v: VPolytope) -> str:
 
 
 def v_from_json(text: str) -> VPolytope:
-    data = json.loads(text)
-    return VPolytope(tuple(vec(map(Fraction, p)) for p in data["V"]))
+    """The points of {"V": [...]}; a point whose length differs from the first's raises ValueError."""
+    points = tuple(vec(map(Fraction, p)) for p in json.loads(text)["V"])
+    if (bad := next((i for i, p in enumerate(points) if len(p) != len(points[0])), None)) is not None:
+        raise ValueError(f"point {bad} has length {len(points[bad])}, point 0 has length {len(points[0])}")
+    return VPolytope(points)
 
 
 def to_off(v: VPolytope) -> str:

@@ -333,17 +333,6 @@ class ConeFamily:
     epsilon: Fraction | None = None
 
 
-def _canonical_form(form: Vec) -> Vec:
-    lead = next(c for c in form if c != 0)
-    return scale(Fraction(1) / lead, form)
-
-
-def _normalize_form(form: Vec) -> Vec:
-    """form scaled so that its leading nonzero entry is 1 or -1."""
-    lead = next(c for c in form if c != 0)
-    return scale(1 / abs(lead), form)
-
-
 def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec], root_coords: Mat) -> bool:
     """Whether span(basis) contains a nonzero nonnegative root combination.
 
@@ -382,10 +371,10 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     Every surviving cell carries an interior witness with d > 0 (validated): the
     point of `lp.interior_point` on the cell's own strict rows (`_cell_rows`:
     the dominant-cone rows, then its signed wall rows, each built once per
-    call), one per leaf, since `_cells` yields no points.  The walls are the
-    rows of the bases of every admissible kernel, dominated ones included
-    (`PsiSystem.kernels`): RREF rows, already led by 1.  A non-positive
-    epsilon raises before any work.
+    call), one per leaf, since `_cells` yields sign tuples only.  The walls
+    are the rows of the bases of every admissible kernel, dominated ones
+    included (`PsiSystem.kernels`): RREF rows, already led by 1.  A
+    non-positive epsilon raises before any work.
     """
     if epsilon is not None and Fraction(epsilon) <= 0:
         raise ValueError("epsilon must be positive")
@@ -397,7 +386,7 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
     cell = _cell_rows(dominant, hyper)
     cells = []
-    for signs, _ in _cells(dominant, hyper):
+    for signs in _cells(dominant, hyper):
         w = lp.interior_point(n, **cell(signs))
         d2 = d_value_squared(w, psi)
         if d2 <= 0:
@@ -828,19 +817,19 @@ def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
 def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
     """Open cells of the arrangement {f.y = level : f in forms} inside h.
 
-    Depth-first over the forms, +1 before -1 (Sleumer 1999).  Yields
-    (signs, None) for every sign vector s whose cell {y strictly inside h :
-    s_i (f_i.y - level) > 0} is nonempty, in lexicographic order with +1
-    first.  Each child is decided by `lp.strictly_feasible` on its own rows,
-    and an empty one prunes its subtree; the root only when there are no
-    forms.  The dual gives no point and none is inherited: a caller that needs
-    a leaf's witness solves `lp.interior_point` on its `_cell_rows`.
+    Depth-first over the forms, +1 before -1 (Sleumer 1999).  Yields the
+    sign tuple s of every cell {y strictly inside h : s_i (f_i.y - level) > 0}
+    that is nonempty, in lexicographic order with +1 first.  Each child is
+    decided by `lp.strictly_feasible` on its own rows, and an empty one prunes
+    its subtree; the root only when there are no forms.  The dual gives no
+    point: a caller that needs a leaf's witness solves `lp.interior_point` on
+    its `_cell_rows`.
     """
     cell = _cell_rows(h, forms, level)
 
     def rec(signs):
         if len(signs) == len(forms):
-            yield signs, None
+            yield signs
             return
         for s in (1, -1):
             if lp.strictly_feasible(h.dim, **cell(signs + (s,))):
@@ -939,7 +928,7 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
         pi0 = desc.pi_zero
         signed = [scale(desc.sgn(lam), form_y[lam]) for lam in pi0]
         children = 0
-        for cell, _ in _cells(region_h, signed, delta * b_value):
+        for cell in _cells(region_h, signed, delta * b_value):
             lam_next = tuple(f for f, sg in zip(pi0, cell) if sg == 1)
             if desc.lambdas and not lam_next:
                 raise CertificateError(
@@ -960,7 +949,7 @@ def decompose(ctx: DecompositionContext, t, s, jobs: int = 1) -> tuple[RegionDes
         if children == 0:
             raise CertificateError("region produced no children despite nonempty interior" + _where(desc, tv, sv))
 
-    for signs, _ in _cells(base_h, pi_y):
+    for signs in _cells(base_h, pi_y):
         pi_plus = tuple(f for f, sg in zip(pi, signs) if sg == 1)
         sign_cell = base_h.with_constraints([(scale(sg, ly), Fraction(0)) for sg, ly in zip(signs, pi_y)])
         split(RegionDescriptor(ctx.p, ctx.q, pi, pi_plus, (), ()), sign_cell, Fraction(1))
@@ -1105,27 +1094,34 @@ def refine(
     pi_one must be a nonempty subset of the unconsumed weights, closed in the
     sense that no other unconsumed weight vanishes identically on the kernel
     slice of the region (ClosureError names any violator).  Returns one
-    descriptor per sign cell with nonempty interior, in canonical order."""
+    descriptor per sign cell with nonempty interior, in canonical order.
+
+    Beyond two vertex enumerations and the cell search this solves no LP.  A
+    face of a polytope is the hull of its vertices, and a linear form attains
+    its extremes over a face at those vertices (Ziegler 1995, 2.1).  The
+    region holds sgn(lam) lam.y >= 0 for each unconsumed lam, so the kernel
+    slice is a face, read from the atlas: nonempty iff some vertex has every
+    pi_one row 0, and a weight vanishes on it iff its row is 0 at each such
+    vertex.  The projected cut region is a pyramid with apex 0, and its facets
+    through 0 are the problematic hyperplanes with every projected point on
+    one side: a facet's preimage is a face of the cut region with that image,
+    and such a hyperplane supports the pyramid on an (m - 1)-dimensional
+    image."""
     tv, sv = vec(t), vec(s)
     p1 = _sorted_forms(vec(f) for f in pi_one)
     pi0 = desc.pi_zero
     if not p1 or not set(p1) <= set(pi0):
         raise ValueError("the refinement subset must be a nonempty subset of the unconsumed weights")
     basis = ctx.basis
-    dim_y = len(basis)
     system = compile_system(region_inequalities(ctx.psi, desc), basis, ctx.b_form)
     h = system.at(tv, sv)
+    atlas = _vertex_atlas(system, h, tv, sv)
     p1_rows = _quotient_rows(basis, p1)
-    if not _kernel_meets(h, p1_rows):
+    on_slice = [e.point for e in atlas if all(dot(r, e.point) == 0 for r in p1_rows)]
+    if not on_slice:
         raise AssertionError("kernel slice is empty; the region is not a recursion leaf")
-    rows_ub, rhs_ub = h.ub_rows()
-    on_slice = dict(a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
     for lam, row in zip(pi0, _quotient_rows(basis, pi0)):
-        if lam in p1:
-            continue
-        lo = lp.solve(row, dim_y, **on_slice)
-        hi = lp.solve(row, dim_y, minimize=False, **on_slice)
-        if lo.ok and hi.ok and lo.value == 0 and hi.value == 0:
+        if lam not in p1 and all(dot(row, v) == 0 for v in on_slice):
             raise ClosureError(
                 f"weight {_text(lam)} vanishes on the kernel slice but is outside the subset"
                 + _where(desc, tv, sv)
@@ -1138,7 +1134,6 @@ def refine(
     (lam_b_row,) = _quotient_rows(basis, [_lambda_b(desc, basis_b)])
 
     b_value = dot(ctx.b_form, tv)
-    atlas = _vertex_atlas(system, h, tv, sv)
     c_values = set()
     for e in atlas:
         c_y = dot(lam_b_row, e.point) / b_value
@@ -1161,21 +1156,11 @@ def refine(
     cut_vp = polyhedra.vertices(h.with_constraints([(neg(lam_b_row), cut_height)]))
 
     proj_pts = tuple(sorted({mat_vec(b_rows, v) for v in cut_vp.vertices}))
-    ext = polyhedra.extreme_points(proj_pts)
     origin = zeros(m)
-    for e in ext:
-        if e != origin and dot(sgn_vec, e) != cut_height:
-            raise AssertionError("projected cut region is not a pyramid over the cut facet")
-    if origin not in ext:
+    if any(p != origin and dot(sgn_vec, p) != cut_height for p in proj_pts):
+        raise AssertionError("projected cut region is not a pyramid over the cut facet")
+    if origin not in proj_pts:
         raise AssertionError("kernel image is not a vertex of the projected cut region")
-    hull_h = polyhedra.to_hrep(VPolytope(ext))
-    facets = tuple(
-        sorted(
-            _normalize_form(a)
-            for a, c in zip(hull_h.normals, hull_h.offsets)
-            if c == 0
-        )
-    )
 
     # a face is problematic when its image spans a hyperplane through the origin
     normals = set()
@@ -1183,16 +1168,24 @@ def refine(
         pts = tuple(sorted({mat_vec(b_rows, v) for v in verts}))
         diffs = [sub(p, pts[0]) for p in pts[1:]]
         if rank(diffs, m) == m - 1 == rank(pts, m):
-            normals.add(_canonical_form(nullspace(pts, m)[0]))
+            normals.add(span_key(nullspace(pts, m), m)[0])
     problematic = tuple(sorted(normals))
+
+    # the pyramid's facets through its apex, each normal turned towards the points
+    facets = []
+    for nrm in problematic:
+        side = {dot(nrm, p) > 0 for p in proj_pts if dot(nrm, p) != 0}
+        if len(side) == 1:
+            facets.append(nrm if True in side else neg(nrm))
+    facets = tuple(sorted(facets))
+    hull_h = HPolyhedron.from_pairs([(a, 0) for a in facets] + [(neg(sgn_vec), cut_height)], m)
 
     result = tuple(
         RefinementDescriptor(desc, p1, basis_b, delta_prime, problematic, signs, facets)
-        for signs, _ in _cells(hull_h, problematic)
+        for signs in _cells(hull_h, problematic)
     )
     for t2, s2 in check:
-        again = refine(ctx, desc, pi_one, t2, s2)
-        if again != result:
+        if refine(ctx, desc, pi_one, t2, s2) != result:
             raise TransportError("refinement data varies with the parameters" + _where(desc, tv, sv, T2=vec(t2), S2=vec(s2)))
     return result
 

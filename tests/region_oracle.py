@@ -18,14 +18,37 @@ computes the kernel of every prefix again; `kappa` walks each prefix once.
 subset of up to n functionals, one `span_key` each, keeping the first
 independent subset per span; `_span_classes` enumerates the flats instead.
 `systems_at_every_p` gives it its inputs.
+`refine_oracle` is `regions.refine` as it decided the kernel slice, the
+closure test and the pyramid by linear programs: one feasibility LP for the
+slice, a minimum and a maximum LP per other unconsumed weight, and the pyramid
+as `polyhedra.to_hrep` of the `polyhedra.extreme_points` of the projected cut
+region, its facets through the origin scaled to a leading entry of 1 or -1.
+`refine_outcome` gives the result or the error of either, for comparison, and
+`refine_cases` the (region, subset) pairs to compare them on.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 from weylcone import lp
+from weylcone import polyhedra as PH
 from weylcone import regions as RG
-from weylcone.linalg import dot, nullspace, project_onto_span, rank, span_key, sub
+from weylcone.linalg import (
+    dot,
+    independent_subset,
+    is_zero,
+    mat_vec,
+    neg,
+    nullspace,
+    project_onto_span,
+    rank,
+    scale,
+    span_key,
+    sub,
+    transpose,
+    vec,
+    zeros,
+)
 from weylcone.rootspace import parabolic
 
 
@@ -134,3 +157,118 @@ def systems_at_every_p(psi):
     for k in range(n + 1):
         for outside in combinations(range(n), k):
             yield RG.psi_at(psi, parabolic(psi.datum, frozenset(outside)))
+
+
+def _lead_scaled(form, absolute):
+    """form over its leading nonzero entry, or over that entry's absolute value."""
+    lead = next(c for c in form if c != 0)
+    return scale(1 / (abs(lead) if absolute else lead), form)
+
+
+def refine_oracle(ctx, desc, pi_one, t, s):
+    """`regions.refine` at (T, S) with the slice, the closure and the pyramid from LPs."""
+    tv, sv = vec(t), vec(s)
+    p1 = RG._sorted_forms(vec(f) for f in pi_one)
+    pi0 = desc.pi_zero
+    if not p1 or not set(p1) <= set(pi0):
+        raise ValueError("the refinement subset must be a nonempty subset of the unconsumed weights")
+    basis = ctx.basis
+    dim_y = len(basis)
+    system = RG.compile_system(RG.region_inequalities(ctx.psi, desc), basis, ctx.b_form)
+    h = system.at(tv, sv)
+    p1_rows = RG._quotient_rows(basis, p1)
+    rows_ub, rhs_ub = h.ub_rows()
+    on_slice = dict(a_ub=rows_ub, b_ub=rhs_ub, a_eq=p1_rows, b_eq=[Fraction(0)] * len(p1_rows))
+    if lp.feasible_point(dim_y, **on_slice) is None:
+        raise AssertionError("kernel slice is empty; the region is not a recursion leaf")
+    for lam, row in zip(pi0, RG._quotient_rows(basis, pi0)):
+        if lam in p1:
+            continue
+        lo = lp.solve(row, dim_y, **on_slice)
+        hi = lp.solve(row, dim_y, minimize=False, **on_slice)
+        if lo.ok and hi.ok and lo.value == 0 and hi.value == 0:
+            raise RG.ClosureError(
+                f"weight {RG._text(lam)} vanishes on the kernel slice but is outside the subset"
+                + RG._where(desc, tv, sv)
+            )
+    idx = independent_subset(p1_rows)
+    basis_b = tuple(p1[i] for i in idx)
+    m = len(basis_b)
+    b_rows = RG._quotient_rows(basis, basis_b)
+    sgn_vec = tuple(Fraction(desc.sgn(b)) for b in basis_b)
+    (lam_b_row,) = RG._quotient_rows(basis, [RG._lambda_b(desc, basis_b)])
+
+    b_value = dot(ctx.b_form, tv)
+    c_values = set()
+    for e in RG._vertex_atlas(system, h, tv, sv):
+        c_y = dot(lam_b_row, e.point) / b_value
+        if c_y < 0:
+            raise AssertionError("quotient height is negative at a vertex")
+        comp_t = mat_vec(transpose(e.t_matrix), lam_b_row)
+        comp_s = mat_vec(transpose(e.s_matrix), lam_b_row)
+        if comp_t != scale(c_y, ctx.b_form) or not is_zero(comp_s):
+            raise RG.TransportError(
+                "vertex height is not a fixed multiple of the threshold functional" + RG._where(desc, tv, sv)
+            )
+        c_values.add(c_y)
+    positive = [c for c in c_values if c > 0]
+    if not positive:
+        raise ValueError("every vertex lies on the kernel; nothing to cut")
+    delta_prime = min(positive) / 2
+
+    cut_height = delta_prime * b_value
+    cut_vp = PH.vertices(h.with_constraints([(neg(lam_b_row), cut_height)]))
+    proj_pts = tuple(sorted({mat_vec(b_rows, v) for v in cut_vp.vertices}))
+    ext = PH.extreme_points(proj_pts)
+    origin = zeros(m)
+    for e in ext:
+        if e != origin and dot(sgn_vec, e) != cut_height:
+            raise AssertionError("projected cut region is not a pyramid over the cut facet")
+    if origin not in ext:
+        raise AssertionError("kernel image is not a vertex of the projected cut region")
+    hull_h = PH.to_hrep(PH.VPolytope(ext))
+    facets = tuple(sorted(_lead_scaled(a, True) for a, c in zip(hull_h.normals, hull_h.offsets) if c == 0))
+
+    normals = set()
+    for verts in PH.faces(cut_vp):
+        pts = tuple(sorted({mat_vec(b_rows, v) for v in verts}))
+        diffs = [sub(p, pts[0]) for p in pts[1:]]
+        if rank(diffs, m) == m - 1 == rank(pts, m):
+            normals.add(_lead_scaled(nullspace(pts, m)[0], False))
+    problematic = tuple(sorted(normals))
+    return tuple(
+        RG.RefinementDescriptor(desc, p1, basis_b, delta_prime, problematic, signs, facets)
+        for signs in RG._cells(hull_h, problematic)
+    )
+
+
+def refine_outcome(refine, ctx, desc, pi_one, t, s):
+    """The result of refine(ctx, desc, pi_one, t, s), or the type and message of its error."""
+    try:
+        return refine(ctx, desc, pi_one, t, s)
+    except (AssertionError, RuntimeError, ValueError) as exc:  # refine's own errors
+        return type(exc), str(exc)
+
+
+def refine_cases(descs, proper=None):
+    """(region, pi_one) pairs: each leaf with its pi_zero (empty ones included), then
+    its nonempty proper subsets, largest first, at most `proper` of them (all if None),
+    and once each the region one threshold level above a deeper leaf, whose kernel
+    slice is empty."""
+    parents = {}
+    for d in descs:
+        yield d, d.pi_zero
+        z = d.pi_zero
+        yield from ((d, c) for c in islice(
+            (c for k in range(len(z) - 1, 0, -1) for c in combinations(z, k)), proper))
+        if len(d.lambdas) > 1:
+            up = RG.RegionDescriptor(d.p, d.q, d.pi, d.pi_plus, d.lambdas[:-1], d.deltas[:-1])
+            parents.setdefault(up, up.pi_zero)
+    yield from parents.items()
+
+
+def outcome_kind(outcome) -> str:
+    """'m=<len(basis_b)>' of a result, or the name of an error type."""
+    if isinstance(outcome[0], type):
+        return outcome[0].__name__
+    return f"m={len(outcome[0].basis_b)}"

@@ -606,6 +606,24 @@ def test_a4_adjoint_leaf_faces_from_rows_match_the_point_sets():
     print(f"\nA4 adjoint P0 <= Q{{0}}, Q{{1}}: faces of all {count} leaves match the brute force")
 
 
+def test_a4_adjoint_refinements_match_the_lp_oracle():
+    """refine against `region_oracle.refine_oracle` on the 17 A4 adjoint Q{1} leaves,
+    each with its pi_zero and up to 3 proper subsets: m = 3 occurs once."""
+    a4 = build_root_datum("A", 4)
+    fam = RG.pi_cones(RG.psi_pi(a4, weights_of(a4, "adjoint")))
+    ctx = RG.make_context(a4, minimal_parabolic(a4), parabolic(a4, frozenset({1})), fam.psi, RG.suggest_epsilon(fam), family=fam)
+    t, s = A4_ADJ_T, A4_ADJ_S
+    descs = RG.decompose(ctx, t, s)
+    assert len(descs) == 17
+    kinds = Counter()
+    for desc, pi_one in region_oracle.refine_cases(descs, proper=3):
+        got = region_oracle.refine_outcome(RG.refine, ctx, desc, pi_one, t, s)
+        assert got == region_oracle.refine_outcome(region_oracle.refine_oracle, ctx, desc, pi_one, t, s), (desc, pi_one)
+        kinds[region_oracle.outcome_kind(got)] += 1
+    print(f"\nA4 adjoint P0 <= Q{{1}}: {sum(kinds.values())} refinements match the LP oracle: {dict(kinds)}")
+    assert kinds["m=3"] == 1
+
+
 def _chamber_case(rng, d):
     """A bounded parametric polyhedron in Q^d (integer normals, or entries of
     denominators 2-7), with the identity or a random N x m offset map, and a

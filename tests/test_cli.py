@@ -197,6 +197,21 @@ def test_regions_vector_of_wrong_length_is_argument_error(capsys, monkeypatch, a
     assert json.loads(out)["error"] == {"kind": "argument", "message": message}
 
 
+@pytest.mark.parametrize("command", ["refine", "slice"])
+@pytest.mark.parametrize("pi_one", ["", " , "], ids=["empty", "commas"])
+def test_empty_pi_one_is_argument_error(capsys, monkeypatch, command, pi_one):
+    def no_decompose(*args, **kwargs):
+        raise AssertionError("an empty --pi-one must be rejected before decomposing")
+
+    monkeypatch.setattr(cli.regions, "decompose", no_decompose)
+    code, out = run(_regions_argv(command, **{"pi-one": pi_one}), capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "kind": "argument",
+        "message": f"--pi-one must name at least one weight, got {pi_one!r}",
+    }
+
+
 def test_malformed_symmetric_power_is_argument_error(capsys):
     for rep in ("symx", "sym-1"):
         code, out = run(["rootdatum", "--type", "A", "--rank", "2", "--rep", rep], capsys)
@@ -429,6 +444,23 @@ def test_oracle_integrate_mu_of_wrong_length_is_argument_error(tmp_path, capsys)
         code, out = run(["oracle", "integrate", "--in", str(src), "--mu", mu], capsys)
         assert code == 2
         assert json.loads(out)["error"]["kind"] == "argument"
+
+
+@pytest.mark.parametrize(
+    "points,message",
+    [
+        ([["0", "0"], ["1"]], "point 1 has length 1, point 0 has length 2"),
+        ([["0"], ["1"], ["1", "2"]], "point 2 has length 2, point 0 has length 1"),
+    ],
+    ids=["short-point", "long-point"],
+)
+def test_oracle_integrate_ragged_points_are_argument_errors(tmp_path, capsys, points, message):
+    src = tmp_path / "ragged.json"
+    src.write_text(json.dumps({"V": points}), encoding="utf-8")
+    code, out = run(["oracle", "integrate", "--in", str(src), "--mu", "1,1"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "argument" and message in error["message"]
 
 
 def test_oracle_vertices_unbounded_bytes(tmp_path, capsys):

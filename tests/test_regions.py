@@ -1,11 +1,13 @@
 """Weight-system cones, threshold recursion, refinement, slices, fits."""
 
+import collections
 import dataclasses
 import functools
 import itertools
 import json
 import math
 import random
+import sys
 import types
 from fractions import Fraction as F
 
@@ -1032,13 +1034,7 @@ def test_cells_match_one_lp_per_sign_vector(case):
         point = lp.interior_point(h.dim, a_strict=rows, b_strict=rhs)
         if point is not None:
             expected[signs] = point
-    cells = list(RG._cells(h, forms, level))
-    assert [signs for signs, _ in cells] == list(expected)
-    for signs, point in cells:
-        if point is not None:
-            assert point == expected[signs]  # the leaf's own LP, on the same rows
-            assert all(dot(a, point) + b > 0 for a, b in zip(h.normals, h.offsets))
-            assert all(s * (dot(f, point) - level) > 0 for s, f in zip(signs, forms))
+    assert list(RG._cells(h, forms, level)) == list(expected)
 
 
 @pytest.fixture
@@ -1330,6 +1326,104 @@ def test_problematic_hyperplanes_match_the_face_lattice_oracle(a3_family, a3_adj
                     assert tuple(sorted(normals)) == ref.problematic
                     ms.append(m)
     assert ms.count(2) == 6 and len(ms) == 22
+
+
+def test_refine_matches_the_lp_oracle(ctx, descs, a3_ctx, a3_adjoint_leaves):
+    """refine against its LP form, `region_oracle.refine_oracle`: the same result, or
+    the same error type and message, on every A2 fixture, A3 standard and A3 adjoint
+    leaf with its pi_zero and each nonempty proper subset, and on a non-leaf region."""
+    cases = [
+        (ctx, descs, T, S),
+        (a3_ctx, RG.decompose(a3_ctx, A3_T, A3_S), A3_T, A3_S),
+        (*a3_adjoint_leaves, A3_ADJ_T, A3_ADJ_S),
+    ]
+    kinds = collections.Counter()
+    for c, ds, t, s in cases:
+        for desc, pi_one in region_oracle.refine_cases(ds):
+            got = region_oracle.refine_outcome(RG.refine, c, desc, pi_one, t, s)
+            assert got == region_oracle.refine_outcome(region_oracle.refine_oracle, c, desc, pi_one, t, s), (desc, pi_one)
+            kinds[region_oracle.outcome_kind(got)] += 1
+    assert kinds == {"m=1": 15, "m=2": 4, "ClosureError": 72, "ValueError": 6, "AssertionError": 1}
+
+
+def test_refine_splits_the_pyramid_along_an_interior_hyperplane(a3_ctx, monkeypatch):
+    """No pinned refinement has a problematic hyperplane through the pyramid's
+    interior, so one is made: every face list of the cut region gets one more
+    point set, a kernel vertex and the centroid of the vertices off the kernel,
+    whose image spans a line through the apex and an inner point of the base.
+    That line splits the pyramid into two cells and is none of its facets, as
+    the LP oracle's `to_hrep` pyramid says too."""
+    leaf = next(d for d in RG.decompose(a3_ctx, A3_T, A3_S) if len(d.pi_zero) == 2)
+    (plain,) = RG.refine(a3_ctx, leaf, leaf.pi_zero, A3_T, A3_S)
+    rows = [[dot(b, v) for v in a3_ctx.basis] for b in plain.basis_b]
+    assert len(rows) == 2
+    faces = PH.faces
+
+    def with_inner_line(vp):
+        kernel = [v for v in vp.vertices if not any(mat_vec(rows, v))]
+        off = [v for v in vp.vertices if any(mat_vec(rows, v))]
+        centroid = tuple(sum(c) / len(off) for c in zip(*off))
+        return faces(vp) + [(kernel[0], centroid)]
+
+    monkeypatch.setattr(PH, "faces", with_inner_line)
+    got = region_oracle.refine_outcome(RG.refine, a3_ctx, leaf, leaf.pi_zero, A3_T, A3_S)
+    assert got == region_oracle.refine_outcome(region_oracle.refine_oracle, a3_ctx, leaf, leaf.pi_zero, A3_T, A3_S)
+    assert plain.problematic == plain.pyramid_facets == ((0, 1), (1, -1))
+    assert [r.signs for r in got] == [(1, 1, 1), (1, -1, 1)]
+    assert all(r.problematic == ((0, 1), (1, -3), (1, -1)) for r in got)
+    assert all(r.pyramid_facets == plain.pyramid_facets for r in got)
+
+
+def test_refine_solves_no_lp_outside_the_cell_search(ctx, leaf, refinement, a3_ctx, a3_adjoint_leaves, monkeypatch):
+    """The kernel slice, the closure test and the pyramid come from the atlas and the
+    cut region's faces: no `_kernel_meets`, `extreme_points` or `to_hrep`, and every
+    `lp.solve` is a cell decision or the boundedness proof of `polyhedra.vertices`."""
+    a3_leaf = next(d for d in RG.decompose(a3_ctx, A3_T, A3_S) if len(d.pi_zero) == 2)
+    a3_refs = RG.refine(a3_ctx, a3_leaf, a3_leaf.pi_zero, A3_T, A3_S)
+    ctx3, descs3 = a3_adjoint_leaves
+    deep = next(d for d in descs3 if len(d.lambdas) > 1)
+    up = RG.RegionDescriptor(deep.p, deep.q, deep.pi, deep.pi_plus, deep.lambdas[:-1], deep.deltas[:-1])
+
+    def refuse(name):
+        def raising(*args, **kwargs):
+            pytest.fail(f"refine called {name}")
+
+        return raising
+
+    monkeypatch.setattr(RG, "_kernel_meets", refuse("_kernel_meets"))
+    monkeypatch.setattr(PH, "extreme_points", refuse("extreme_points"))
+    monkeypatch.setattr(PH, "to_hrep", refuse("to_hrep"))
+    feasible, solve = RG.lp.feasible_point, RG.lp.solve
+
+    def boundedness_only(*args, **kwargs):
+        if sys._getframe(1).f_code is not PH._positively_dependent.__code__:
+            pytest.fail("refine called lp.feasible_point")
+        return feasible(*args, **kwargs)
+
+    callers = collections.Counter()
+
+    def tracing(*args, **kwargs):
+        frame = sys._getframe(1)
+        names = set()
+        while frame is not None:
+            names.add(frame.f_code.co_name)
+            frame = frame.f_back
+        via = names & {"strictly_feasible", "_positively_dependent"}
+        if len(via) != 1:
+            pytest.fail(f"lp.solve reached outside the cell search and vertices: {sorted(names)}")
+        callers[via.pop()] += 1
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(RG.lp, "feasible_point", boundedness_only)
+    monkeypatch.setattr(RG.lp, "solve", tracing)
+    assert RG.refine(ctx, leaf, leaf.pi_zero, T, S) == (refinement,)
+    assert RG.refine(a3_ctx, a3_leaf, a3_leaf.pi_zero, A3_T, A3_S) == a3_refs
+    assert len(a3_refs[0].basis_b) == 2
+    assert callers["strictly_feasible"] > 0
+    with pytest.raises(RG.ClosureError):
+        RG.refine(ctx, leaf, (leaf.pi_zero[0],), T, S)
+    with pytest.raises(AssertionError, match="kernel slice is empty"):
+        RG.refine(ctx3, up, up.pi_zero, A3_ADJ_T, A3_ADJ_S)
 
 
 # --- slices and fitting -----------------------------------------------------
