@@ -17,7 +17,7 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import mul
 from typing import Sequence
 
@@ -409,23 +409,59 @@ def _simplex_det(simplex: Sequence[Vec]) -> Fraction:
     return abs(det([sub(p, simplex[0]) for p in simplex[1:]]))
 
 
-def _exp_divided_difference(values) -> float:
-    """exp[y_0,...,y_d] = e^c exp[y_0 - c,...] (c in [min y, max y], nearest 0) via
-    `expm` of the Opitz bidiagonal, its diagonal scaled by 2^-s into [-1, 1] so that
-    `expm` does none of its own squaring, which loses digits at nearly equal
-    entries; s squarings of the nonnegative result give 2^(s d) times the corner."""
-    import numpy as np
-    from scipy.linalg import expm
+# 1/n! for the Taylor series of exp[w_0..w_d] at |w| <= 1, summed over 20 terms:
+# the first omitted one is at most 1.1e-18 of the sum
+_INV_FACTORIALS = tuple(1.0 / math.factorial(n) for n in range(170))
 
+
+def _exp_pair(a: float, b: float) -> float:
+    """exp[a, b] = e^max expm1(-spread) / (-spread), accurate at any spread."""
+    lo, hi = sorted((a, b))
+    return math.exp(hi) * (math.expm1(lo - hi) / (lo - hi) if lo < hi else 1.0)
+
+
+def _exp_taylor(w: Sequence[float]) -> float:
+    """exp[w_0..w_d] = sum_n h_n(w) / (n + d)! at |w| <= 1, with h_n the complete
+    homogeneous symmetric polynomial; one node more maps h_n to h_n + w_j h_(n-1)."""
+    h = (1.0,) + (0.0,) * 19
+    for wj in w:
+        h = tuple(accumulate(h, lambda acc, x: x + wj * acc))
+    return sum(map(mul, h, _INV_FACTORIALS[len(w) - 1:]))
+
+
+def _exp_divided_difference(values) -> float:
+    """exp[y_0,...,y_d] in floats, with no BLAS (McCurdy, Ng and Parlett 1984).
+
+    Entry (i, j) of exp(diag(w) + ones above the diagonal) is exp[w_i..w_j]
+    (Opitz 1964).  Shift by c in [min y, max y] nearest 0, scale by 2^-s into
+    [-1, 1], sum the Taylor series, and square s times, putting the diagonal
+    and the superdiagonal back in closed form after each squaring (Higham
+    2009, code fragment 2.1).  Every entry is positive, so the squarings
+    cancel nothing; the corner ends as 2^(s d) exp[y - c]."""
     k = len(values)
-    c = min(max(0.0, min(values)), max(values))
-    m = max(abs(y - c) for y in values)
+    if k < 3:
+        return math.exp(values[0]) if k == 1 else _exp_pair(*values)
+    lo, hi = min(values), max(values)
+    c = min(max(0.0, lo), hi)
+    m = max(hi - c, c - lo)
     s = math.ceil(math.log2(m)) if m > 1 else 0
-    j = np.diag([math.ldexp(y - c, -s) for y in values]) + np.diag(np.ones(k - 1), 1)
-    e = expm(j)
-    for _ in range(s):
-        e = e @ e
-    return math.exp(c) * math.ldexp(float(e[0, k - 1]), -s * (k - 1))
+    z = [y - c for y in values]
+    if not s:
+        return math.exp(c) * _exp_taylor(z)
+    f = None
+    for t in range(s, -1, -1):
+        v = [math.ldexp(x, -t) for x in z]
+        g = [[0.0] * k for _ in range(k)]
+        for i in range(k):
+            g[i][i] = math.exp(v[i])
+            for j in range(i + 1, k):
+                g[i][j] = (
+                    math.ldexp(_exp_pair(v[i], v[j]), s - t) if j == i + 1
+                    else _exp_taylor(v[i:j + 1]) if f is None
+                    else sum(f[i][l] * f[l][j] for l in range(i, j + 1))
+                )
+        f = g
+    return math.exp(c) * math.ldexp(f[0][k - 1], -s * (k - 1))
 
 
 def integrate_exp_oracle(poly: VPolytope, mu: Sequence) -> float:

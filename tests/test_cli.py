@@ -524,7 +524,7 @@ def test_console_script_runs():
 def cli_transcript(tmp_path) -> str:
     """Exit code and stdout of a fixed bundle of commands, one block per command.
 
-    The bundle leaves out the commands whose output holds SciPy floats (`slice --mu`,
+    The bundle leaves out the commands whose output holds computed floats (`slice --mu`,
     `oracle integrate`, `asymptote toy`). Each block starts with the command line,
     input files named relative to `tmp_path`.
     """

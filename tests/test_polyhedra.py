@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import mpmath
@@ -295,6 +297,21 @@ def exp_nodes(draw):
 def test_exp_divided_difference_matches_mpmath(values):
     ref = _mp_exp_divided_difference(values)
     assert abs(PH._exp_divided_difference(values) - ref) <= 1e-12 * ref
+
+
+def test_integrate_exp_oracle_loads_no_blas():
+    """The divided differences run in plain floats, so an integral in a fresh
+    process imports neither NumPy nor SciPy and starts no BLAS thread pool."""
+    code = (
+        "import sys; from fractions import Fraction as F; from weylcone import polyhedra as PH; "
+        "o, a, b, c = (0, 0, 0), (5, 0, 0), (0, 7, 0), (0, 0, 9); "
+        "v = PH.VPolytope(tuple(tuple(map(F, p)) for p in (o, a, b, c))); "
+        "assert PH.integrate_exp_oracle(v, (F(3), F(-2), F(1))) > 0; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_integrate_exp_oracle_on_a_tiny_square_far_from_the_origin():
