@@ -201,7 +201,8 @@ def chamber_of(cd: ChamberData, x: Sequence) -> ChamberAssignment:
 
 
 def is_bounded(pp: ParametricPolyhedron) -> bool:
-    """P(x) bounded wherever nonempty, i.e. the normals positively span (one Stiemke LP)."""
+    """P(x) bounded wherever nonempty, i.e. the normals positively span: their cone
+    {d : a.d >= 0} is {0} (`polyhedra.recession_cone_is_zero`, double description, no LP)."""
     return polyhedra.recession_cone_is_zero(pp.normals, pp.dim)
 
 

@@ -300,8 +300,9 @@ def span_key(rows: Sequence[Sequence[Fraction]], width: int):
 def independent_subset(rows: Sequence[Vec]) -> tuple[int, ...]:
     """Indices of a lexicographically-first maximal independent subset.
 
-    These are the pivot columns of the rows taken as columns: one elimination."""
-    return rref(transpose(rows), len(rows))[1]
+    These are the pivot columns of the rows taken as columns: one elimination
+    of their int rows."""
+    return _reduce(integer_rows(transpose(rows))[0], len(rows))[1]
 
 
 def exact_json(obj):

@@ -4,9 +4,13 @@ H-representation: constraints (normal, offset) meaning normal . v + offset >= 0.
 V-representation: tuple of extreme points.  All combinatorial questions (vertex
 identity, faces) and least norms over a point hull (`min_norm_squared`, P. Wolfe's
 minimum-norm point on the Gram matrix alone, `min_norm_gram`) are decided exactly
-over Q; floats appear only in the integration oracle at the very end.  Face
-queries on a V-polytope go through `faces`, from the tight rows per vertex that
-`vertices(h)` alone decides, else from its points; each polytope is triangulated once.
+over Q; floats appear only in the integration oracle at the very end.  One
+double-description kernel on int rows (`_extreme_rays`) decides the vertices,
+their incidences, emptiness and boundedness in `vertices`, and boundedness in
+`recession_cone_is_zero`, with no LP on full-rank rows.  Face queries on a
+V-polytope go through `faces`, from the tight rows per vertex that `vertices(h)`
+alone decides, else from its points; each polytope is triangulated once, on
+bitmasks of vertex indices.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .linalg import (
     exact_json,
     identity,
     independent_subset,
+    integer_inverse,
     integer_rows,
-    integer_solve,
     is_zero,
     neg,
     nullspace,
@@ -125,15 +129,51 @@ def feasible_point(h: HPolyhedron) -> Vec | None:
 
 
 def recession_cone_is_zero(normals: Sequence[Vec], dim: int) -> bool:
-    """No d != 0 has a.d >= 0 for every normal a.  Stiemke: iff rank is dim and
-    sum y_i a_i = 0 for some y >= 1 (`_positively_dependent`)."""
-    return rank(normals, dim) == dim and _positively_dependent(normals)
+    """No d != 0 has a.d >= 0 for every normal a: the cone of the nonzero
+    normals is pointed and has no extreme ray (`_extreme_rays`, no LP)."""
+    return _extreme_rays(integer_rows([a for a in normals if not is_zero(a)])[0], dim) == []
 
 
-def _positively_dependent(normals: Sequence[Vec]) -> bool:
-    """sum y_i a_i = 0 for some y >= 1; y = 1 + z, z >= 0 makes that one LP."""
-    cols, m = list(zip(*normals)), len(normals)
-    return lp.feasible_point(m, a_eq=cols, b_eq=[-sum(c) for c in cols], nonneg=m) is not None
+def _primitive(v: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*v)
+    return tuple(x // g for x in v)
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[tuple[tuple[int, ...], int]] | None:
+    """(primitive ray, zero set) for each extreme ray of {y : r.y >= 0 for each row r},
+    or None if the rows have rank < width, so that the cone is not pointed.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and
+    Prodon 1996) on int rows; a zero set is a bitmask of the rows added so far
+    that vanish on the ray.  The first `width` independent rows make a simplicial
+    cone, whose rays are the columns of their `integer_inverse`; the others follow
+    in index order.  A row keeps the rays where it is >= 0 and joins each adjacent
+    pair across it by their positive int combination on which it vanishes.  Two
+    rays are adjacent iff their common zero set has at least width - 2 rows and
+    lies in no third ray's zero set (their least common face is then 2-dimensional)."""
+    basis, inv = range(width), integer_inverse(rows[:width]) if len(rows) >= width else None
+    if inv is None:  # the first `width` rows are no basis
+        basis = independent_subset(rows)
+        if len(basis) < width:
+            return None
+        inv = integer_inverse([rows[i] for i in basis])
+    done = sum(1 << i for i in basis)
+    rays = [(_primitive(col), done & ~(1 << i)) for i, col in zip(basis, zip(*inv[0]))]
+    for k, row in enumerate(rows):
+        if done >> k & 1:
+            continue
+        signed = [(sum(map(mul, row, ray)), ray, zeros) for ray, zeros in rays]
+        masks = [zeros for _, _, zeros in signed]
+        below = [t for t in signed if t[0] < 0]
+        rays = [(ray, zeros if s else zeros | 1 << k) for s, ray, zeros in signed if s >= 0]
+        rays += [
+            (_primitive([sp * x - sn * y for x, y in zip(n, p)]), common | 1 << k)
+            for sp, p, zp in signed if sp > 0
+            for sn, n, zn in below
+            if (common := zp & zn).bit_count() >= width - 2
+            and not any(z & common == common and z != zp and z != zn for z in masks)
+        ]
+    return rays
 
 
 def recession_direction(h: HPolyhedron) -> Vec | None:
@@ -157,16 +197,16 @@ def recession_direction(h: HPolyhedron) -> Vec | None:
 
 
 def vertices(h: HPolyhedron) -> VPolytope:
-    """Exact extreme points by basis enumeration (Avis-Fukuda 1992) on int rows.
+    """Exact extreme points by double description (`_extreme_rays`) on int rows.
 
     Of the rows (a, c) along one primitive normal a/gcd(a) only the tightest,
     the least c/gcd(a), is kept: it implies the others, as zero normals hold.
-    A new `integer_solve` solution nums / den of a dim-subset of the kept rows
-    is a vertex iff a.nums + c*den >= 0 on each; its incidence is the set of h's
-    own rows, by index, with a.nums + c*den == 0.  A nonempty pointed set has a
-    vertex, so only rank < dim with no vertex runs the feasibility LP.  A vertex
-    is a nonsingular dim-subset, so rank = dim is proved and only the Stiemke LP
-    decides boundedness; `recession_direction` runs on the full h only to raise.
+    Homogenised, they act on (x, x0) as a.x + c*x0 >= 0, after the row x0 >= 0,
+    which so joins the starting basis.  If the normals have rank dim, the rays with
+    x0 > 0 are the vertices nums / x0, each with h's own rows, by index, where
+    a.nums + c*x0 == 0 as its incidence; with none h is empty, and a ray with
+    x0 = 0 beside them recedes, so `recession_direction` runs only to raise.
+    Rank < dim has no vertex, and one feasibility LP tells empty from unbounded.
     """
     dim, least = h.dim, {}  # primitive normal -> least c / gcd(a)
     own = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
@@ -175,19 +215,15 @@ def vertices(h: HPolyhedron) -> VPolytope:
             key, off = tuple(x // g for x in r[:dim]), Fraction(r[dim], g)
             least[key] = min(off, least.get(key, off))
     rows = [(*(x * c.denominator for x in a), c.numerator) for a, c in least.items()]
-    seen, found = set(), {}  # vertex -> the rows of h tight at it
-    for subset in combinations([(*r[:dim], -r[dim]) for r in rows], dim):
-        sol = integer_solve(subset, dim)
-        if sol is None or sol in seen:
-            continue
-        seen.add(sol)
-        nums, den = sol
-        if all(sum(map(mul, r, nums)) + r[dim] * den >= 0 for r in rows):
-            tight = frozenset(i for i, r in enumerate(own) if sum(map(mul, r, nums)) + r[dim] * den == 0)
-            found[tuple(Fraction(x, den) for x in nums)] = tight
-    if not found and (seen or feasible_point(h) is None):
+    rays = _extreme_rays([(0,) * dim + (1,), *rows], dim + 1)
+    found = {  # vertex -> the rows of h tight at it
+        tuple(Fraction(x, ray[dim]) for x in ray[:dim]): frozenset(i for i, r in enumerate(own) if not sum(map(mul, r, ray)))
+        for ray, _ in rays or ()
+        if ray[dim]
+    }
+    if not found and (rays is not None or feasible_point(h) is None):
         return VPolytope((), ())
-    if not found or not _positively_dependent([r[:dim] for r in rows]):
+    if rays is None or len(found) < len(rays):
         raise UnboundedError(recession_direction(h))
     return VPolytope(*zip(*sorted(found.items())))
 
@@ -368,8 +404,9 @@ def min_norm_gram(gram: Sequence[Sequence], start: int) -> Fraction:
 def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:
     """Decompose into simplices sharing the first vertex (recursively by facet).
 
-    The faces are listed once; the recursion then works purely on vertex
-    sets (the faces of a face are the listed faces contained in it).
+    The faces are listed once, each as a bitmask of point indices, with its
+    dimension from its grade: 0 for a vertex, else 1 + the largest of its proper
+    subfaces'.  The recursion then works purely on those bitmasks.
     """
     verts = poly.vertices
     k = poly.affine_dim()
@@ -377,21 +414,24 @@ def triangulate(poly: VPolytope) -> list[tuple[Vec, ...]]:
         return []
     if len(verts) == k + 1:
         return [verts]
-    listed = [(VPolytope(f).affine_dim(), frozenset(f), f) for f in faces(poly)]
+    index = {p: 1 << i for i, p in enumerate(verts)}
+    masked = [(sum(map(index.get, f)), f) for f in faces(poly)]
+    grade: dict[int, int] = {}
+    for m, _ in sorted(masked, key=lambda mf: mf[0].bit_count()):
+        grade[m] = max((d + 1 for s, d in grade.items() if s & m == s), default=0)
 
-    def rec(face_verts: tuple[Vec, ...], dim: int) -> list[tuple[Vec, ...]]:
+    def rec(face_verts: tuple[Vec, ...], mask: int, dim: int) -> list[tuple[Vec, ...]]:
         if len(face_verts) == dim + 1:
             return [face_verts]
-        v0 = face_verts[0]
-        fset = frozenset(face_verts)
-        out: list[tuple[Vec, ...]] = []
-        for d2, s2, f2 in listed:
-            if d2 == dim - 1 and v0 not in s2 and s2 < fset:
-                for simplex in rec(f2, dim - 1) if dim - 1 > 0 else [f2]:
-                    out.append((v0,) + tuple(simplex))
-        return out
+        v0, bit = face_verts[0], index[face_verts[0]]
+        return [
+            (v0,) + simplex
+            for m2, f2 in masked
+            if grade[m2] == dim - 1 and not m2 & bit and m2 & mask == m2
+            for simplex in rec(f2, m2, dim - 1)
+        ]
 
-    return rec(verts, k)
+    return rec(verts, sum(index.values()), k)
 
 
 def volume(poly: VPolytope) -> Fraction:

@@ -27,6 +27,7 @@ from weylcone.rootspace import build_root_datum, minimal_parabolic, parabolic, w
 import chamber_oracle
 import distance_oracle
 import region_oracle
+import vertex_oracle
 
 pytestmark = pytest.mark.campaign
 
@@ -604,6 +605,25 @@ def test_a4_adjoint_leaf_faces_from_rows_match_the_point_sets():
             count += 1
     assert count == 65
     print(f"\nA4 adjoint P0 <= Q{{0}}, Q{{1}}: faces of all {count} leaves match the brute force")
+
+
+def test_a4_adjoint_vertices_match_basis_enumeration():
+    """`vertices` (double description) against `vertex_oracle.basis_vertices` on
+    the 67 A4 adjoint systems: both base regions and their 48 + 17 leaves."""
+    a4 = build_root_datum("A", 4)
+    fam = RG.pi_cones(RG.psi_pi(a4, weights_of(a4, "adjoint")))
+    eps = RG.suggest_epsilon(fam)
+    t, s = A4_ADJ_T, A4_ADJ_S
+    systems = []
+    for outside in A4_ADJ_VOLUMES:
+        ctx = RG.make_context(a4, minimal_parabolic(a4), parabolic(a4, frozenset({outside})), fam.psi, eps, family=fam)
+        systems.append(RG.instantiate(RG.base_inequalities(ctx.psi, ctx.p, ctx.q), ctx.basis, ctx.b_form, t, s))
+        systems += [RG.instantiate(RG.region_inequalities(ctx.psi, d), ctx.basis, ctx.b_form, t, s) for d in RG.decompose(ctx, t, s)]
+    assert len(systems) == 67
+    for h in systems:
+        got, want = PH.vertices(h), vertex_oracle.basis_vertices(h)
+        assert (got.vertices, got.incidences) == (want.vertices, want.incidences), h
+    print(f"\nA4 adjoint P0 <= Q{{0}}, Q{{1}}: vertices and incidences of {len(systems)} systems match basis enumeration")
 
 
 def test_a4_adjoint_refinements_match_the_lp_oracle():

@@ -390,6 +390,49 @@ def test_recession_cone_is_zero_edge_cases():
     assert PH.recession_cone_is_zero(cube_h(4).normals, 4)
 
 
+@st.composite
+def stiemke_normal_sets(draw):
+    """Integer normals in dim 0-5: drawn rows plus zero rows, repeats, positive
+    multiples and opposites of drawn rows, sometimes all inside a hyperplane."""
+    dim = draw(st.integers(min_value=0, max_value=5))
+    row = st.tuples(*[st.integers(min_value=-2, max_value=2)] * dim)
+    rows = draw(st.lists(row, max_size=2 * dim + 2))
+    if dim and draw(st.booleans()):  # rank-deficient: every first coordinate 0
+        rows = [(0, *r[1:]) for r in rows]
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        r = draw(st.sampled_from(rows))
+        rows.append(tuple(draw(st.sampled_from([1, 2, -1])) * x for x in r))
+    if draw(st.booleans()):
+        rows.append((0,) * dim)
+    return tuple(vec(r) for r in draw(st.permutations(rows))), dim
+
+
+@settings(max_examples=150)
+@given(stiemke_normal_sets())
+def test_recession_cone_is_zero_matches_the_stiemke_oracle(case):
+    normals, dim = case
+    assert PH.recession_cone_is_zero(normals, dim) == vertex_oracle.recession_cone_is_zero(normals, dim)
+
+
+def test_full_rank_vertices_and_boundedness_solve_no_lp(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("an LP was solved")
+
+    witness = (F(7),)
+    monkeypatch.setattr(PH.lp, "solve", refuse)
+    monkeypatch.setattr(PH, "recession_direction", lambda h: witness)  # the witness LPs run only to raise
+    assert len(PH.vertices(cube_h(3)).vertices) == 8
+    assert len(PH.vertices(simplex_h(4)).vertices) == 5
+    assert PH.vertices(PH.HPolyhedron.from_pairs(VERTEX_CASES["empty, full rank"][0], 2)).vertices == ()
+    ray = PH.HPolyhedron.from_pairs(VERTEX_CASES["unbounded ray"][0], 2)
+    with pytest.raises(PH.UnboundedError) as info:
+        PH.vertices(ray)
+    assert info.value.direction == witness
+    assert PH.recession_cone_is_zero(cube_h(3).normals, 3)
+    assert PH.recession_cone_is_zero(simplex_h(4).normals, 4)
+    assert not PH.recession_cone_is_zero(ray.normals, 2)
+
+
 def test_bounded_paths_never_run_the_witness_lps(monkeypatch):
     from weylcone import chambers as CH
 
@@ -598,14 +641,27 @@ def test_vertices_on_parallel_rows_match_the_fraction_reference(h):
     assert _vertices_or_direction(PH.vertices, h) == _vertices_or_direction(vertex_oracle.vertices, h)
 
 
+@settings(max_examples=80)
+@given(parallel_h_polyhedra())
+def test_vertices_and_incidences_match_basis_enumeration(h):
+    def outcome(f):
+        try:
+            vp = f(h)
+        except PH.UnboundedError as exc:
+            return "unbounded", exc.direction
+        return vp.vertices, vp.incidences
+
+    assert outcome(PH.vertices) == outcome(vertex_oracle.basis_vertices)
+
+
 def test_vertices_solve_only_subsets_of_distinct_normal_directions(monkeypatch):
-    real, calls = PH.integer_solve, []
+    real, calls = PH._extreme_rays, []
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counting(rows, width):
+        calls.append(len(rows))
+        return real(rows, width)
 
-    monkeypatch.setattr(PH, "integer_solve", counting)
+    monkeypatch.setattr(PH, "_extreme_rays", counting)
     for h, k in ((cube_h(3), 6), (simplex_h(4), 5)):
         pairs = [(tuple(m * x for x in a), m * c + shift) for a, c in zip(h.normals, h.offsets)
                  for m, shift in ((F(1), F(0)), (F(2), F(3)), (F(1, 3), F(1)))]  # (a, c) itself is the tightest
@@ -613,7 +669,7 @@ def test_vertices_solve_only_subsets_of_distinct_normal_directions(monkeypatch):
         want = PH.vertices(h)
         calls.clear()
         assert PH.vertices(tripled) == want
-        assert len(calls) <= math.comb(k, h.dim)
+        assert calls and all(n <= k + 1 for n in calls)  # k directions and x0 >= 0
 
 
 VERTEX_CASES = {
@@ -645,8 +701,8 @@ def test_vertices_runs_an_lp_only_for_boundedness_or_a_rank_deficient_empty_set(
 
     monkeypatch.setattr(PH.lp, "solve", counting)
     for pairs, dim, n_vertices, n_lps in (
-        ([], 0, 1, 1),
-        ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)], 3, 4, 1),  # Stiemke only
+        ([], 0, 1, 0),
+        ([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 1)], 3, 4, 0),  # full rank: no LP
         (VERTEX_CASES["empty, full rank"][0], 2, 0, 0),  # no vertex among full-rank normals: empty, no LP
         (VERTEX_CASES["empty, rank-deficient"][0], 2, 0, 1),  # the feasibility LP
     ):

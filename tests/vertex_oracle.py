@@ -5,20 +5,30 @@
 Gauss-Jordan elimination on `Fraction` rows, `fraction_invert` is one
 `fraction_solve` per unit vector, `fraction_det` is Gaussian elimination on
 `Fraction` rows, `fraction_independent_subset` adds one row at a time while
-the rank grows, and `vertices` is basis enumeration that solves every
-dim-subset with `fraction_solve` and tests membership with `fraction_dot`,
-after a feasibility LP and the Stiemke boundedness LP.  None of them calls a
-product or an elimination of `linalg`, all of which run on ints, so the tests
-use them as the independent oracle of the integer kernels.
+the rank grows, `recession_cone_is_zero` is Stiemke's alternative (the rank
+from `fraction_rref`, then one LP for a positive dependence), and `vertices`
+is basis enumeration that solves every dim-subset with `fraction_solve` and
+tests membership with `fraction_dot`, after a feasibility LP and that
+boundedness test.  None of them calls a product or an elimination of
+`linalg`, all of which run on ints, so the tests use them as the independent
+oracle of the integer kernels.
+
+`basis_vertices` is the int reference of `polyhedra.vertices`: the same
+dedupe of parallel rows and the same output, incidences included, but by basis
+enumeration (Avis and Fukuda 1992; one `linalg.integer_solve` per dim-subset
+of the kept rows) and the Stiemke LP, where `polyhedra.vertices` runs the
+double description method and solves no LP on full-rank rows.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from weylcone import polyhedra
-from weylcone.linalg import Mat, Vec
+from weylcone import lp, polyhedra
+from weylcone.linalg import Mat, Vec, integer_rows, integer_solve
 
 
 def fraction_dot(u, v) -> Fraction:
@@ -108,11 +118,23 @@ def fraction_independent_subset(rows, width) -> tuple[int, ...]:
     return tuple(chosen)
 
 
+def positively_dependent(normals) -> bool:
+    """sum y_i a_i = 0 for some y >= 1; y = 1 + z, z >= 0 makes that one LP."""
+    cols, m = list(zip(*normals)), len(normals)
+    return lp.feasible_point(m, a_eq=cols, b_eq=[-sum(c) for c in cols], nonneg=m) is not None
+
+
+def recession_cone_is_zero(normals, dim) -> bool:
+    """No d != 0 has a.d >= 0 for every normal a.  Stiemke: iff rank is dim and
+    sum y_i a_i = 0 for some y >= 1 (`positively_dependent`)."""
+    return len(fraction_rref(normals, dim)[0]) == dim and positively_dependent(normals)
+
+
 def vertices(h: polyhedra.HPolyhedron) -> polyhedra.VPolytope:
     """Extreme points of h; an empty tuple iff h is empty; UnboundedError if unbounded."""
     if polyhedra.feasible_point(h) is None:
         return polyhedra.VPolytope(())
-    if not polyhedra.recession_cone_is_zero(h.normals, h.dim):
+    if not recession_cone_is_zero(h.normals, h.dim):
         raise polyhedra.UnboundedError(polyhedra.recession_direction(h))
     n, dim = len(h.normals), h.dim
     found: set[Vec] = set()
@@ -126,3 +148,37 @@ def vertices(h: polyhedra.HPolyhedron) -> polyhedra.VPolytope:
         if all(fraction_dot(a, v) + c >= 0 for a, c in zip(h.normals, h.offsets)):
             found.add(v)
     return polyhedra.VPolytope(tuple(sorted(found)))
+
+
+def basis_vertices(h: polyhedra.HPolyhedron) -> polyhedra.VPolytope:
+    """`polyhedra.vertices(h)` by basis enumeration on int rows, incidences included.
+
+    Of the rows (a, c) along one primitive normal a/gcd(a) only the tightest,
+    the least c/gcd(a), is kept.  A new `integer_solve` solution nums / den of
+    a dim-subset of the kept rows is a vertex iff a.nums + c*den >= 0 on each;
+    its incidence is the set of h's own rows, by index, with a.nums + c*den == 0.
+    With no vertex, a nonsingular subset (rank dim) or an infeasible h means
+    empty; else, or if the kept normals are not positively dependent, h is
+    unbounded and `polyhedra.recession_direction` gives the witness."""
+    dim, least = h.dim, {}  # primitive normal -> least c / gcd(a)
+    own = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
+    for r in own:
+        if g := math.gcd(*r[:dim]):
+            key, off = tuple(x // g for x in r[:dim]), Fraction(r[dim], g)
+            least[key] = min(off, least.get(key, off))
+    rows = [(*(x * c.denominator for x in a), c.numerator) for a, c in least.items()]
+    seen, found = set(), {}  # vertex -> the rows of h tight at it
+    for subset in combinations([(*r[:dim], -r[dim]) for r in rows], dim):
+        sol = integer_solve(subset, dim)
+        if sol is None or sol in seen:
+            continue
+        seen.add(sol)
+        nums, den = sol
+        if all(sum(map(mul, r, nums)) + r[dim] * den >= 0 for r in rows):
+            tight = frozenset(i for i, r in enumerate(own) if sum(map(mul, r, nums)) + r[dim] * den == 0)
+            found[tuple(Fraction(x, den) for x in nums)] = tight
+    if not found and (seen or polyhedra.feasible_point(h) is None):
+        return polyhedra.VPolytope((), ())
+    if not found or not positively_dependent([r[:dim] for r in rows]):
+        raise polyhedra.UnboundedError(polyhedra.recession_direction(h))
+    return polyhedra.VPolytope(*zip(*sorted(found.items())))
