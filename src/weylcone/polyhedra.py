@@ -2,14 +2,15 @@
 
 H-representation: constraints (normal, offset) meaning normal . v + offset >= 0.
 V-representation: tuple of extreme points.  All combinatorial questions (vertex
-identity, faces) and least norms over a point hull (`min_norm_squared`, P. Wolfe's
-minimum-norm point on the Gram matrix alone, `min_norm_gram`) are decided exactly
-over Q; floats appear only in the integration oracle at the very end.  One
-double-description kernel on int rows (`_extreme_rays`) decides the vertices,
-their incidences, emptiness and boundedness in `vertices`, and boundedness in
-`recession_cone_is_zero`, with no LP on full-rank rows.  Face queries on a
+identity, faces) and least norms over a point hull (P. Wolfe's minimum-norm point
+on the Gram matrix alone, `min_norm_gram`) are decided exactly over Q; floats
+appear only in the integration oracle at the very end.  One double-description
+kernel on int rows (`_extreme_rays`) serves both directions.  H to V: it decides
+the vertices, their incidences, emptiness and boundedness in `vertices`, and
+boundedness in `recession_cone_is_zero`, with no LP on full-rank rows.  V to H:
+it finds the facets of a bare point set (`_facets`).  Face queries on a
 V-polytope go through `faces`, from the tight rows per vertex that `vertices(h)`
-alone decides, else from its points; each polytope is triangulated once, on
+alone decides, else from those facets; each polytope is triangulated once, on
 bitmasks of vertex indices.
 """
 
@@ -21,13 +22,12 @@ import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations
+from itertools import accumulate
 from operator import mul
 from typing import Sequence
 
 from . import lp
 from .linalg import (
-    Mat,
     Vec,
     add,
     coords_in_basis,
@@ -44,7 +44,6 @@ from .linalg import (
     rank,
     scale,
     solve,
-    solve_any,
     sub,
     vec,
 )
@@ -93,8 +92,8 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolytope:
     vertices: tuple[Vec, ...]
-    # from `vertices(h)`: per vertex, the indices of the rows of h tight there, as
-    # `tight_set(h, v)`; None for a bare point set.  Not part of equality, hash or repr.
+    # from `vertices(h)`: per vertex, the indices of the rows (a, c) of h with
+    # a.v + c == 0; None for a bare point set.  Not part of equality, hash or repr.
     incidences: tuple[frozenset[int], ...] | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -228,11 +227,6 @@ def vertices(h: HPolyhedron) -> VPolytope:
     return VPolytope(*zip(*sorted(found.items())))
 
 
-def tight_set(h: HPolyhedron, x: Sequence[Fraction]) -> frozenset[int]:
-    """Rows of h tight at x, by index: the reference for `vertices(h).incidences`."""
-    return frozenset(i for i, (a, c) in enumerate(zip(h.normals, h.offsets)) if dot(a, x) + c == 0)
-
-
 def _close(top: frozenset, sets: Sequence[frozenset]) -> set[frozenset]:
     """`top` and every nonempty intersection of it with some of `sets`."""
     closed = {top}
@@ -273,55 +267,22 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
     return VPolytope(extreme_points(tuple(sums)))
 
 
-def to_hrep(v: VPolytope) -> HPolyhedron:
-    """Facet enumeration (brute force over vertex subsets); affine hull becomes
-    equality pairs.  For small polytopes only: the package calls it nowhere;
-    it is the input of the tests' face-lattice oracle and of acceptance
-    criterion c04, and face queries use `faces`.  Each facet's chart form is
-    lifted here, to any ambient normal that agrees with it on the affine basis."""
-    if not v.vertices:
-        raise ValueError("empty polytope has no H-representation")
-    dim = v.dim
-    v0 = v.vertices[0]
-    basis = v.affine_basis()
-    pairs: list[tuple[Vec, Fraction]] = []
-    # affine-hull equalities: forms vanishing on the span, pinned at v0
-    for form in nullspace(basis, dim) if len(basis) < dim else ():
-        c = dot(form, v0)
-        pairs.append((form, -c))
-        pairs.append((neg(form), c))
-    for form, offset, _ in _facets(v):
-        amb = solve_any(basis, form, dim)  # form . coords(y - v0) = amb . (y - v0)
-        pairs.append((amb, offset - dot(amb, v0)))
-    return HPolyhedron.from_pairs(pairs, dim)
+def _facets(v: VPolytope) -> list[frozenset]:
+    """Facets of conv(v) within its affine hull, each as the points of v on it,
+    once each and in the order of their sorted index tuples.
 
-
-def _facets(v: VPolytope):
-    """Facets of conv(v) within its affine hull, once each and in subset order:
-    (form, offset, points of v on it) in the chart of `affine_basis` at the first
-    vertex v0: form . coords(y - v0) + offset >= 0 on v, with coords taken in
-    that basis.  Only `to_hrep` reads the forms, and lifts them to ambient normals."""
-    basis = v.affine_basis()
-    k = len(basis)
-    if k == 0:
-        return
-    v0 = v.vertices[0]
-    coords = [coords_in_basis(basis, sub(p, v0)) for p in v.vertices]
-    seen = set()
-    for subset in combinations(range(len(coords)), k):
-        diffs = [sub(coords[j], coords[subset[0]]) for j in subset[1:]]
-        ns = nullspace(diffs, k)
-        if len(ns) != 1:
-            continue
-        nrm = ns[0]
-        base = dot(nrm, coords[subset[0]])
-        vals = [dot(nrm, c) - base for c in coords]
-        for sign in (1, -1):
-            if all(sign * x <= 0 for x in vals):
-                on = frozenset(p for p, x in zip(v.vertices, vals) if x == 0)
-                if on not in seen:
-                    seen.add(on)
-                    yield scale(-sign, nrm), sign * base, on
+    Each point's coordinates in `affine_basis` at the first point, with a 1
+    appended, make a row (y, 1); the points span a k-flat, so the rows have rank
+    k + 1 and the cone of valid inequalities {(a, c) : a.y + c >= 0 for each row}
+    is pointed.  conv(v) is bounded, so its extreme rays (`_extreme_rays`, as in
+    `vertices`) are exactly its facets, each with its points as its zero set."""
+    pts, basis = v.vertices, v.affine_basis()
+    if not basis:
+        return []
+    rows = integer_rows([(*coords_in_basis(basis, sub(p, pts[0])), 1) for p in pts])[0]
+    rays = _extreme_rays(rows, len(basis) + 1)
+    tights = sorted(tuple(j for j in range(len(pts)) if zeros >> j & 1) for _, zeros in rays)
+    return [frozenset(pts[j] for j in t) for t in tights]
 
 
 def _row_facets(v: VPolytope) -> list[frozenset]:
@@ -329,11 +290,7 @@ def _row_facets(v: VPolytope) -> list[frozenset]:
     the rows of h tight there): each row's vertex list, kept where its affine
     dimension is k - 1 (a facet is the tight set of a row, Ziegler 1995, 2.1), once
     each and sorted.  A looser parallel row is tight nowhere, a zero row with
-    offset 0 everywhere (dimension k), and duplicate rows give one list.
-    `_facets` yields a facet first at its least affinely independent k-subset,
-    its greedy one, and that order is the same: where two facets' lists first
-    differ, the smaller index lies off the other facet's affine hull, so its own
-    facet's greedy subset takes it there while the other's takes a larger index."""
+    offset 0 everywhere (dimension k), and duplicate rows give one list."""
     pts, k, on = v.vertices, v.affine_dim(), {}
     for j, t in enumerate(v.incidences):
         for i in t:
@@ -349,18 +306,9 @@ def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
     pts = frozenset(v.vertices)
     if not pts:
         return []
-    sets = [on for _, _, on in _facets(v)] if v.incidences is None else _row_facets(v)
+    sets = _facets(v) if v.incidences is None else _row_facets(v)
     verts = frozenset(p for p in pts if pts.intersection(*(s for s in sets if p in s)) == {p})
     return [tuple(sorted(f)) for f in _close(verts, [s & verts for s in sets])]
-
-
-def min_norm_squared(points: Sequence[Vec], metric: Mat) -> Fraction:
-    """Least metric-norm² |x|² = x.metric.x over conv(points), exactly: `min_norm_gram`
-    on the Gram matrix p.metric.q of the distinct points, from the one of least norm."""
-    pts = tuple(dict.fromkeys(map(tuple, points)))
-    images = [tuple(sum(map(mul, row, p)) for row in metric) for p in pts]
-    gram = [[sum(map(mul, p, image)) for image in images] for p in pts]
-    return min_norm_gram(gram, min(range(len(pts)), key=lambda i: gram[i][i]))
 
 
 def min_norm_gram(gram: Sequence[Sequence], start: int) -> Fraction:

@@ -6,7 +6,8 @@ affine span times the kernel, and an LP checks that some minimizer lies in the
 face.  `d_value_squared` is the distance d built from it, over every kernel
 of `admissible_kernels`: `regions._keyed_kernels` without the span keys, so
 with no dominated kernel dropped.  Neither shares a
-code path with `polyhedra.min_norm_squared` (Wolfe's algorithm) beyond the
+code path with `polyhedra.min_norm_gram` (Wolfe's algorithm, which
+`regions.d_value_squared` and `polytope_oracle.min_norm_squared` run) beyond the
 eliminations of `linalg`, and their products come from `vertex_oracle`, so the
 tests use them as its independent oracle.
 """

@@ -21,7 +21,7 @@ independent subset per span; `_span_classes` enumerates the flats instead.
 `refine_oracle` is `regions.refine` as it decided the kernel slice, the
 closure test and the pyramid by linear programs: one feasibility LP for the
 slice, a minimum and a maximum LP per other unconsumed weight, and the pyramid
-as `polyhedra.to_hrep` of the `polyhedra.extreme_points` of the projected cut
+as `polytope_oracle.to_hrep` of the `polyhedra.extreme_points` of the projected cut
 region, its facets through the origin scaled to a leading entry of 1 or -1.
 `refine_outcome` gives the result or the error of either, for comparison, and
 `refine_cases` the (region, subset) pairs to compare them on.
@@ -50,6 +50,8 @@ from weylcone.linalg import (
     zeros,
 )
 from weylcone.rootspace import parabolic
+
+from polytope_oracle import to_hrep
 
 
 def _dot(u, v):
@@ -226,7 +228,7 @@ def refine_oracle(ctx, desc, pi_one, t, s):
             raise AssertionError("projected cut region is not a pyramid over the cut facet")
     if origin not in ext:
         raise AssertionError("kernel image is not a vertex of the projected cut region")
-    hull_h = PH.to_hrep(PH.VPolytope(ext))
+    hull_h = to_hrep(PH.VPolytope(ext))
     facets = tuple(sorted(_lead_scaled(a, True) for a, c in zip(hull_h.normals, hull_h.offsets) if c == 0))
 
     normals = set()

@@ -18,7 +18,7 @@ from weylcone import regions as RG
 from weylcone import rootspace as RS
 from weylcone.linalg import add, coords_in_basis, dot, neg, nullspace, rank, sub, vec
 
-from polytope_oracle import contains, face_lattice
+from polytope_oracle import contains, face_lattice, to_hrep
 
 REL_TOL_INTEGRAL = 1e-9
 FIT_TOL = 1e-6
@@ -152,7 +152,7 @@ def test_c04_face_census_bijects_with_parabolic_chains():
                     if len(hull.vertices) == 1:
                         oracle = {frozenset(hull.vertices)}
                     else:
-                        lattice = face_lattice(PH.to_hrep(hull))
+                        lattice = face_lattice(to_hrep(hull))
                         oracle = {frozenset(f) for f in lattice.values()}
                     census = {frozenset(v) for v in lem.values()}
                     assert census == oracle and len(census) == len(lem)

@@ -17,7 +17,17 @@ from weylcone.linalg import dot, neg, sub, vec
 
 import vertex_oracle
 from distance_oracle import squared_distance
-from polytope_oracle import assert_rows_match_points, contains, face_lattice, mc_integrate_exp, support_value
+from polytope_oracle import (
+    assert_rows_match_points,
+    brute_facets,
+    contains,
+    face_lattice,
+    mc_integrate_exp,
+    min_norm_squared,
+    support_value,
+    tight_set,
+    to_hrep,
+)
 
 fracs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
@@ -71,7 +81,7 @@ def test_tight_set_and_contains():
     assert contains(h, (F(1, 2), F(1, 2)))
     assert not contains(h, (F(2), F(0)))
     corner = (F(0), F(1))
-    tight = PH.tight_set(h, corner)
+    tight = tight_set(h, corner)
     assert tight == {0, 3}
 
 
@@ -130,13 +140,13 @@ def test_support_value():
 
 def test_to_hrep_roundtrip_square():
     vp = PH.vertices(cube_h(2))
-    h = PH.to_hrep(vp)
+    h = to_hrep(vp)
     assert set(PH.vertices(h).vertices) == set(vp.vertices)
 
 
 def test_to_hrep_lower_dimensional_segment():
     seg = PH.VPolytope(((F(0), F(0)), (F(1), F(1))))
-    h = PH.to_hrep(seg)
+    h = to_hrep(seg)
     assert set(PH.vertices(h).vertices) == set(seg.vertices)
 
 
@@ -208,7 +218,7 @@ def min_norm_cases(draw, d):
 @given(data=st.data())
 def test_min_norm_squared_matches_the_face_oracle(d, data):
     metric, pts = data.draw(min_norm_cases(d))
-    got = PH.min_norm_squared(pts, metric)
+    got = min_norm_squared(pts, metric)
     # with every coordinate as a form the kernel is {0}: the oracle's distance is the least norm
     want = squared_distance([tuple(F(i == j) for j in range(d)) for i in range(d)], PH.VPolytope(tuple(pts)), metric)
     assert got == want
@@ -218,12 +228,12 @@ def test_min_norm_squared_matches_the_face_oracle(d, data):
 def test_min_norm_squared_point_cases():
     diag = ((F(2), F(0)), (F(0), F(1)))
     # nearest point of the segment (1,-1)-(1,1) to 0 is (1,0): 2 * 1^2
-    assert PH.min_norm_squared([(F(1), F(-1)), (F(1), F(1))], diag) == 2
+    assert min_norm_squared([(F(1), F(-1)), (F(1), F(1))], diag) == 2
     # a triangle around the origin, given with a repeated vertex
     tri = [(F(1), F(0)), (F(-1), F(1)), (F(-1), F(-1)), (F(1), F(0))]
-    assert PH.min_norm_squared(tri, diag) == 0
+    assert min_norm_squared(tri, diag) == 0
     # integer input stays exact and comes back as a Fraction
-    got = PH.min_norm_squared([(-3, 2), (-3, -4)], ((5, 0), (0, 1)))
+    got = min_norm_squared([(-3, 2), (-3, -4)], ((5, 0), (0, 1)))
     assert got == 45 and isinstance(got, F)
 
 
@@ -498,7 +508,49 @@ def point_clouds(draw):
 def test_faces_match_the_face_lattice_oracle(v):
     got = PH.faces(v)
     assert len(set(got)) == len(got)
-    assert set(got) == set(face_lattice(PH.to_hrep(v)).values())
+    assert set(got) == set(face_lattice(to_hrep(v)).values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_clouds())
+def test_facets_of_a_point_set_match_the_brute_force(v):
+    assert PH._facets(v) == [on for *_, on in brute_facets(v)]
+
+
+def _r_prime_hulls(ctype, rank):
+    """`r_prime(p, q, t)` for every p <= q above the minimal parabolic, at a regular dominant t."""
+    from weylcone import regions as RG
+    from weylcone import rootspace as RS
+    from weylcone.linalg import solve
+
+    datum = RS.build_root_datum(ctype, rank)
+    t = solve(list(datum.simple_roots), [F(2 * i + 1, i + 2) for i in range(rank)])
+    p0 = RS.minimal_parabolic(datum)
+    return [RG.r_prime(p, q, t) for q in RS.parabolics_between(p0, RS.full_group(datum)) for p in RS.parabolics_between(p0, q)]
+
+
+@pytest.mark.parametrize("ctype", ["A", "B", "D"])
+def test_facets_of_rank_four_projection_hulls_match_the_brute_force(ctype):
+    hulls = _r_prime_hulls(ctype, 4)
+    assert len(hulls) == 81
+    for hull in hulls:
+        assert PH._facets(hull) == [on for *_, on in brute_facets(hull)]
+
+
+def test_a_bare_point_set_takes_no_nullspace(monkeypatch):
+    """Faces, volume and exp integral of a bare 4-D point set come from the double
+    description on its rows: no `nullspace` per vertex subset."""
+    (hull,) = [h for h in _r_prime_hulls("A", 4) if h.affine_dim() == 4]
+    mu = (F(1, 3), F(-1, 2), F(1), F(0))
+    want = PH.faces(hull), PH.volume(hull), PH.integrate_exp_oracle(hull, mu)
+
+    def refuse(*args):
+        raise AssertionError("a bare point set took a nullspace")
+
+    monkeypatch.setattr(PH, "nullspace", refuse)
+    bare = PH.VPolytope(hull.vertices)  # no cached simplices
+    assert (PH.faces(bare), PH.volume(bare), PH.integrate_exp_oracle(bare, mu)) == want
+    assert want[1] > 0
 
 
 def test_faces_censuses():
@@ -553,8 +605,7 @@ def test_face_queries_never_build_an_hrep(monkeypatch):
     def refuse(*args):
         raise AssertionError("face query went through an H-representation")
 
-    for name in ("to_hrep", "vertices"):
-        monkeypatch.setattr(PH, name, refuse)
+    monkeypatch.setattr(PH, "vertices", refuse)
     assert PH.triangulate(square) == [(o, e0, e), (o, e1, e)]
     assert PH.volume(PH.VPolytope(tuple(hexagon))) == 12
     assert PH.volume(shifted) == 1
@@ -746,7 +797,7 @@ def test_vertices_record_the_tight_rows_of_h_at_each_vertex(h):
         return
     assert len(vp.incidences) == len(vp.vertices)  # () for an empty polytope
     for v, tight in zip(vp.vertices, vp.incidences):
-        assert tight == PH.tight_set(h, v)
+        assert tight == tight_set(h, v)
 
 
 def test_an_empty_polytope_from_rows_has_no_incidences():
@@ -768,4 +819,4 @@ def test_a_polytope_from_its_rows_lists_its_faces_once(monkeypatch):
     calls.clear()
     bare = PH.VPolytope(cube.vertices)
     assert PH.volume(bare) == 1 and PH.integrate_exp_oracle(bare, mu) == want
-    assert calls == ["faces", "_facets"]  # a bare point set takes the brute force, once
+    assert calls == ["faces", "_facets"]  # a bare point set finds its facets, once

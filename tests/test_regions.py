@@ -327,7 +327,7 @@ def test_d_value_equals_the_unpruned_minimum(family, values):
     roots = psi.datum.simple_roots
     x = tuple(mat_vec(invert(roots), values))
     assert [dot(a, x) for a in roots] == values
-    unpruned = min(PH.min_norm_squared([[dot(f, x) for f in fs] for fs in hull], metric) for hull, metric in kernels)
+    unpruned = min(polytope_oracle.min_norm_squared([[dot(f, x) for f in fs] for fs in hull], metric) for hull, metric in kernels)
     assert RG.d_value_squared(x, psi) == unpruned
 
 
@@ -597,7 +597,7 @@ def test_faces_lemma31_census_matches_lattice():
     lem = RG.faces_lemma31(P0, G2, t)
     assert len(lem) == 9  # chains P0 <= P1 <= P2 <= G in rank two
     hull = RG.r_prime(P0, G2, t)
-    lattice = polytope_oracle.face_lattice(PH.to_hrep(hull))
+    lattice = polytope_oracle.face_lattice(polytope_oracle.to_hrep(hull))
     assert {frozenset(v) for v in lem.values()} == {frozenset(f) for f in lattice.values()}
 
 
@@ -1238,17 +1238,12 @@ def test_vertex_atlas_tight_sets_solve(ctx, leaf):
     h = RG.instantiate(ineqs, ctx.basis, ctx.b_form, T, S)
     for entry in atlas:
         assert set(entry.solve_rows) <= set(entry.tight)
-        assert PH.tight_set(h, entry.point) == entry.tight
+        assert polytope_oracle.tight_set(h, entry.point) == entry.tight
 
 
-def test_atlas_and_fit_read_the_tight_sets_of_vertices(ctx, leaf, refinement, monkeypatch):
+def test_atlas_and_fit_read_the_tight_sets_of_vertices(ctx, leaf, refinement):
     t2, s2 = (F(33, 4), F(8)), (F(31, 64), F(1, 2))
     want = RG.region_vertices_affine(ctx, leaf, T, S)
-
-    def refuse(h, x):
-        raise AssertionError("tight set recomputed outside polyhedra.vertices")
-
-    monkeypatch.setattr(PH, "tight_set", refuse)
     assert RG.region_vertices_affine(ctx, leaf, T, S, check=[(t2, s2)]) == want
     dx = tuple(F(1, 32) * c for c in RG.slice_polytope(ctx, refinement, X0, T, S).kernel_basis[0])
     report = RG.fit_slice_model(ctx, refinement, MU, X0, dx, T, (F(1, 4), F(0)), S, (F(-1, 64), F(0)), grid=5)
@@ -1376,8 +1371,8 @@ def test_refine_splits_the_pyramid_along_an_interior_hyperplane(a3_ctx, monkeypa
 
 def test_refine_solves_no_lp_outside_the_cell_search(ctx, leaf, refinement, a3_ctx, a3_adjoint_leaves, monkeypatch):
     """The kernel slice, the closure test and the pyramid come from the atlas and the
-    cut region's faces: no `_kernel_meets`, `extreme_points` or `to_hrep`, and every
-    `lp.solve` is a cell decision or the boundedness proof of `polyhedra.vertices`."""
+    cut region's faces: no `_kernel_meets`, `extreme_points` or `lp.feasible_point`,
+    and every `lp.solve` is a cell decision of `lp.strictly_feasible`."""
     a3_leaf = next(d for d in RG.decompose(a3_ctx, A3_T, A3_S) if len(d.pi_zero) == 2)
     a3_refs = RG.refine(a3_ctx, a3_leaf, a3_leaf.pi_zero, A3_T, A3_S)
     ctx3, descs3 = a3_adjoint_leaves
@@ -1392,34 +1387,21 @@ def test_refine_solves_no_lp_outside_the_cell_search(ctx, leaf, refinement, a3_c
 
     monkeypatch.setattr(RG, "_kernel_meets", refuse("_kernel_meets"))
     monkeypatch.setattr(PH, "extreme_points", refuse("extreme_points"))
-    monkeypatch.setattr(PH, "to_hrep", refuse("to_hrep"))
-    feasible, solve = RG.lp.feasible_point, RG.lp.solve
+    monkeypatch.setattr(RG.lp, "feasible_point", refuse("lp.feasible_point"))
+    solve = RG.lp.solve
+    cell_decisions = []
 
-    def boundedness_only(*args, **kwargs):
-        if sys._getframe(1).f_code is not PH._positively_dependent.__code__:
-            pytest.fail("refine called lp.feasible_point")
-        return feasible(*args, **kwargs)
-
-    callers = collections.Counter()
-
-    def tracing(*args, **kwargs):
-        frame = sys._getframe(1)
-        names = set()
-        while frame is not None:
-            names.add(frame.f_code.co_name)
-            frame = frame.f_back
-        via = names & {"strictly_feasible", "_positively_dependent"}
-        if len(via) != 1:
-            pytest.fail(f"lp.solve reached outside the cell search and vertices: {sorted(names)}")
-        callers[via.pop()] += 1
+    def cell_search_only(*args, **kwargs):
+        if (caller := sys._getframe(1).f_code) is not RG.lp.strictly_feasible.__code__:
+            pytest.fail(f"lp.solve reached outside the cell search, from {caller.co_name}")
+        cell_decisions.append(args)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(RG.lp, "feasible_point", boundedness_only)
-    monkeypatch.setattr(RG.lp, "solve", tracing)
+    monkeypatch.setattr(RG.lp, "solve", cell_search_only)
     assert RG.refine(ctx, leaf, leaf.pi_zero, T, S) == (refinement,)
     assert RG.refine(a3_ctx, a3_leaf, a3_leaf.pi_zero, A3_T, A3_S) == a3_refs
     assert len(a3_refs[0].basis_b) == 2
-    assert callers["strictly_feasible"] > 0
+    assert cell_decisions
     with pytest.raises(RG.ClosureError):
         RG.refine(ctx, leaf, (leaf.pi_zero[0],), T, S)
     with pytest.raises(AssertionError, match="kernel slice is empty"):
