@@ -545,8 +545,12 @@ def test_span_classes_match_the_subset_oracle_at_rank_four():
 
 # walls, cells, and the digests (`_digest`) of the hyperplanes and of each
 # cell's (signs, witness, d2) of `pi_cones`, recorded while the span classes
-# were still found by the subset loop of `region_oracle.span_classes_oracle`
+# were still found by the subset loop of `region_oracle.span_classes_oracle`;
+# the A4 families were recorded while every cell was still decided by an LP
 RANK4_CONE_FAMILIES = {
+    "A4/standard": (22, 94, "3c81729da4e3bc58", "ad93c67a6afe2553"),
+    "A4/adjoint": (8, 19, "2727d59e46619ca8", "72b6afccb142ff8c"),
+    "A4/sym2": (41, 508, "2ed62d0a5ecc22a6", "95f6862b3bca3a10"),
     "B4/adjoint": (7, 15, "a03d451329306888", "604660c22ae6fc82"),
     "C4/adjoint": (7, 15, "238a27dbc41c17c8", "8b6f03cca2202d7e"),
     "D4/adjoint": (3, 6, "225af197f74d655d", "798290203ae79b8f"),
