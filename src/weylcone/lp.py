@@ -19,8 +19,6 @@ The driver works on the standard form
 and `solve` converts the caller's problem into that shape.  Its variables are
 free by default, split x = u - w into two columns each; `nonneg=k` makes the
 last k of them nonnegative, one column each.  Each inequality row adds a slack.
-`strictly_feasible` decides a strict system by the dual of `interior_point`'s
-margin LP, a second formulation handed to the same `solve`.
 """
 
 from __future__ import annotations
@@ -224,21 +222,6 @@ def interior_point(
     if not res.ok or res.x is None or res.x[n] <= 0:
         return None
     return res.x[:n]
-
-
-def strictly_feasible(n: int, *, a_strict: Sequence[Sequence], b_strict: Sequence) -> bool:
-    """Whether some x has a_strict x < b_strict.  The margin LP of `interior_point`,
-    max t s.t. a_strict x + t 1 <= b_strict, t <= 1, is feasible (t can go down)
-    and bounded (t <= 1), so by strong duality its optimum is that of the dual
-    min b.lam + mu s.t. a_strict^T lam = 0, sum(lam) + mu = 1, lam, mu >= 0: n + 1
-    equality rows over m + 1 nonnegative columns, against the primal's m + 1
-    rows over 2n + 2 split columns and m + 1 slacks.  Strict iff it is positive.
-    """
-    if len(a_strict) != len(b_strict):
-        raise ValueError(f"a_strict has {len(a_strict)} rows but b_strict has {len(b_strict)} right-hand sides")
-    m = len(a_strict)
-    a_eq = [[r[i] for r in a_strict] + [0] for i in range(n)] + [[1] * (m + 1)]
-    return solve([*b_strict, 1], m + 1, a_eq=a_eq, b_eq=[0] * n + [1], nonneg=m + 1).value > 0
 
 
 def lexmin_point(

@@ -7,11 +7,12 @@ on the Gram matrix alone, `min_norm_gram`) are decided exactly over Q; floats
 appear only in the integration oracle at the very end.  One double-description
 kernel on int rows (`_extreme_rays`) serves both directions.  H to V: it decides
 the vertices, their incidences, emptiness and boundedness in `vertices`, and
-boundedness in `recession_cone_is_zero`, with no LP on full-rank rows.  V to H:
-it finds the facets of a bare point set (`_facets`).  Face queries on a
-V-polytope go through `faces`, from the tight rows per vertex that `vertices(h)`
-alone decides, else from those facets; each polytope is triangulated once, on
-bitmasks of vertex indices.
+boundedness in `recession_cone_is_zero`, with no LP on full-rank rows, and
+with one step (`_cut`) per child cell it decides the cells of
+`arrangement_cells`, with no LP at all.  V to H: it finds the facets of a bare
+point set (`_facets`).  Face queries on a V-polytope go through `faces`, from
+the tight rows per vertex that `vertices(h)` alone decides, else from those
+facets; each polytope is triangulated once, on bitmasks of vertex indices.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
-from operator import mul
+from operator import and_, mul
 from typing import Sequence
 
 from . import lp
@@ -146,10 +147,7 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[tuple[tuple
     Prodon 1996) on int rows; a zero set is a bitmask of the rows added so far
     that vanish on the ray.  The first `width` independent rows make a simplicial
     cone, whose rays are the columns of their `integer_inverse`; the others follow
-    in index order.  A row keeps the rays where it is >= 0 and joins each adjacent
-    pair across it by their positive int combination on which it vanishes.  Two
-    rays are adjacent iff their common zero set has at least width - 2 rows and
-    lies in no third ray's zero set (their least common face is then 2-dimensional)."""
+    in index order, one `_cut` each."""
     basis, inv = range(width), integer_inverse(rows[:width]) if len(rows) >= width else None
     if inv is None:  # the first `width` rows are no basis
         basis = independent_subset(rows)
@@ -159,20 +157,68 @@ def _extreme_rays(rows: Sequence[Sequence[int]], width: int) -> list[tuple[tuple
     done = sum(1 << i for i in basis)
     rays = [(_primitive(col), done & ~(1 << i)) for i, col in zip(basis, zip(*inv[0]))]
     for k, row in enumerate(rows):
-        if done >> k & 1:
-            continue
-        signed = [(sum(map(mul, row, ray)), ray, zeros) for ray, zeros in rays]
-        masks = [zeros for _, _, zeros in signed]
-        below = [t for t in signed if t[0] < 0]
-        rays = [(ray, zeros if s else zeros | 1 << k) for s, ray, zeros in signed if s >= 0]
-        rays += [
-            (_primitive([sp * x - sn * y for x, y in zip(n, p)]), common | 1 << k)
-            for sp, p, zp in signed if sp > 0
-            for sn, n, zn in below
-            if (common := zp & zn).bit_count() >= width - 2
-            and not any(z & common == common and z != zp and z != zn for z in masks)
-        ]
+        if not done >> k & 1:
+            rays = _cut([(sum(map(mul, row, ray)), ray, zeros) for ray, zeros in rays], 1 << k, width)
     return rays
+
+
+def _cut(signed: Sequence[tuple[int, tuple[int, ...], int]], bit: int, width: int) -> list[tuple[tuple[int, ...], int]]:
+    """One double-description step: the extreme rays of a pointed cone cut by one
+    more row r, from (r.ray, ray, zero set) per extreme ray, `bit` r's bit.  r keeps
+    the rays where it is >= 0 and joins each adjacent pair across it by their
+    positive int combination on which it vanishes.  Two rays are adjacent iff
+    their common zero set has at least width - 2 rows and lies in no third ray's
+    zero set (their least common face is then 2-dimensional)."""
+    masks = [zeros for _, _, zeros in signed]
+    below = [t for t in signed if t[0] < 0]
+    rays = [(ray, zeros if s else zeros | bit) for s, ray, zeros in signed if s >= 0]
+    rays += [
+        (_primitive([sp * x - sn * y for x, y in zip(n, p)]), common | bit)
+        for sp, p, zp in signed if sp > 0
+        for sn, n, zn in below
+        if (common := zp & zn).bit_count() >= width - 2
+        and not any(z & common == common and z != zp and z != zn for z in masks)
+    ]
+    return rays
+
+
+def _int_rows(pairs) -> list[tuple[int, ...]]:
+    """Each (a, c) as the int row d (a, c), d the lcm of its entries' denominators."""
+    rows = []
+    for a, c in pairs:
+        dens = [x.denominator for x in (*a, c)]
+        d = math.lcm(*dens)
+        rows.append(tuple(x.numerator * (d // q) for x, q in zip((*a, c), dens)))
+    return rows
+
+
+def arrangement_cells(h: HPolyhedron, forms: Sequence[Vec], level=0):
+    """The sign tuples s of the nonempty open cells {y strictly inside h :
+    s_i (f_i.y - level) > 0}, depth first over the forms with +1 before -1
+    (Sleumer 1999), so in lexicographic order with +1 first.  No LP: h's rows,
+    homogenised to (a, c) on (y, x0) after the row x0 >= 0, go through
+    `_extreme_rays` once, and h has an open interior iff some ray exists and no
+    row vanishes on all of them.  An open cell is full-dimensional, so a
+    functional positive on its closure is positive inside it: the child of sign
+    s along f is nonempty iff s (f, -level) is positive on some ray of its
+    parent, and the child's rays are the parent's after one `_cut` by that row.
+    Normals of rank < dim (h is not pointed) raise ValueError."""
+    dim = h.dim
+    rays = _extreme_rays([(0,) * dim + (1,), *_int_rows(zip(h.normals, h.offsets))], dim + 1)
+    if rays is None:
+        raise ValueError(f"the normals of h have rank {rank(h.normals, dim)} < {dim}: h is not pointed")
+    cuts, first = _int_rows((f, -level) for f in forms), len(h.normals) + 1  # first: the first form's bit
+
+    def rec(signs, rays):
+        k = len(signs)
+        values = [(sum(map(mul, cuts[k], ray)), ray, zeros) for ray, zeros in rays]
+        for s in (1, -1):
+            if any(s * v > 0 for v, _, _ in values):
+                child, cut = signs + (s,), [(s * v, ray, zeros) for v, ray, zeros in values]
+                yield from rec(child, _cut(cut, 1 << (first + k), dim + 1)) if len(child) < len(forms) else [child]
+
+    if rays and not reduce(and_, (zeros for _, zeros in rays)):
+        yield from rec((), rays) if forms else [()]
 
 
 def recession_direction(h: HPolyhedron) -> Vec | None:
@@ -208,7 +254,7 @@ def vertices(h: HPolyhedron) -> VPolytope:
     Rank < dim has no vertex, and one feasibility LP tells empty from unbounded.
     """
     dim, least = h.dim, {}  # primitive normal -> least c / gcd(a)
-    own = [integer_rows([(*a, c)])[0][0] for a, c in zip(h.normals, h.offsets)]
+    own = _int_rows(zip(h.normals, h.offsets))
     for r in own:
         if g := math.gcd(*r[:dim]):
             key, off = tuple(x // g for x in r[:dim]), Fraction(r[dim], g)

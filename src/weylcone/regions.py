@@ -368,13 +368,13 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     set misses the open dominant cone entirely and no wall is needed.  That
     test (`_meets_signed_root_cone`) is closed-form for a basis of 1, n - 1 or
     n forms, so ranks 2 and 3 solve no wall LP; other sizes solve one LP each.
-    Every surviving cell carries an interior witness with d > 0 (validated): the
-    point of `lp.interior_point` on the cell's own strict rows (`_cell_rows`:
-    the dominant-cone rows, then its signed wall rows, each built once per
-    call), one per leaf, since `_cells` yields sign tuples only.  The walls
-    are the rows of the bases of every admissible kernel, dominated ones
-    included (`PsiSystem.kernels`): RREF rows, already led by 1.  A
-    non-positive epsilon raises before any work.
+    `_cells` finds the cells with no LP and yields sign tuples only.  Every
+    surviving cell carries an interior witness with d > 0 (validated): the
+    point of `lp.interior_point` on the cell's own strict rows (the
+    dominant-cone rows, then its signed wall rows, each built once per call),
+    one LP per leaf.  The walls are the rows of the bases of every
+    admissible kernel, dominated ones included (`PsiSystem.kernels`): RREF
+    rows, already led by 1.  A non-positive epsilon raises before any work.
     """
     if epsilon is not None and Fraction(epsilon) <= 0:
         raise ValueError("epsilon must be positive")
@@ -384,10 +384,12 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     walls = {mu for b in psi.kernels[0] if not _meets_signed_root_cone(datum, b, root_coords) for mu in b}
     hyper = tuple(sorted(walls))
     dominant = HPolyhedron.from_pairs([(a, Fraction(0)) for a in datum.simple_roots], n)
-    cell = _cell_rows(dominant, hyper)
+    rows, rhs = dominant.ub_rows()
+    signed = [{s: neg(scale(s, mu)) for s in (1, -1)} for mu in hyper]  # s mu.x > 0 as -s mu.x < 0
     cells = []
     for signs in _cells(dominant, hyper):
-        w = lp.interior_point(n, **cell(signs))
+        picked = [signed[i][s] for i, s in enumerate(signs)]
+        w = lp.interior_point(n, a_strict=rows + picked, b_strict=rhs + [Fraction(0)] * len(picked))
         d2 = d_value_squared(w, psi)
         if d2 <= 0:
             raise AssertionError("cone cell witness has d = 0; wall covering is incomplete")
@@ -800,43 +802,10 @@ def well_situated_report(ctx: DecompositionContext, t, s) -> WellSituatedReport:
 # the recursion
 
 
-def _cell_rows(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
-    """signs -> the strict rows of the cell `signs` of `_cells`: h's, then
-    s_i (f_i.y - level) > 0 as -s_i f_i.y < -s_i level.  Each form's two signed
-    rows and their level terms are built once, here, and every cell reads them."""
-    rows, rhs = h.ub_rows()
-    signed = [{s: (neg(scale(s, f)), -s * level) for s in (1, -1)} for f in forms]
-
-    def cell(signs: Sequence[int]) -> dict:
-        picked = [signed[i][s] for i, s in enumerate(signs)]
-        return dict(a_strict=rows + [a for a, _ in picked], b_strict=rhs + [b for _, b in picked])
-
-    return cell
-
-
-def _cells(h: HPolyhedron, forms: Sequence[Vec], level=Fraction(0)):
-    """Open cells of the arrangement {f.y = level : f in forms} inside h.
-
-    Depth-first over the forms, +1 before -1 (Sleumer 1999).  Yields the
-    sign tuple s of every cell {y strictly inside h : s_i (f_i.y - level) > 0}
-    that is nonempty, in lexicographic order with +1 first.  Each child is
-    decided by `lp.strictly_feasible` on its own rows, and an empty one prunes
-    its subtree; the root only when there are no forms.  The dual gives no
-    point: a caller that needs a leaf's witness solves `lp.interior_point` on
-    its `_cell_rows`.
-    """
-    cell = _cell_rows(h, forms, level)
-
-    def rec(signs):
-        if len(signs) == len(forms):
-            yield signs
-            return
-        for s in (1, -1):
-            if lp.strictly_feasible(h.dim, **cell(signs + (s,))):
-                yield from rec(signs + (s,))
-
-    if forms or lp.strictly_feasible(h.dim, **cell(())):
-        yield from rec(())
+# the sign tuples of the open cells of {f.y = level : f in forms} inside h,
+# depth first with +1 first, decided with no LP and no point; a caller that
+# needs a leaf's witness solves `lp.interior_point` on the cell's strict rows
+_cells = polyhedra.arrangement_cells
 
 
 def _kernel_meets(region_h: HPolyhedron, forms_y: Sequence[Vec]) -> bool:

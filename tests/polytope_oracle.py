@@ -10,6 +10,11 @@ by uniform barycentric coordinates, so it shares no divided differences with
 the formula it checks.  `min_norm_squared` is the least metric norm over a
 point hull, by `polyhedra.min_norm_gram` on the points' Gram matrix.
 
+`strictly_feasible` decides a strict system a x < b without a point, by the
+dual of `lp.interior_point`'s margin LP handed to `lp.solve`; the program
+decides its arrangement cells by double description instead
+(`polyhedra.arrangement_cells`).
+
 `brute_facets` finds the facets of a point set by brute force, one `nullspace`
 per affinely independent k-subset of its points; it shares nothing with
 `polyhedra._facets`, the double description on the points' rows, that it
@@ -29,6 +34,7 @@ from itertools import accumulate, combinations
 from operator import mul
 from typing import Sequence
 
+from weylcone import lp
 from weylcone.linalg import Mat, Vec, coords_in_basis, dot, neg, nullspace, scale, solve_any, sub
 from weylcone.polyhedra import (
     HPolyhedron,
@@ -43,6 +49,21 @@ from weylcone.polyhedra import (
     vertices,
     volume,
 )
+
+
+def strictly_feasible(n: int, *, a_strict: Sequence[Sequence], b_strict: Sequence) -> bool:
+    """Whether some x has a_strict x < b_strict.  The margin LP of `interior_point`,
+    max t s.t. a_strict x + t 1 <= b_strict, t <= 1, is feasible (t can go down)
+    and bounded (t <= 1), so by strong duality its optimum is that of the dual
+    min b.lam + mu s.t. a_strict^T lam = 0, sum(lam) + mu = 1, lam, mu >= 0: n + 1
+    equality rows over m + 1 nonnegative columns, against the primal's m + 1
+    rows over 2n + 2 split columns and m + 1 slacks.  Strict iff it is positive.
+    """
+    if len(a_strict) != len(b_strict):
+        raise ValueError(f"a_strict has {len(a_strict)} rows but b_strict has {len(b_strict)} right-hand sides")
+    m = len(a_strict)
+    a_eq = [[r[i] for r in a_strict] + [0] for i in range(n)] + [[1] * (m + 1)]
+    return lp.solve([*b_strict, 1], m + 1, a_eq=a_eq, b_eq=[0] * n + [1], nonneg=m + 1).value > 0
 
 
 def contains(h: HPolyhedron, x: Sequence[Fraction]) -> bool:

@@ -351,7 +351,7 @@ def test_strictly_feasible_matches_the_highs_margin():
         if rng.random() < 0.2:
             rows.append([F(0)] * n)
             rhs.append(F(rng.randint(-1, 1)))
-        feasible = lp.strictly_feasible(n, a_strict=rows, b_strict=rhs)
+        feasible = polytope_oracle.strictly_feasible(n, a_strict=rows, b_strict=rhs)
         res = linprog(
             np.r_[np.zeros(n), -1.0],
             A_ub=_floats([r + [F(1)] for r in rows] + [[F(0)] * n + [F(1)]]),
@@ -367,7 +367,7 @@ def test_strictly_feasible_matches_the_highs_margin():
         assert feasible == (margin > TOL), (n, rows, rhs, margin)
         checked += 1
         empty += not feasible
-    print(f"\nlp.strictly_feasible vs the HiGHS margin: {checked} cases ({empty} empty), {skipped} skipped near the cut")
+    print(f"\nstrictly_feasible vs the HiGHS margin: {checked} cases ({empty} empty), {skipped} skipped near the cut")
 
 
 # --- exact eliminations against SymPy --------------------------------------------

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from weylcone import lp
 from weylcone.linalg import dot, vec
 
+from polytope_oracle import strictly_feasible
+
 
 def test_solve_box_minimum():
     # min x + 2y on [0,1]^2 shifted: x >= -1, x <= 2, y >= 0, y <= 3
@@ -180,12 +182,12 @@ def strict_systems(draw):
 def test_strictly_feasible_matches_interior_point(case):
     n, rows, rhs = case
     expected = lp.interior_point(n, a_strict=rows, b_strict=rhs) is not None
-    assert lp.strictly_feasible(n, a_strict=rows, b_strict=rhs) is expected
+    assert strictly_feasible(n, a_strict=rows, b_strict=rhs) is expected
 
 
 def test_strictly_feasible_needs_one_right_hand_side_per_row():
     with pytest.raises(ValueError, match=r"^a_strict has 2 rows but b_strict has 1 right-hand sides$"):
-        lp.strictly_feasible(1, a_strict=[[1], [-1]], b_strict=[1])
+        strictly_feasible(1, a_strict=[[1], [-1]], b_strict=[1])
 
 
 def test_lexmin_breaks_ties():

@@ -7,7 +7,6 @@ import itertools
 import json
 import math
 import random
-import sys
 import types
 from fractions import Fraction as F
 
@@ -1037,6 +1036,100 @@ def test_cells_match_one_lp_per_sign_vector(case):
     assert list(RG._cells(h, forms, level)) == list(expected)
 
 
+def _cells_by_lp(h, forms, level):
+    """The sign vectors of `_cells`, in its order, by one `lp.interior_point` each."""
+    base_rows, base_rhs = [neg(a) for a in h.normals], list(h.offsets)
+    return [
+        signs
+        for signs in itertools.product((1, -1), repeat=len(forms))
+        if lp.interior_point(
+            h.dim,
+            a_strict=base_rows + [scale(-s, f) for s, f in zip(signs, forms)],  # s (f.y - level) > 0
+            b_strict=base_rhs + [-s * level for s in signs],
+        )
+        is not None
+    ]
+
+
+@st.composite
+def pointed_arrangements(draw):
+    """(h, forms, level): h the simplicial cone {a_i.(y - v) >= 0} of dim independent
+    small integer normals a_i with apex v, maybe cut by one more halfspace, so
+    that it is pointed and mostly unbounded, unlike `arrangements()`' boxes;
+    1-4 small integer forms at a level 0 or not, some moved to pass through v."""
+    dim = draw(st.integers(1, 3))
+    coef = st.integers(-2, 2)
+    vector = st.lists(coef, min_size=dim, max_size=dim)
+    normals = draw(st.lists(vector, min_size=dim, max_size=dim))
+    assume(rank([vec(a) for a in normals], dim) == dim)
+    apex = vec(draw(st.sampled_from([[0] * dim, draw(vector)])))
+    pairs = [(a, -dot(vec(a), apex)) for a in normals]
+    if draw(st.booleans()):
+        a, c = draw(vector), draw(st.integers(-2, 3))
+        pairs += [(a, c)] if any(a) or c >= 0 else []  # a zero normal needs c >= 0
+    level = draw(st.sampled_from([F(0), F(0), F(1), F(-2), F(1, 2)]))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        f = list(vec(draw(vector)))
+        j = next((i for i, x in enumerate(apex) if x), None)
+        if j is not None and draw(st.booleans()):
+            f[j] += (level - dot(vec(f), apex)) / apex[j]  # f.v = level: through the apex
+        forms.append(vec(f))
+    return PH.HPolyhedron.from_pairs(pairs, dim), forms, level
+
+
+@settings(max_examples=150)
+@given(pointed_arrangements())
+def test_cells_of_pointed_cones_match_one_lp_per_sign_vector(case):
+    h, forms, level = case
+    assert list(PH.arrangement_cells(h, forms, level)) == _cells_by_lp(h, forms, level)
+
+
+def test_a_zero_row_leaves_no_cell():
+    box = PH.HPolyhedron.from_pairs([((1, 0), 0), ((-1, 0), 1), ((0, 1), 0), ((0, -1), 1)], 2)
+    forms = [vec((2, -1))]
+    assert list(PH.arrangement_cells(box, forms, F(1, 2))) == [(1,), (-1,)]
+    assert list(PH.arrangement_cells(box, [], 0)) == [()]
+    flat = box.with_constraints([((0, 0), 0)])  # 0.y + 0 >= 0 holds nowhere strictly
+    assert list(PH.arrangement_cells(flat, forms, F(1, 2))) == _cells_by_lp(flat, forms, F(1, 2)) == []
+    assert list(PH.arrangement_cells(flat, [], 0)) == []
+
+
+def test_the_cell_search_refuses_an_h_that_is_not_pointed():
+    slab = PH.HPolyhedron.from_pairs([((1, 1, 0), 0), ((-1, -1, 0), 2), ((0, 0, 1), 0)], 3)
+    with pytest.raises(ValueError, match=r"^the normals of h have rank 2 < 3: h is not pointed$"):
+        list(PH.arrangement_cells(slab, [vec((1, 0, 0))], 0))
+
+
+def test_the_cell_search_solves_no_lp(a3_family, a3_ctx, monkeypatch):
+    """A box, the A3 dominant cone with its walls (as in `pi_cones`) and every
+    search of the A3 decomposition, with `lp.solve` refused."""
+    searches = []
+    cells = RG._cells
+
+    def recording(h, forms, level=F(0)):
+        searches.append((h, forms, level, list(cells(h, forms, level))))
+        return iter(searches[-1][3])
+
+    monkeypatch.setattr(RG, "_cells", recording)
+    assert len(RG.decompose(a3_ctx, A3_T, A3_S)) == 10
+    assert len(searches) > 1
+    box = PH.HPolyhedron.from_pairs([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)], 2)
+    diagonals = [vec((1, 1)), vec((1, -2))]
+    dominant = PH.HPolyhedron.from_pairs([(a, 0) for a in A3.simple_roots], 3)
+    searches += [
+        (box, diagonals, F(1, 3), _cells_by_lp(box, diagonals, F(1, 3))),
+        (dominant, a3_family.hyperplanes, F(0), [c.signs for c in a3_family.cones]),
+    ]
+
+    def refuse(*args, **kwargs):
+        pytest.fail("the cell search called lp.solve")
+
+    monkeypatch.setattr(lp, "solve", refuse)
+    for h, forms, level, expected in searches:
+        assert list(PH.arrangement_cells(h, forms, level)) == expected
+
+
 @pytest.fixture
 def interior_lps(monkeypatch):
     """A list that gets one entry per `lp.interior_point` call."""
@@ -1073,38 +1166,53 @@ def test_a3_adjoint_recursion_reuses_witnesses(a3_adjoint_family, interior_lps):
 
 @pytest.fixture
 def cell_lps(monkeypatch):
-    """Counts of `lp.strictly_feasible` (cell decisions) and `lp.interior_point` (witnesses) calls."""
-    counts = {"strictly_feasible": 0, "interior_point": 0}
+    """Counts of `lp.solve` calls made while `RG._cells` computes a cell, and of
+    `lp.interior_point` calls (witnesses)."""
+    counts = {"cell_search": 0, "interior_point": 0}
+    searching = [False]
+    cells, solve, interior_point = RG._cells, RG.lp.solve, RG.lp.interior_point
 
-    def counting(name):
-        real = getattr(RG.lp, name)
+    def flagged_cells(*args):
+        search = cells(*args)
+        while True:
+            searching[0] = True
+            try:
+                signs = next(search, None)
+            finally:
+                searching[0] = False
+            if signs is None:
+                return
+            yield signs
 
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+    def counting_solve(*args, **kwargs):
+        counts["cell_search"] += searching[0]
+        return solve(*args, **kwargs)
 
-        monkeypatch.setattr(RG.lp, name, wrapper)
+    def counting_interior_point(*args, **kwargs):
+        counts["interior_point"] += 1
+        return interior_point(*args, **kwargs)
 
-    counting("strictly_feasible")
-    counting("interior_point")
+    monkeypatch.setattr(RG, "_cells", flagged_cells)
+    monkeypatch.setattr(RG.lp, "solve", counting_solve)
+    monkeypatch.setattr(RG.lp, "interior_point", counting_interior_point)
     return counts
 
 
-def test_cells_are_decided_by_the_dual_and_leaves_solve_their_witness(a3_family, a3_adjoint_family, a3_ctx, cell_lps):
-    """Every cell of the search is one dual decision; only `pi_cones` leaves solve a primal LP."""
+def test_cells_solve_no_lp_and_leaves_solve_their_witness(a3_family, a3_adjoint_family, a3_ctx, cell_lps):
+    """The cell search solves no LP; only `pi_cones` leaves solve a primal LP."""
     assert RG.pi_cones(a3_family.psi).cones == a3_family.cones
-    assert cell_lps == {"strictly_feasible": 30, "interior_point": 6}
+    assert cell_lps == {"cell_search": 0, "interior_point": 6}
 
-    cell_lps.update(strictly_feasible=0, interior_point=0)
+    cell_lps.update(cell_search=0, interior_point=0)
     assert len(RG.decompose(a3_ctx, A3_T, A3_S)) == 10
-    assert cell_lps == {"strictly_feasible": 76, "interior_point": 0}
+    assert cell_lps == {"cell_search": 0, "interior_point": 0}
 
     fam = a3_adjoint_family
     q = parabolic(A3, frozenset({2}))  # Levi {a1, a2}
     ctx3 = RG.make_context(A3, minimal_parabolic(A3), q, fam.psi, RG.suggest_epsilon(fam), family=fam)
-    cell_lps.update(strictly_feasible=0, interior_point=0)
+    cell_lps.update(cell_search=0, interior_point=0)
     assert len(RG.decompose(ctx3, A3_ADJ_T, A3_ADJ_S)) == 7
-    assert cell_lps == {"strictly_feasible": 136, "interior_point": 0}
+    assert cell_lps == {"cell_search": 0, "interior_point": 0}
 
 
 def test_region_inequalities_hold_at_interior_point(ctx, leaf):
@@ -1372,7 +1480,7 @@ def test_refine_splits_the_pyramid_along_an_interior_hyperplane(a3_ctx, monkeypa
 def test_refine_solves_no_lp_outside_the_cell_search(ctx, leaf, refinement, a3_ctx, a3_adjoint_leaves, monkeypatch):
     """The kernel slice, the closure test and the pyramid come from the atlas and the
     cut region's faces: no `_kernel_meets`, `extreme_points` or `lp.feasible_point`,
-    and every `lp.solve` is a cell decision of `lp.strictly_feasible`."""
+    and no `lp.solve` at all, since the cell search decides its cells with no LP."""
     a3_leaf = next(d for d in RG.decompose(a3_ctx, A3_T, A3_S) if len(d.pi_zero) == 2)
     a3_refs = RG.refine(a3_ctx, a3_leaf, a3_leaf.pi_zero, A3_T, A3_S)
     ctx3, descs3 = a3_adjoint_leaves
@@ -1388,20 +1496,10 @@ def test_refine_solves_no_lp_outside_the_cell_search(ctx, leaf, refinement, a3_c
     monkeypatch.setattr(RG, "_kernel_meets", refuse("_kernel_meets"))
     monkeypatch.setattr(PH, "extreme_points", refuse("extreme_points"))
     monkeypatch.setattr(RG.lp, "feasible_point", refuse("lp.feasible_point"))
-    solve = RG.lp.solve
-    cell_decisions = []
-
-    def cell_search_only(*args, **kwargs):
-        if (caller := sys._getframe(1).f_code) is not RG.lp.strictly_feasible.__code__:
-            pytest.fail(f"lp.solve reached outside the cell search, from {caller.co_name}")
-        cell_decisions.append(args)
-        return solve(*args, **kwargs)
-
-    monkeypatch.setattr(RG.lp, "solve", cell_search_only)
+    monkeypatch.setattr(RG.lp, "solve", refuse("lp.solve"))
     assert RG.refine(ctx, leaf, leaf.pi_zero, T, S) == (refinement,)
     assert RG.refine(a3_ctx, a3_leaf, a3_leaf.pi_zero, A3_T, A3_S) == a3_refs
     assert len(a3_refs[0].basis_b) == 2
-    assert cell_decisions
     with pytest.raises(RG.ClosureError):
         RG.refine(ctx, leaf, (leaf.pi_zero[0],), T, S)
     with pytest.raises(AssertionError, match="kernel slice is empty"):
