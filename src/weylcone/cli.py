@@ -131,7 +131,7 @@ def _cmd_gamma(args) -> int:
     p = _parse_levi(datum, args.P)
     q = _parse_levi(datum, args.Q)
     if not q.outside <= p.outside:
-        raise ValueError("P must be contained in Q")
+        raise ArgumentDataError("P must be contained in Q")
     value = rootspace.gamma(p, q, _rank_vec(args.X, "X", datum.rank), _rank_vec(args.T, "T", datum.rank))
     _emit({"value": value if value == rootspace.BOUNDARY else int(value), "exact": True})
     return 0
@@ -202,6 +202,10 @@ def _regions_context(args):
     psi = regions.psi_pi(datum, rootspace.weights_of(datum, _rep_spec(args.rep, datum.rank)))
     p = _parse_levi(datum, args.P)
     q = _parse_levi(datum, args.Q)
+    if not q.outside:  # make_context's checks, made here as argument checks
+        raise ArgumentDataError("q must be a proper parabolic")
+    if not q.outside <= p.outside:
+        raise ArgumentDataError("p must be contained in q")
     t, s = _rank_vec(args.T, "T", datum.rank), _rank_vec(args.S, "S", datum.rank)
     return regions.make_context(datum, p, q, psi, _parse_eps(args.eps), large), t, s
 

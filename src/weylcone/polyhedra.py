@@ -10,9 +10,10 @@ the vertices, their incidences, emptiness and boundedness in `vertices`, and
 boundedness in `recession_cone_is_zero`, with no LP on full-rank rows, and
 with one step (`_cut`) per child cell it decides the cells of
 `arrangement_cells`, with no LP at all.  V to H: it finds the facets of a bare
-point set (`_facets`).  Face queries on a V-polytope go through `faces`, from
-the tight rows per vertex that `vertices(h)` alone decides, else from those
-facets; each polytope is triangulated once, on bitmasks of vertex indices.
+point set (`_facets`), and from them its vertices (`extreme_points`, no LP).
+Face queries on a V-polytope go through `faces`, from the tight rows per vertex
+that `vertices(h)` alone decides, else from those facets; each polytope is
+triangulated once, on bitmasks of vertex indices.
 """
 
 from __future__ import annotations
@@ -301,9 +302,10 @@ def in_hull(points: Sequence[Vec], x: Sequence[Fraction]) -> bool:
 
 
 def extreme_points(points: Sequence[Vec]) -> tuple[Vec, ...]:
-    """Subset of points not expressible as hulls of the others."""
-    pts = sorted(set(points))
-    return tuple(p for i, p in enumerate(pts) if not in_hull(pts[:i] + pts[i + 1 :], p))
+    """The vertices of conv(points), sorted: the distinct points that are `_alone`
+    among the `_facets` of their hull, with no LP."""
+    v = VPolytope(tuple(sorted(set(points))))
+    return tuple(sorted(_alone(frozenset(v.vertices), _facets(v))))
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> VPolytope:
@@ -345,6 +347,13 @@ def _row_facets(v: VPolytope) -> list[frozenset]:
     return [frozenset(pts[j] for j in t) for t in tights if rank([sub(pts[j], pts[t[0]]) for j in t[1:]]) == k - 1]
 
 
+def _alone(pts: frozenset, facets: Sequence[frozenset]) -> frozenset:
+    """The vertices of conv(pts) from its facets' point sets: the points alone in the
+    intersection of the facets through them (a vertex is that intersection, Ziegler
+    1995, 2.1; any other point shares its least face with two vertices)."""
+    return frozenset(p for p in pts if pts.intersection(*(s for s in facets if p in s)) == {p})
+
+
 def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
     """Vertex sets of all nonempty faces of conv(v), conv(v) included: the
     facets' point sets closed under intersection (a face is an intersection of
@@ -353,7 +362,7 @@ def faces(v: VPolytope) -> list[tuple[Vec, ...]]:
     if not pts:
         return []
     sets = _facets(v) if v.incidences is None else _row_facets(v)
-    verts = frozenset(p for p in pts if pts.intersection(*(s for s in sets if p in s)) == {p})
+    verts = _alone(pts, sets)
     return [tuple(sorted(f)) for f in _close(verts, [s & verts for s in sets])]
 
 

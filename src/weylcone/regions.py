@@ -336,12 +336,14 @@ class ConeFamily:
 def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec], root_coords: Mat) -> bool:
     """Whether span(basis) contains a nonzero nonnegative root combination.
 
-    The simple roots form a basis, so three sizes k of the basis need no LP.
-    k = n: always.  k = 1, basis (mu): iff the coordinates root_coords . mu of
-    mu in the simple-root basis (root_coords is the inverse of the transposed
-    simple roots) are all >= 0 or all <= 0.  k = n - 1, span = the
-    annihilator of nu: iff the values nu.alpha_i include a 0 or both signs
-    (Gordan 1873, one row).  Any other k solves one exact feasibility LP.
+    The span is the common kernel of the nus spanning nullspace(basis), so it
+    holds such a combination iff the images (nu.alpha_i)_nu of the simple roots
+    have 0 in their hull: one `polyhedra.in_hull` test.  Three sizes k of the
+    basis have closed forms.  k = n: always.  k = 1, basis (mu): iff the
+    coordinates root_coords . mu of mu in the simple-root basis (root_coords
+    is the inverse of the transposed simple roots) are all >= 0 or all <= 0.
+    k = n - 1, span = the annihilator of one nu: iff the values nu.alpha_i
+    include a 0 or both signs (Gordan 1873, the hull test in one dimension).
     """
     n, k = datum.rank, len(basis)
     if k == n:
@@ -349,14 +351,11 @@ def _meets_signed_root_cone(datum: RootDatum, basis: Sequence[Vec], root_coords:
     if k == 1:
         coords = mat_vec(root_coords, basis[0])
         return all(c >= 0 for c in coords) or all(c <= 0 for c in coords)
+    nus = nullspace(basis, n)
+    images = [tuple(dot(nu, a) for nu in nus) for a in datum.simple_roots]
     if k == n - 1:
-        (nu,) = nullspace(basis, n)
-        values = [dot(nu, a) for a in datum.simple_roots]
-        return min(values) <= 0 <= max(values)
-    # k free span coefficients, then n roots s >= 0 summing to 1
-    a_eq = [[b[i] for b in basis] + [-a[i] for a in datum.simple_roots] for i in range(n)]
-    a_eq.append([Fraction(0)] * k + [Fraction(1)] * n)
-    return lp.feasible_point(k + n, a_eq=a_eq, b_eq=[Fraction(0)] * n + [Fraction(1)], nonneg=n) is not None
+        return min(images)[0] <= 0 <= max(images)[0]
+    return polyhedra.in_hull(images, zeros(n - k))
 
 
 def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
@@ -367,7 +366,8 @@ def pi_cones(psi: PsiSystem, epsilon=None) -> ConeFamily:
     that intersection contains a signed nonnegative root combination the zero
     set misses the open dominant cone entirely and no wall is needed.  That
     test (`_meets_signed_root_cone`) is closed-form for a basis of 1, n - 1 or
-    n forms, so ranks 2 and 3 solve no wall LP; other sizes solve one LP each.
+    n forms, so ranks 2 and 3 solve no wall LP; other sizes ask one
+    `polyhedra.in_hull` whether 0 is in the hull of the simple roots' images.
     `_cells` finds the cells with no LP and yields sign tuples only.  Every
     surviving cell carries an interior witness with d > 0 (validated): the
     point of `lp.interior_point` on the cell's own strict rows (the
@@ -809,17 +809,10 @@ _cells = polyhedra.arrangement_cells
 
 
 def _kernel_meets(region_h: HPolyhedron, forms_y: Sequence[Vec]) -> bool:
-    rows, rhs = region_h.ub_rows()
-    return (
-        lp.feasible_point(
-            region_h.dim,
-            a_ub=rows,
-            b_ub=rhs,
-            a_eq=[list(f) for f in forms_y],
-            b_eq=[Fraction(0)] * len(forms_y),
-        )
-        is not None
-    )
+    """Whether the region cut by f.y = 0 for each form f has a vertex: bounded (in the
+    base region), so `polyhedra.vertices` decides it with no LP."""
+    kernel = [(g, Fraction(0)) for f in forms_y for g in (f, neg(f))]
+    return bool(polyhedra.vertices(region_h.with_constraints(kernel)).vertices)
 
 
 def _certificate(ctx: DecompositionContext, desc: RegionDescriptor, t: Vec, s: Vec) -> Fraction:
@@ -1303,27 +1296,20 @@ def lemma33_equivalence(ctx: DecompositionContext, t, s) -> tuple[str, ...]:
     its members by the threshold inside the region must be feasible exactly
     when the class kernel meets the hull of the T-projections, that is when
     the origin lies in the hull of the points (lambda(v))_{lambda in class}
-    over its vertices v.  Returns the descriptions of any classes where the
-    two sides disagree."""
+    over its vertices v (one `polyhedra.in_hull`); the thickened side is a
+    vertex of the bounded base region cut by +-row.y <= B(T), with no LP.
+    Returns the descriptions of any classes where the two sides disagree."""
     tv, sv = vec(t), vec(s)
     basis = ctx.basis
-    dim_y = len(basis)
     base_h = instantiate(
         base_inequalities(ctx.psi, ctx.p, ctx.q), basis, ctx.b_form, tv, sv
     )
-    rows_ub, rhs_ub = base_h.ub_rows()
     b_value = dot(ctx.b_form, tv)
     hull = r_prime(ctx.p, ctx.q, tv).vertices
     violations = []
     for combo in _span_classes(psi_at(ctx.psi, ctx.p), ctx.datum.rank).values():
-        a_ub = list(rows_ub)
-        b_ub = list(rhs_ub)
-        for row in _quotient_rows(basis, combo):
-            a_ub.append(row)
-            b_ub.append(b_value)
-            a_ub.append(neg(row))
-            b_ub.append(b_value)
-        thick = lp.feasible_point(dim_y, a_ub=a_ub, b_ub=b_ub) is not None
+        slab = [(g, b_value) for row in _quotient_rows(basis, combo) for g in (row, neg(row))]
+        thick = bool(polyhedra.vertices(base_h.with_constraints(slab)).vertices)
         bary = polyhedra.in_hull([tuple(dot(lam, v) for lam in combo) for v in hull], zeros(len(combo)))
         if thick != bary:
             violations.append(

@@ -15,6 +15,10 @@ dual of `lp.interior_point`'s margin LP handed to `lp.solve`; the program
 decides its arrangement cells by double description instead
 (`polyhedra.arrangement_cells`).
 
+`lp_extreme_points` keeps the points that are no convex combination of the
+others, one `polyhedra.in_hull` LP per point; `polyhedra.extreme_points` reads
+the vertices off the double-description facets (`_facets`) instead.
+
 `brute_facets` finds the facets of a point set by brute force, one `nullspace`
 per affinely independent k-subset of its points; it shares nothing with
 `polyhedra._facets`, the double description on the points' rows, that it
@@ -42,6 +46,7 @@ from weylcone.polyhedra import (
     _row_facets,
     _simplex_det,
     faces,
+    in_hull,
     integrate_exp_oracle,
     min_norm_gram,
     triangulate,
@@ -64,6 +69,12 @@ def strictly_feasible(n: int, *, a_strict: Sequence[Sequence], b_strict: Sequenc
     m = len(a_strict)
     a_eq = [[r[i] for r in a_strict] + [0] for i in range(n)] + [[1] * (m + 1)]
     return lp.solve([*b_strict, 1], m + 1, a_eq=a_eq, b_eq=[0] * n + [1], nonneg=m + 1).value > 0
+
+
+def lp_extreme_points(points: Sequence[Vec]) -> tuple[Vec, ...]:
+    """Subset of points not expressible as hulls of the others."""
+    pts = sorted(set(points))
+    return tuple(p for i, p in enumerate(pts) if not in_hull(pts[:i] + pts[i + 1 :], p))
 
 
 def contains(h: HPolyhedron, x: Sequence[Fraction]) -> bool:

@@ -9,7 +9,11 @@ weylcone, so they share no code with the compiled parameter rows.
 
 `meets_signed_root_cone_lp` is the wall test of `regions.pi_cones` as one
 exact feasibility LP for every size of basis: the reference of the closed
-forms that `regions._meets_signed_root_cone` uses at k = 1, n - 1 and n.
+forms that `regions._meets_signed_root_cone` uses at k = 1, n - 1 and n, and
+of its hull test at other k.  `kernel_meets_lp` is the leaf test of
+`regions.decompose` as one feasibility LP on the region's rows with the forms
+as equalities; `regions._kernel_meets` reads the double-description vertices
+of the cut region instead.
 `in_c_epsilon` is membership in the shrunken cones of an epsilon cone family,
 read straight from the definition.  `kappa_oracle` is `regions.kappa` as a
 plain loop over every combination of functionals, which tests its rank and
@@ -21,8 +25,9 @@ independent subset per span; `_span_classes` enumerates the flats instead.
 `refine_oracle` is `regions.refine` as it decided the kernel slice, the
 closure test and the pyramid by linear programs: one feasibility LP for the
 slice, a minimum and a maximum LP per other unconsumed weight, and the pyramid
-as `polytope_oracle.to_hrep` of the `polyhedra.extreme_points` of the projected cut
-region, its facets through the origin scaled to a leading entry of 1 or -1.
+as `polytope_oracle.to_hrep` of the `polytope_oracle.lp_extreme_points` of the
+projected cut region (one hull LP per point, no `polyhedra._facets`), its
+facets through the origin scaled to a leading entry of 1 or -1.
 `refine_outcome` gives the result or the error of either, for comparison, and
 `refine_cases` the (region, subset) pairs to compare them on.
 """
@@ -51,7 +56,7 @@ from weylcone.linalg import (
 )
 from weylcone.rootspace import parabolic
 
-from polytope_oracle import to_hrep
+from polytope_oracle import lp_extreme_points, to_hrep
 
 
 def _dot(u, v):
@@ -102,6 +107,21 @@ def meets_signed_root_cone_lp(datum, basis):
     a_eq = [[b[i] for b in basis] + [-a[i] for a in datum.simple_roots] for i in range(n)]
     a_eq.append([Fraction(0)] * k + [Fraction(1)] * n)
     return lp.feasible_point(k + n, a_eq=a_eq, b_eq=[Fraction(0)] * n + [Fraction(1)], nonneg=n) is not None
+
+
+def kernel_meets_lp(region_h, forms_y) -> bool:
+    """Whether the region meets {f.y = 0 for each form f}: one feasibility LP."""
+    rows, rhs = region_h.ub_rows()
+    return (
+        lp.feasible_point(
+            region_h.dim,
+            a_ub=rows,
+            b_ub=rhs,
+            a_eq=[list(f) for f in forms_y],
+            b_eq=[Fraction(0)] * len(forms_y),
+        )
+        is not None
+    )
 
 
 def in_c_epsilon(family, x) -> bool:
@@ -221,7 +241,7 @@ def refine_oracle(ctx, desc, pi_one, t, s):
     cut_height = delta_prime * b_value
     cut_vp = PH.vertices(h.with_constraints([(neg(lam_b_row), cut_height)]))
     proj_pts = tuple(sorted({mat_vec(b_rows, v) for v in cut_vp.vertices}))
-    ext = PH.extreme_points(proj_pts)
+    ext = lp_extreme_points(proj_pts)
     origin = zeros(m)
     for e in ext:
         if e != origin and dot(sgn_vec, e) != cut_height:

@@ -52,14 +52,27 @@ def test_gamma_values(capsys):
     assert code == 0 and json.loads(out)["value"] == "boundary"
 
 
-def test_gamma_containment_is_domain_error(capsys):
+def test_gamma_containment_is_argument_error(capsys):
     code, out = run(
         ["gamma", "--type", "A", "--rank", "2", "--P", "a1", "--Q", "",
          "--X", "1,1", "--T", "2,2"],
         capsys,
     )
-    assert code == 1
-    assert json.loads(out)["error"]["kind"] == "domain"
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": "P must be contained in Q"}
+
+
+@pytest.mark.parametrize(
+    "p, q, message",
+    [("a1", "a2", "p must be contained in q"), ("", "a1,a2", "q must be a proper parabolic")],
+    ids=["P-not-in-Q", "Q-is-G"],
+)
+def test_regions_bad_parabolic_pair_is_argument_error(capsys, p, q, message):
+    args = list(DECOMPOSE_ARGS)
+    args[args.index("--P") + 1], args[args.index("--Q") + 1] = p, q
+    code, out = run(args, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"kind": "argument", "message": message}
 
 
 def test_gamma_vector_of_wrong_length_is_argument_error(capsys):

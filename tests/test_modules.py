@@ -56,6 +56,44 @@ def test_the_guard_sees_both_forms():
     assert _private_imports(ast.parse(src)) == ["from polyhedra import _facets", "lp._solve"]
 
 
+def _lp_reads(tree: ast.Module) -> set[str]:
+    """Every name of the package module `lp` that a module reads, by `from .lp import x`
+    or as `lp.x` with `lp` bound by `from . import lp`."""
+    bound, found = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level == 1 or node.module == "weylcone"):
+            if node.module == "lp":
+                found |= {a.name for a in node.names}
+            elif node.module in (None, "weylcone"):
+                bound |= {a.asname or a.name for a in node.names if a.name == "lp"}
+    found |= {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+    }
+    return found
+
+
+# The LP entry points each module may read: `regions` solves an LP only for the
+# points it keeps (the cone witnesses and the threshold certificate); its
+# emptiness questions go through `polyhedra`.
+LP_READS = {
+    "chambers": {"feasible_point"},
+    "polyhedra": {"feasible_point", "solve"},
+    "regions": {"interior_point", "lexmin_point"},
+}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.stem)
+def test_each_module_reads_only_its_pinned_lp_entry_points(path):
+    assert _lp_reads(ast.parse(path.read_text())) == LP_READS.get(path.stem, set())
+
+
+def test_the_lp_guard_sees_both_forms():
+    src = "from . import lp, polyhedra\nfrom .lp import solve\nlp.feasible_point(1)\npolyhedra.in_hull(2)\n"
+    assert _lp_reads(ast.parse(src)) == {"solve", "feasible_point"}
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     """Every name an import binds that the module never reads; `__future__` is exempt."""
     bound = []

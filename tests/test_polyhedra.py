@@ -22,6 +22,7 @@ from polytope_oracle import (
     brute_facets,
     contains,
     face_lattice,
+    lp_extreme_points,
     mc_integrate_exp,
     min_norm_squared,
     support_value,
@@ -371,6 +372,12 @@ def test_extreme_points_reproduce_hull(pts):
         assert PH.in_hull(ext, p)
 
 
+def test_extreme_points_of_no_point_and_of_one_repeated_point():
+    assert PH.extreme_points([]) == lp_extreme_points([]) == ()
+    p = (F(1, 2), F(-3))
+    assert PH.extreme_points([p, p, p]) == lp_extreme_points([p, p, p]) == (p,)
+
+
 @st.composite
 def normal_sets(draw):
     """Small integer normals, dim 1-4: zero rows, repeats and rank-deficient sets all occur."""
@@ -515,6 +522,14 @@ def test_faces_match_the_face_lattice_oracle(v):
 @given(point_clouds())
 def test_facets_of_a_point_set_match_the_brute_force(v):
     assert PH._facets(v) == [on for *_, on in brute_facets(v)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_clouds())
+def test_extreme_points_match_one_hull_lp_per_point(v):
+    """The vertices read off the double-description facets are the points that
+    no hull LP writes as a convex combination of the others."""
+    assert PH.extreme_points(v.vertices) == lp_extreme_points(v.vertices)
 
 
 def _r_prime_hulls(ctype, rank):

@@ -1568,6 +1568,64 @@ def test_lemma33_equivalence_clean(ctx):
     assert RG.lemma33_equivalence(ctx, T, S) == ()
 
 
+@pytest.fixture(scope="module")
+def decompositions(ctx, descs, a3_ctx, a3_adjoint_leaves):
+    """(ctx, leaves, T, S) of the A2 adjoint, A3 standard and A3 adjoint decompositions."""
+    ctx3, leaves3 = a3_adjoint_leaves
+    return [
+        (ctx, descs, T, S),
+        (a3_ctx, RG.decompose(a3_ctx, A3_T, A3_S), A3_T, A3_S),
+        (ctx3, leaves3, A3_ADJ_T, A3_ADJ_S),
+    ]
+
+
+def test_kernel_meets_matches_the_lp_oracle_on_every_child_region(decompositions):
+    """`_kernel_meets` (a vertex of the region cut by the kernel rows) against one
+    feasibility LP on every child region of the decompositions, each leaf and each
+    region above a deeper leaf: with its unconsumed weights, which meet it iff it
+    is a leaf, with each single weight and with all of them."""
+    seen, inner = collections.Counter(), 0
+    for c, leaves, t, s in decompositions:
+        form_y = dict(zip(c.pi, RG._quotient_rows(c.basis, c.pi)))
+        children = {
+            RG.RegionDescriptor(d.p, d.q, d.pi, d.pi_plus, d.lambdas[:k], d.deltas[:k])
+            for d in leaves
+            for k in range(1, len(d.lambdas) + 1)
+        }
+        inner += len(children - set(leaves))
+        for child in children:
+            h = RG.instantiate(RG.region_inequalities(c.psi, child), c.basis, c.b_form, t, s)
+            assert RG._kernel_meets(h, [form_y[f] for f in child.pi_zero]) == (child in leaves), child
+            for forms in (child.pi_zero, c.pi, *((f,) for f in c.pi)):
+                forms_y = [form_y[f] for f in forms]
+                got = RG._kernel_meets(h, forms_y)
+                assert got == region_oracle.kernel_meets_lp(h, forms_y), (child, forms)
+                seen[got] += 1
+    assert inner and seen[True] and seen[False]
+
+
+def test_decompose_and_lemma33_solve_feasibility_lps_only_for_hull_membership(decompositions, monkeypatch):
+    """`decompose` decides its leaves and `lemma33_equivalence` its thickened side
+    by vertices, with no feasibility LP; the lemma's one LP per span class is its
+    kernel-hull membership (`polyhedra.in_hull`)."""
+    calls, real = [], RG.lp.feasible_point
+
+    def refuse(*args, **kwargs):
+        pytest.fail("decompose called lp.feasible_point")
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for c, leaves, t, s in decompositions:
+        monkeypatch.setattr(RG.lp, "feasible_point", refuse)
+        assert RG.decompose(c, t, s) == leaves
+        monkeypatch.setattr(RG.lp, "feasible_point", counting)
+        calls.clear()
+        assert RG.lemma33_equivalence(c, t, s) == ()
+        assert len(calls) == len(RG._span_classes(RG.psi_at(c.psi, c.p), c.datum.rank))
+
+
 def test_json_shapes(ctx, descs, refinement):
     blob = RG.decomposition_to_json(ctx, descs)
     assert blob["epsilon"] == "1/4" and blob["kappa_sq"] == "2"
